@@ -8,20 +8,18 @@ import argparse
 import json
 import time
 
+from g2soliton.identities import identity_ids
 from g2soliton.sweep import SweepConfig, run_sweep, summarize
 
+# each family samples curves on the merged constraints of its identities
 FAMILIES = [
-    ("weierstrass", ["W1", "W2", "W3", "W4", "W5", "W6", "W7"], {"l5!=0"}),
-    ("jacobi", ["J1", "J2", "J3", "J4", "J5", "J6", "J7"], {"l1!=0"}),
-    ("integrability", ["INT-R", "INT-W", "INT-J", "Y1Y2"], {"l5!=0", "l1!=0"}),
-    ("kummer", ["KUM2"], {"l5!=0"}),
-    ("quintic", ["WS1", "WS2", "WS3", "INT-W2", "KUM1"], {"l6=0", "l5!=0"}),
-    (
-        "quintic-reduced",
-        ["WS4", "WS5", "JS1", "JS2", "JS3", "JS4", "JS5", "INT-J2", "HP"],
-        {"l0=0", "l6=0", "l5!=0", "l1!=0"},
-    ),
-    ("projective", ["HP", "GII"], {"l0=0", "l6=0", "l5=4", "l1=4"}),
+    ("weierstrass", ["W1", "W2", "W3", "W4", "W5", "W6", "W7"]),
+    ("jacobi", ["J1", "J2", "J3", "J4", "J5", "J6", "J7"]),
+    ("integrability", ["INT-R", "INT-W", "INT-J", "Y1Y2"]),
+    ("kummer", ["KUM2"]),
+    ("quintic", ["WS1", "WS2", "WS3", "INT-W2", "KUM1"]),
+    ("quintic-reduced", ["WS4", "WS5", "JS1", "JS2", "JS3", "JS4", "JS5", "INT-J2", "HP"]),
+    ("projective", ["HP", "GII"]),
 ]
 
 
@@ -35,8 +33,10 @@ def main() -> int:
 
     payload = {"count": args.count, "seed": args.seed, "families": {}}
     clean = True
-    for name, tags, constraints in FAMILIES:
-        config = SweepConfig(count=args.count, seed=args.seed, constraints=frozenset(constraints))
+    catalog = identity_ids()
+    for name, tags in FAMILIES:
+        constraints = [c for tag in tags for c in catalog[tag].constraints]
+        config = SweepConfig(count=args.count, seed=args.seed, constraints=constraints)
         start = time.perf_counter()
         reports = run_sweep(config, tags, jobs=args.jobs)
         elapsed = time.perf_counter() - start
@@ -44,7 +44,7 @@ def main() -> int:
         clean = clean and summary.clean and not summary.n_skipped
         payload["families"][name] = {
             "tags": tags,
-            "constraints": sorted(constraints),
+            "constraints": [str(c) for c in config.constraints],
             "zero": summary.n_zero,
             "nonzero": summary.n_nonzero,
             "skipped": summary.n_skipped,

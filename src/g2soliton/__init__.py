@@ -20,20 +20,15 @@ from .curvering import (
     CurveRingError,
     DivisionByZero,
     Fld,
-    Mono,
     OffCurve,
     Poly,
     PoleAtPoint,
     Rat,
     eval_probe,
-    fld_arith,
-    is_zero,
-    reduce_y,
 )
 from .elliptic import (
     DegenerateRoots,
     EllipticError,
-    GmkdvParams,
     JacobiParams,
     PoleArgument,
     SingularDenominator,
@@ -42,23 +37,20 @@ from .elliptic import (
     cn,
     dn,
     halfperiod_residual_g1,
-    halfperiod_shift_report,
     quarter_period,
     sn,
     sncndn,
     weierstrass_p,
     weierstrass_p_prime,
 )
-from .flows import FLOW_U1, FLOW_U2, flow_derivative, flow_velocity
+from .flows import FLOW_U1, FLOW_U2, flow_derivative
 from .identities import (
     G2Functions,
     IDENTITY_SETS,
     IdentityId,
     MissingConstraint,
     VerifyReport,
-    build_functions,
     dual_transform,
-    halfperiod_check,
     identity_ids,
     residual,
     residuals,
@@ -73,7 +65,6 @@ from .pde import (
     UnstableStep,
     cnoidal_wave,
     conserved_quantities,
-    evolve,
     evolve_trajectory,
     exact_soliton,
     gmkdv_residual,

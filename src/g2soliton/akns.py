@@ -50,15 +50,6 @@ class JetPoint:
     v_xxx: complex
     v_t: complex
 
-    def scaled(self, factor: complex) -> "JetPoint":
-        return JetPoint(
-            self.v * factor,
-            self.v_x * factor,
-            self.v_xx * factor,
-            self.v_xxx * factor,
-            self.v_t * factor,
-        )
-
 
 def lax_l(jet: JetPoint, params: AKNSParams) -> np.ndarray:
     eta, v = params.eta, jet.v

@@ -32,7 +32,7 @@ from .identities import (
     G2Functions,
     IDENTITY_SETS,
     MissingConstraint,
-    halfperiod_check,
+    residuals,
     verify_all,
     verify_identity,
 )
@@ -111,7 +111,7 @@ def _cmd_half_period(args) -> int:
     fns = G2Functions(params)
     start = time.perf_counter()
     try:
-        comps = halfperiod_check(fns)
+        comps = residuals("HP", fns)
     except MissingConstraint as exc:
         entries.append(
             {"curve": params.as_strings(), "identity": "HP", "status": "skipped",
@@ -139,7 +139,7 @@ def _cmd_half_period(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    constraints = frozenset(c.strip() for c in args.constraints.split(",") if c.strip())
+    constraints = [c for c in args.constraints.split(",") if c.strip()]
     config = SweepConfig(count=args.count, seed=args.seed, constraints=constraints)
     tags = IDENTITY_SETS.get(args.set)
     if tags is None:
@@ -164,7 +164,7 @@ def _cmd_sweep(args) -> int:
             "command": "sweep",
             "seed": args.seed,
             "count": args.count,
-            "constraints": sorted(constraints),
+            "constraints": [str(c) for c in config.constraints],
             "set": args.set,
             "entries": entries,
             "summary": {
@@ -199,14 +199,18 @@ def _cmd_elliptic_check(args) -> int:
             rows.append((re, im, ode))
     worst_hp = 0.0
     rng = random.Random(args.seed)
-    n_hp = 0
-    while n_hp < 100:
+    n_hp, need = 0, 100
+    for _ in range(10 * need):  # draws near a pole are redrawn, within a bound
         z = complex(rng.uniform(0.2, 1.8), rng.uniform(-0.5, 0.5))
         try:
             worst_hp = max(worst_hp, abs(halfperiod_residual_g1(z, k)))
         except PoleArgument:
             continue
         n_hp += 1
+        if n_hp == need:
+            break
+    else:
+        raise ValueError(f"only {n_hp} of {need} half-period points could be evaluated at k={args.k}")
     roots = WeierstrassRoots(1.2, 0.3, -1.5)
     worst_wp = 0.0
     for _ in range(40):

@@ -8,27 +8,22 @@ polynomials whose denominator is free of y1, y2; equality-to-zero of a
 numerator term map is therefore an exact decision procedure for identities
 between hyperelliptic functions.
 
-Coefficients are exact rationals (gmpy2.mpq when available, else
-fractions.Fraction).  Numeric probing is done with mpmath at a configurable
-precision (PROBE_DIGITS environment variable, default 30 digits).
+Coefficients are exact rationals (fractions.Fraction).  Numeric probing is
+done with mpmath at a configurable precision (PROBE_DIGITS environment
+variable, default 30 digits).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import re
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from fractions import Fraction as Rat
+from typing import Mapping
 
 import mpmath as mp
-
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is an ordinary dependency
-    from fractions import Fraction as Rat
-
-_RAT_TYPE = type(Rat(0))
 
 DEFAULT_PROBE_DIGITS = 30
 
@@ -58,30 +53,29 @@ def probe_digits() -> int:
 
 
 def _to_rat(value) -> Rat:
-    if isinstance(value, _RAT_TYPE):
+    """An exact rational from an integer, a rational or text such as '-3/4'."""
+    if isinstance(value, Rat):
         return value
-    if isinstance(value, int):
-        return Rat(value)
     if isinstance(value, str):
+        try:
+            return Rat(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+    if isinstance(value, numbers.Rational):
         return Rat(value)
-    # fractions.Fraction or anything exposing integer numerator/denominator
-    num = getattr(value, "numerator", None)
-    den = getattr(value, "denominator", None)
-    if num is not None and den is not None:
-        return Rat(int(num), int(den))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
 def rat_to_mp(r) -> mp.mpf:
     """Exact rational -> mpmath float at the current working precision."""
-    return mp.mpf(int(r.numerator)) / mp.mpf(int(r.denominator))
+    return mp.mpf(r.numerator) / mp.mpf(r.denominator)
 
 
 def rat_sqrt(r):
     """Exact square root of a nonnegative rational, or None if not a square."""
     if r < 0:
         return None
-    num, den = int(r.numerator), int(r.denominator)
+    num, den = r.numerator, r.denominator
     sn, sd = math.isqrt(num), math.isqrt(den)
     if sn * sn != num or sd * sd != den:
         return None
@@ -116,15 +110,7 @@ class CurveParams:
         entries = [e.strip() for e in body.split(",") if e.strip()]
         if len(entries) != 7:
             raise ValueError(f"expected 7 lambda entries, got {len(entries)}")
-        return cls(tuple(Rat(e) for e in entries))
-
-    @property
-    def weierstrass_usable(self) -> bool:
-        return self.lambdas[5] != 0
-
-    @property
-    def jacobi_usable(self) -> bool:
-        return self.lambdas[1] != 0
+        return cls(tuple(entries))
 
     def dual(self) -> "CurveParams":
         """Coefficient reversal l_j <-> l_{6-j} (the x -> 1/x involution)."""
@@ -149,19 +135,6 @@ class CurveParams:
 
     def __str__(self) -> str:
         return "lambda = [" + ",".join(self.as_strings()) + "]"
-
-
-class Mono(NamedTuple):
-    """Monomial exponents x1^ex1 * x2^ex2 * y1^ey1 * y2^ey2 (ey in {0,1})."""
-
-    ex1: int
-    ex2: int
-    ey1: int
-    ey2: int
-
-    @property
-    def total_degree(self) -> int:
-        return self.ex1 + self.ex2 + self.ey1 + self.ey2
 
 
 def _order_key(m) -> tuple:
@@ -277,9 +250,6 @@ class Poly:
     def has_y(self) -> bool:
         return any(m[2] or m[3] for m in self.terms)
 
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
     def leading(self) -> tuple:
         """(monomial, coefficient) under graded lex with x1 > x2 > y1 > y2."""
         if not self.terms:
@@ -302,7 +272,7 @@ class Poly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, _RAT_TYPE)):
+        if isinstance(other, (int, Rat)):
             other = Poly.const(self.params, other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -326,7 +296,7 @@ class Poly:
         return Poly(self.params, {m: -c for m, c in self.terms.items()}, _clean=True)
 
     def __sub__(self, other):
-        if isinstance(other, (int, _RAT_TYPE)):
+        if isinstance(other, (int, Rat)):
             other = Poly.const(self.params, other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -336,7 +306,7 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, _RAT_TYPE)):
+        if isinstance(other, (int, Rat)):
             c = _to_rat(other)
             if c == 0:
                 return Poly.zero(self.params)
@@ -402,8 +372,8 @@ class Poly:
         num_gcd = 0
         den_lcm = 1
         for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(int(c.numerator)))
-            d = int(c.denominator)
+            num_gcd = math.gcd(num_gcd, abs(c.numerator))
+            d = c.denominator
             den_lcm = den_lcm // math.gcd(den_lcm, d) * d
         return Rat(num_gcd, den_lcm)
 
@@ -517,11 +487,6 @@ class Poly:
     __repr__ = __str__
 
 
-def reduce_y(params: CurveParams, raw_terms: Mapping) -> Poly:
-    """Reduce arbitrary y-exponents modulo y_i^2 = f(x_i)."""
-    return Poly(params, raw_terms)
-
-
 def _x1_minus_x2(params) -> Poly:
     return Poly(params, {(1, 0, 0, 0): Rat(1), (0, 1, 0, 0): Rat(-1)}, _clean=True)
 
@@ -583,10 +548,6 @@ class Fld:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_poly(cls, p: Poly) -> "Fld":
-        return cls(p)
-
-    @classmethod
     def const(cls, params, value) -> "Fld":
         return cls(Poly.const(params, value))
 
@@ -605,7 +566,7 @@ class Fld:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, _RAT_TYPE)):
+        if isinstance(other, (int, Rat)):
             other = Fld.const(self.params, other)
         if not isinstance(other, Fld):
             return NotImplemented
@@ -617,7 +578,7 @@ class Fld:
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, (int, _RAT_TYPE)):
+        if isinstance(other, (int, Rat)):
             return Fld.const(self.params, other)
         if isinstance(other, Poly):
             return Fld(other)
@@ -654,7 +615,7 @@ class Fld:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, _RAT_TYPE)):
+        if isinstance(other, (int, Rat)):
             if other == 0:
                 return Fld.const(self.params, 0)
             return Fld(self.num * other, self.den)
@@ -774,28 +735,6 @@ def _add_structured(f1: Fld, f2: Fld, s1, s2) -> tuple:
     num = f1.num * cof1 + f2.num * cof2
     den = _structured_den(params, Rat(1), a, b, k)
     return num, den
-
-
-# -- named operation wrappers -------------------------------------------------
-
-
-def fld_arith(a: Fld, b: Fld, op: str) -> Fld:
-    """Field arithmetic dispatch: op in {'+', '-', '*', '/'}."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b.is_zero():
-            raise DivisionByZero("division by zero field element")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def is_zero(a: Fld) -> bool:
-    return a.is_zero()
 
 
 def eval_probe(a: Fld, x1, x2, y_signs=(1, 1), mode: str = "float", dps: int | None = None):

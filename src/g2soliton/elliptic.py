@@ -183,11 +183,6 @@ def halfperiod_residual_g1(z, k, shift_multiple: int = 3) -> complex:
     return shifted * complex(k) * sz - 1
 
 
-def halfperiod_shift_report(z, k, multiples=(1, 3)) -> dict:
-    """Residual magnitude of the reciprocal relation for several shifts."""
-    return {m: abs(halfperiod_residual_g1(z, k, shift_multiple=m)) for m in multiples}
-
-
 @dataclass(frozen=True)
 class WeierstrassRoots:
     """Roots of 4(t-e1)(t-e2)(t-e3) with e1+e2+e3 = 0 (depressed cubic)."""
@@ -247,19 +242,3 @@ def weierstrass_ode_residual(u, roots: WeierstrassRoots) -> complex:
     p = weierstrass_p(u, roots)
     dp = weierstrass_p_prime(u, roots)
     return dp * dp - 4 * (p - roots.e1) * (p - roots.e2) * (p - roots.e3)
-
-
-@dataclass(frozen=True)
-class GmkdvParams:
-    """Coefficient of the extra linear advection term in the modified flow."""
-
-    a: complex
-
-    @classmethod
-    def standard_sn(cls, k) -> "GmkdvParams":
-        """The choice a = (1+k^2)/2 that makes sn(x/sqrt(2)) a static solution."""
-        k = complex(k)
-        a = (1 + k * k) / 2
-        if abs(a.imag) < 1e-15:
-            a = complex(a.real)
-        return cls(a=a)

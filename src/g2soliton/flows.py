@@ -14,7 +14,7 @@ rationalized normal form with no extra work.
 
 from __future__ import annotations
 
-from .curvering import CurveParams, Fld, Poly, Rat, _x1_minus_x2
+from .curvering import Fld, Poly, Rat, _x1_minus_x2
 
 FLOW_U1 = 1
 FLOW_U2 = 2
@@ -69,16 +69,3 @@ def flow_derivative(g: Fld | Poly, direction: int) -> Fld:
         return Fld(dn, binom * g.den)
     num = dn * g.den - g.num * dd
     return Fld(num, binom * g.den * g.den)
-
-
-def flow_velocity(params: CurveParams, direction: int) -> tuple[Fld, Fld]:
-    """(D x1, D x2) for the chosen direction, as field elements."""
-    _check_direction(direction)
-    x1 = Fld.variable(params, "x1")
-    x2 = Fld.variable(params, "x2")
-    y1 = Fld.variable(params, "y1")
-    y2 = Fld.variable(params, "y2")
-    dx = x1 - x2
-    if direction == 2:
-        return y1 / dx, -y2 / dx
-    return -x2 * y1 / dx, x1 * y2 / dx

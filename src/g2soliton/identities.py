@@ -21,6 +21,7 @@ and to certify nonzero witnesses).
 from __future__ import annotations
 
 import random
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -35,6 +36,7 @@ from .curvering import (
     probe_digits,
     random_probe_point,
     rat_to_mp,
+    _to_rat,
     _x1_minus_x2,
 )
 from .flows import flow_derivative
@@ -46,18 +48,56 @@ class MissingConstraint(CurveRingError):
 
 # -- constraint vocabulary ----------------------------------------------------
 
-_CONSTRAINT_CHECKS = {
-    "l0=0": lambda p: p.lambdas[0] == 0,
-    "l6=0": lambda p: p.lambdas[6] == 0,
-    "l5!=0": lambda p: p.lambdas[5] != 0,
-    "l1!=0": lambda p: p.lambdas[1] != 0,
-    "l5=4": lambda p: p.lambdas[5] == 4,
-    "l1=4": lambda p: p.lambdas[1] == 4,
-}
+_CONSTRAINT_TEXT = re.compile(r"\s*l(\d)\s*(!=|=)\s*(\S+)\s*")
 
 
-def violated_constraints(params: CurveParams, constraints) -> list[str]:
-    return [c for c in sorted(constraints) if not _CONSTRAINT_CHECKS[c](params)]
+@dataclass(frozen=True)
+class Constraint:
+    """One condition on a curve coefficient: l<index> = value, or l<index> != 0."""
+
+    index: int
+    kind: str  # "=" or "!="
+    value: Rat
+
+    @classmethod
+    def parse(cls, text: str) -> "Constraint":
+        """Read 'l<i>=<rational>' or 'l<i>!=0' with i in 0..6."""
+        m = _CONSTRAINT_TEXT.fullmatch(text)
+        if m is None or int(m.group(1)) > 6:
+            raise ValueError(f"constraint must read l<i>=<rational> or l<i>!=0 with i in 0..6, got {text!r}")
+        value = _to_rat(m.group(3))
+        if m.group(2) == "!=" and value != 0:
+            raise ValueError(f"only l<i>!=0 is supported, got {text!r}")
+        return cls(int(m.group(1)), m.group(2), value)
+
+    def holds(self, params: CurveParams) -> bool:
+        v = params.lambdas[self.index]
+        return v == self.value if self.kind == "=" else v != self.value
+
+    def __str__(self) -> str:
+        return f"l{self.index}{self.kind}{self.value}"
+
+
+def merge_constraints(constraints) -> tuple:
+    """Fold constraints (or their text) into at most one per coefficient.
+
+    An equation absorbs a compatible 'l<i>!=0' ('l5=4' with 'l5!=0' gives
+    'l5=4'); two values for one coefficient, or 'l<i>=0' with 'l<i>!=0',
+    raise ValueError.  The result is ordered by coefficient index and does
+    not depend on the order of the input.
+    """
+    parsed = [c if isinstance(c, Constraint) else Constraint.parse(c) for c in constraints]
+    merged: dict = {}
+    for c in sorted(parsed, key=str):
+        prev = merged.get(c.index)
+        if prev is None or prev == c:
+            merged[c.index] = c
+            continue
+        eq, other = (prev, c) if prev.kind == "=" else (c, prev)
+        if other.kind == "=" or eq.value == 0:
+            raise ValueError(f"contradictory constraints {prev} and {c}")
+        merged[c.index] = eq
+    return tuple(merged[i] for i in sorted(merged))
 
 
 @dataclass(frozen=True)
@@ -65,10 +105,19 @@ class IdentityId:
     """Catalog tag plus the lambda constraints the identity needs."""
 
     tag: str
-    required_constraints: frozenset
+    constraints: tuple  # merged Constraint values
+
+    @property
+    def required_constraints(self) -> frozenset:
+        """The constraints as canonical text such as 'l5!=0'."""
+        return frozenset(map(str, self.constraints))
+
+    def violated(self, params: CurveParams) -> list[str]:
+        """The constraints the curve fails, as sorted canonical text."""
+        return sorted(str(c) for c in self.constraints if not c.holds(params))
 
     def runnable_on(self, params: CurveParams) -> bool:
-        return not violated_constraints(params, self.required_constraints)
+        return not self.violated(params)
 
 
 # -- the function families ----------------------------------------------------
@@ -90,6 +139,15 @@ def symmetric_pairing(params: CurveParams) -> Poly:
         (0, 0, 0, 0): 2 * l[0],
     }
     return Poly(params, {m: c for m, c in terms.items() if c != 0}, _clean=True)
+
+
+# identities on the Weierstrass triple divide by l5, those on the Jacobi triple by l1
+_TRIPLE_GUARDS = {
+    "p22": Constraint.parse("l5!=0"),
+    "p21": Constraint.parse("l5!=0"),
+    "hp11": Constraint.parse("l1!=0"),
+    "hp21": Constraint.parse("l1!=0"),
+}
 
 
 class G2Functions:
@@ -114,7 +172,7 @@ class G2Functions:
 
         quarter5 = l[5] / 4
         self.q = Fld(self.f_poly - 2 * y1y2, 4 * binom2)
-        if params.weierstrass_usable:
+        if _TRIPLE_GUARDS["p22"].holds(params):
             self.p22 = Fld((x1 + x2) * quarter5)
             self.p21 = Fld(x1 * x2 * (-quarter5))
         else:
@@ -127,7 +185,7 @@ class G2Functions:
         self.r11 = self.q + Fld((x1 * x2) ** 2 * half6)
 
         quarter1 = l[1] / 4
-        if params.jacobi_usable:
+        if _TRIPLE_GUARDS["hp11"].holds(params):
             self.hp11 = Fld((x1 + x2) * quarter1, x1 * x2)
             self.hp21 = Fld(Poly.const(params, -quarter1), x1 * x2)
         else:
@@ -137,18 +195,10 @@ class G2Functions:
 
         self._derivs: dict = {}
 
-    _FAMILY_GUARDS = {
-        "p22": "l5!=0",
-        "p21": "l5!=0",
-        "hp11": "l1!=0",
-        "hp21": "l1!=0",
-    }
-
     def base(self, name: str) -> Fld:
         value = getattr(self, name)
         if value is None:
-            guard = self._FAMILY_GUARDS.get(name, "?")
-            raise MissingConstraint(f"{name} requires {guard} (curve {self.params})")
+            raise MissingConstraint(f"{name} requires {_TRIPLE_GUARDS[name]} (curve {self.params})")
         return value
 
     def deriv(self, name: str, dirs: str = "") -> Fld:
@@ -168,15 +218,6 @@ class G2Functions:
             value = flow_derivative(inner, int(dirs[-1]))
         self._derivs[key] = value
         return value
-
-
-def build_functions(params: CurveParams, require: tuple = ()) -> G2Functions:
-    """Construct all families; `require` may list 'weierstrass'/'jacobi'."""
-    if "weierstrass" in require and not params.weierstrass_usable:
-        raise MissingConstraint(f"Weierstrass triple needs l5 != 0 on {params}")
-    if "jacobi" in require and not params.jacobi_usable:
-        raise MissingConstraint(f"Jacobi triple needs l1 != 0 on {params}")
-    return G2Functions(params)
 
 
 # -- dual-route contexts --------------------------------------------------------
@@ -346,20 +387,18 @@ def _halfperiod_components(c):
 
 _BUILDERS = {}
 _IDENTITY_IDS: dict = {}
-_DESCRIPTIONS: dict = {}
 
 
-def _identity(tag, constraints, description):
+def _identity(tag, *constraints):
     def register(fn):
         _BUILDERS[tag] = fn
-        _IDENTITY_IDS[tag] = IdentityId(tag, frozenset(constraints))
-        _DESCRIPTIONS[tag] = description
+        _IDENTITY_IDS[tag] = IdentityId(tag, merge_constraints(constraints))
         return fn
 
     return register
 
 
-@_identity("W1", {"l5!=0"}, "fourth u2-derivative closure for p22")
+@_identity("W1", "l5!=0")  # fourth u2-derivative closure for p22
 def _w1(c):
     return (
         c.d("p22", "22")
@@ -372,7 +411,7 @@ def _w1(c):
     )
 
 
-@_identity("W2", {"l5!=0"}, "mixed (u2^3 u1) closure for p22")
+@_identity("W2", "l5!=0")  # mixed (u2^3 u1) closure for p22
 def _w2(c):
     return (
         c.d("p22", "12")
@@ -384,7 +423,7 @@ def _w2(c):
     )
 
 
-@_identity("W3", {"l5!=0"}, "mixed (u2^2 u1^2) closure for p22")
+@_identity("W3", "l5!=0")  # mixed (u2^2 u1^2) closure for p22
 def _w3(c):
     return (
         c.d("p22", "11")
@@ -395,7 +434,7 @@ def _w3(c):
     )
 
 
-@_identity("W4", {"l5!=0"}, "mixed (u2 u1^3) closure for p21")
+@_identity("W4", "l5!=0")  # mixed (u2 u1^3) closure for p21
 def _w4(c):
     return (
         c.d("p21", "11")
@@ -407,7 +446,7 @@ def _w4(c):
     )
 
 
-@_identity("W5", {"l5!=0"}, "u1^2 closure for q")
+@_identity("W5", "l5!=0")  # u1^2 closure for q
 def _w5(c):
     return (
         c.d("q", "11")
@@ -423,7 +462,7 @@ def _w5(c):
     )
 
 
-@_identity("W6", {"l5!=0"}, "mixed u2 u1 closure for q")
+@_identity("W6", "l5!=0")  # mixed u2 u1 closure for q
 def _w6(c):
     return (
         c.d("q", "12")
@@ -438,7 +477,7 @@ def _w6(c):
     )
 
 
-@_identity("W7", {"l5!=0"}, "u2^2 closure for q")
+@_identity("W7", "l5!=0")  # u2^2 closure for q
 def _w7(c):
     return (
         c.d("q", "22")
@@ -453,7 +492,7 @@ def _w7(c):
     )
 
 
-@_identity("INT-R", set(), "both integrability relations of the r-family")
+@_identity("INT-R")  # both integrability relations of the r-family
 def _int_r(c):
     return (
         c.d("r22", "1") - c.d("r21", "2"),
@@ -461,47 +500,47 @@ def _int_r(c):
     )
 
 
-@_identity("INT-W", {"l5!=0"}, "first integrability relation of the Weierstrass triple")
+@_identity("INT-W", "l5!=0")  # first integrability relation of the Weierstrass triple
 def _int_w(c):
     return c.d("p22", "1") - c.d("p21", "2")
 
 
-@_identity("INT-W2", {"l5!=0", "l6=0"}, "second integrability relation; closes only for l6=0")
+@_identity("INT-W2", "l5!=0", "l6=0")  # second integrability relation; closes only for l6=0
 def _int_w2(c):
     return c.d("p21", "1") - c.d("q", "2")
 
 
-@_identity("Y1Y2", set(), "defining relation between q, the pairing F and y1*y2")
+@_identity("Y1Y2")  # defining relation between q, the pairing F and y1*y2
 def _y1y2(c):
     return 4 * c.sep_sq() * c.q + 2 * c.y1y2() - c.f_sym()
 
 
-@_identity("WS1", {"l5!=0", "l6=0"}, "quintic-curve u2^4 closure for p22")
+@_identity("WS1", "l5!=0", "l6=0")  # quintic-curve u2^4 closure for p22
 def _ws1(c):
     return c.d("p22", "22") - 6 * c.p22**2 - c.l4 * c.p22 - c.l5 * c.p21 - c.l3 * c.l5 / 8
 
 
-@_identity("WS2", {"l5!=0", "l6=0"}, "quintic-curve mixed closure with q as p11")
+@_identity("WS2", "l5!=0", "l6=0")  # quintic-curve mixed closure with q as p11
 def _ws2(c):
     return c.d("p22", "12") - 6 * c.p22 * c.p21 - c.l4 * c.p21 + c.l5 / 2 * c.q
 
 
-@_identity("WS3", {"l5!=0", "l6=0"}, "quintic-curve (u2 u1)^2 closure")
+@_identity("WS3", "l5!=0", "l6=0")  # quintic-curve (u2 u1)^2 closure
 def _ws3(c):
     return c.d("p22", "11") - 2 * c.p22 * c.q - 4 * c.p21**2 - c.l3 / 2 * c.p21
 
 
-@_identity("WS4", {"l5!=0", "l6=0", "l0=0"}, "quintic-curve u1^3 u2 closure")
+@_identity("WS4", "l5!=0", "l6=0", "l0=0")  # quintic-curve u1^3 u2 closure
 def _ws4(c):
     return c.d("p21", "11") - 6 * c.p21 * c.q + c.l1 / 2 * c.p22 - c.l2 * c.p21
 
 
-@_identity("WS5", {"l5!=0", "l6=0", "l0=0"}, "quintic-curve u1^4 closure")
+@_identity("WS5", "l5!=0", "l6=0", "l0=0")  # quintic-curve u1^4 closure
 def _ws5(c):
     return c.d("q", "11") - 6 * c.q**2 - c.l1 * c.p21 - c.l2 * c.q - c.l1 * c.l3 / 8
 
 
-@_identity("J1", {"l1!=0"}, "dual-triple u2^3 u1 closure")
+@_identity("J1", "l1!=0")  # dual-triple u2^3 u1 closure
 def _j1(c):
     return (
         c.d("hp21", "22")
@@ -513,7 +552,7 @@ def _j1(c):
     )
 
 
-@_identity("J2", {"l1!=0"}, "dual-triple u2^2 u1^2 closure")
+@_identity("J2", "l1!=0")  # dual-triple u2^2 u1^2 closure
 def _j2(c):
     return (
         c.d("hp11", "22")
@@ -524,7 +563,7 @@ def _j2(c):
     )
 
 
-@_identity("J3", {"l1!=0"}, "dual-triple u2 u1^3 closure")
+@_identity("J3", "l1!=0")  # dual-triple u2 u1^3 closure
 def _j3(c):
     return (
         c.d("hp11", "12")
@@ -536,7 +575,7 @@ def _j3(c):
     )
 
 
-@_identity("J4", {"l1!=0"}, "dual-triple u1^4 closure")
+@_identity("J4", "l1!=0")  # dual-triple u1^4 closure
 def _j4(c):
     return (
         c.d("hp11", "11")
@@ -549,7 +588,7 @@ def _j4(c):
     )
 
 
-@_identity("J5", {"l1!=0"}, "dual-triple u1^2 closure for hq")
+@_identity("J5", "l1!=0")  # dual-triple u1^2 closure for hq
 def _j5(c):
     return (
         c.d("hq", "11")
@@ -564,7 +603,7 @@ def _j5(c):
     )
 
 
-@_identity("J6", {"l1!=0"}, "dual-triple mixed u2 u1 closure for hq")
+@_identity("J6", "l1!=0")  # dual-triple mixed u2 u1 closure for hq
 def _j6(c):
     return (
         c.d("hq", "12")
@@ -579,7 +618,7 @@ def _j6(c):
     )
 
 
-@_identity("J7", {"l1!=0"}, "dual-triple u2^2 closure for hq")
+@_identity("J7", "l1!=0")  # dual-triple u2^2 closure for hq
 def _j7(c):
     return (
         c.d("hq", "22")
@@ -594,75 +633,65 @@ def _j7(c):
     )
 
 
-@_identity("INT-J", {"l1!=0"}, "second integrability relation of the dual triple")
+@_identity("INT-J", "l1!=0")  # second integrability relation of the dual triple
 def _int_j(c):
     return c.d("hp21", "1") - c.d("hp11", "2")
 
 
-@_identity("INT-J2", {"l1!=0", "l0=0"}, "first dual integrability relation; closes only for l0=0")
+@_identity("INT-J2", "l1!=0", "l0=0")  # first dual integrability relation; closes only for l0=0
 def _int_j2(c):
     return c.d("hq", "1") - c.d("hp21", "2")
 
 
-@_identity("JS1", {"l1!=0", "l0=0", "l6=0"}, "dual triple satisfies the quintic u2^4 closure")
+@_identity("JS1", "l1!=0", "l0=0", "l6=0")  # dual triple satisfies the quintic u2^4 closure
 def _js1(c):
     return c.d("hq", "22") - 6 * c.hq**2 - c.l4 * c.hq - c.l5 * c.hp21 - c.l3 * c.l5 / 8
 
 
-@_identity("JS2", {"l1!=0", "l0=0", "l6=0"}, "dual triple, mixed u2^3 u1 closure")
+@_identity("JS2", "l1!=0", "l0=0", "l6=0")  # dual triple, mixed u2^3 u1 closure
 def _js2(c):
     return c.d("hq", "12") - 6 * c.hq * c.hp21 - c.l4 * c.hp21 + c.l5 / 2 * c.hp11
 
 
-@_identity("JS3", {"l1!=0", "l0=0", "l6=0"}, "dual triple, (u2 u1)^2 closure")
+@_identity("JS3", "l1!=0", "l0=0", "l6=0")  # dual triple, (u2 u1)^2 closure
 def _js3(c):
     return c.d("hq", "11") - 2 * c.hq * c.hp11 - 4 * c.hp21**2 - c.l3 / 2 * c.hp21
 
 
-@_identity("JS4", {"l1!=0", "l0=0", "l6=0"}, "dual triple, u1^3 u2 closure")
+@_identity("JS4", "l1!=0", "l0=0", "l6=0")  # dual triple, u1^3 u2 closure
 def _js4(c):
     return c.d("hp21", "11") - 6 * c.hp21 * c.hp11 + c.l1 / 2 * c.hq - c.l2 * c.hp21
 
 
-@_identity("JS5", {"l1!=0", "l0=0", "l6=0"}, "dual triple, u1^4 closure")
+@_identity("JS5", "l1!=0", "l0=0", "l6=0")  # dual triple, u1^4 closure
 def _js5(c):
     return c.d("hp11", "11") - 6 * c.hp11**2 - c.l1 * c.hp21 - c.l2 * c.hp11 - c.l1 * c.l3 / 8
 
 
-@_identity("KUM1", {"l5!=0", "l6=0"}, "quartic kernel determinant (quintic curves)")
+@_identity("KUM1", "l5!=0", "l6=0")  # quartic kernel determinant (quintic curves)
 def _kum1(c):
     return _kummer_quartic(c)
 
 
-@_identity("KUM2", {"l5!=0"}, "generalized quartic relation (sextic curves)")
+@_identity("KUM2", "l5!=0")  # generalized quartic relation (sextic curves)
 def _kum2(c):
     return _kummer_quartic(c) + _kummer_correction(c)
 
 
-@_identity(
-    "HP",
-    {"l0=0", "l6=0", "l5!=0", "l1!=0"},
-    "half-period shift sending the Weierstrass triple to the dual triple",
-)
+# half-period shift sending the Weierstrass triple to the dual triple
+@_identity("HP", "l0=0", "l6=0", "l5!=0", "l1!=0")
 def _hp(c):
     return _halfperiod_components(c)
 
 
-@_identity(
-    "GII",
-    {"l0=0", "l6=0", "l5=4", "l1=4"},
-    "projective type-II transformation realizes the half-period shift",
-)
+# projective type-II transformation realizes the half-period shift
+@_identity("GII", "l0=0", "l6=0", "l5=4", "l1=4")
 def _gii(c):
     return _gii_components(c)
 
 
 def identity_ids() -> dict:
     return dict(_IDENTITY_IDS)
-
-
-def identity_description(tag: str) -> str:
-    return _DESCRIPTIONS[tag]
 
 
 IDENTITY_SETS = {
@@ -685,8 +714,7 @@ def _as_tuple(value):
 def residuals(tag_or_id, fns: G2Functions) -> tuple:
     """All residual components of one identity, as exact field elements."""
     tag = tag_or_id.tag if isinstance(tag_or_id, IdentityId) else tag_or_id
-    ident = _IDENTITY_IDS[tag]
-    bad = violated_constraints(fns.params, ident.required_constraints)
+    bad = _IDENTITY_IDS[tag].violated(fns.params)
     if bad:
         raise MissingConstraint(f"{tag} needs {', '.join(bad)} on curve {fns.params}")
     return _as_tuple(_BUILDERS[tag](ExactContext(fns)))
@@ -712,11 +740,6 @@ def probe_identity(tag: str, fns: G2Functions, point) -> tuple:
     machinery with the exact route is the symbolic flow-derivative table.
     """
     return _as_tuple(_BUILDERS[tag](NumericContext(fns, point)))
-
-
-def halfperiod_check(fns: G2Functions) -> tuple:
-    """Three exact residuals of the half-period transformation."""
-    return residuals("HP", fns)
 
 
 # -- verification driver --------------------------------------------------------
@@ -802,8 +825,7 @@ def find_witness(comps, fns: G2Functions, seed: int = 0, tries: int = 25):
 
 
 def verify_identity(tag: str, fns: G2Functions, witness_seed: int = 0) -> IdentityResult:
-    ident = _IDENTITY_IDS[tag]
-    bad = violated_constraints(fns.params, ident.required_constraints)
+    bad = _IDENTITY_IDS[tag].violated(fns.params)
     if bad:
         return IdentityResult(tag, "skipped", reason=" and ".join(bad) + " required")
     start = time.perf_counter()

@@ -183,12 +183,6 @@ def evolve_trajectory(
     return snapshots
 
 
-def evolve(eq: str, u0: Field1D, t_end: float, dt: float, a: float = 0.0, substeps: int = 2) -> Field1D:
-    """Solution at t_end (exact spectral linear part, dealiased nonlinearity)."""
-    steps = max(1, int(round(t_end / dt)))
-    return evolve_trajectory(eq, u0, t_end, dt, a=a, save_every=steps, substeps=substeps)[-1]
-
-
 def miura_map(v: Field1D, a: float) -> Field1D:
     """u = v^2 + v_x - a/6 with spectral v_x; the product is dealiased."""
     sq_hat = _dealias(v.grid, np.fft.fft(v.values * v.values))
@@ -196,45 +190,46 @@ def miura_map(v: Field1D, a: float) -> Field1D:
     return Field1D(v.grid, u, "u")
 
 
-def kdv_residual(u_traj, dt: float) -> float:
-    """Max norm of u_t + u_xxx - 6 u u_x along a snapshot sequence.
+def _stencil_residual(traj, dt: float, residual) -> float:
+    """Max norm of residual(w_t, w) over the interior of a snapshot sequence.
 
-    u_t uses the fourth-order centered stencil, so at least five consecutive
-    snapshots (spacing dt) are required; x-derivatives are spectral and the
-    nonlinear product carries the same 2/3 dealiasing as the evolution.
+    w_t uses the fourth-order centered stencil, so at least five consecutive
+    snapshots (spacing dt) are required.
     """
-    traj = list(u_traj)
+    traj = list(traj)
     if len(traj) < 5:
         raise InsufficientSnapshots("need at least 5 consecutive snapshots")
     worst = 0.0
     for i in range(2, len(traj) - 2):
-        u_t = (
+        w_t = (
             -traj[i + 2].values + 8 * traj[i + 1].values - 8 * traj[i - 1].values + traj[i - 2].values
         ) / (12 * dt)
-        u = traj[i]
-        grid = u.grid
-        prod = np.fft.ifft(_dealias(grid, np.fft.fft(u.values * u.deriv(1))))
-        res = u_t + u.deriv(3) - 6 * prod
-        worst = max(worst, float(np.max(np.abs(res))))
+        worst = max(worst, float(np.max(np.abs(residual(w_t, traj[i])))))
     return worst
+
+
+def kdv_residual(u_traj, dt: float) -> float:
+    """Max norm of u_t + u_xxx - 6 u u_x along a snapshot sequence.
+
+    x-derivatives are spectral and the nonlinear product carries the same
+    2/3 dealiasing as the evolution.
+    """
+
+    def residual(u_t, u):
+        prod = np.fft.ifft(_dealias(u.grid, np.fft.fft(u.values * u.deriv(1))))
+        return u_t + u.deriv(3) - 6 * prod
+
+    return _stencil_residual(u_traj, dt, residual)
 
 
 def gmkdv_residual(v_traj, dt: float, a: float) -> float:
     """Max norm of v_t + v_xxx - 6 v^2 v_x + a v_x along a snapshot sequence."""
-    traj = list(v_traj)
-    if len(traj) < 5:
-        raise InsufficientSnapshots("need at least 5 consecutive snapshots")
-    worst = 0.0
-    for i in range(2, len(traj) - 2):
-        v_t = (
-            -traj[i + 2].values + 8 * traj[i + 1].values - 8 * traj[i - 1].values + traj[i - 2].values
-        ) / (12 * dt)
-        v = traj[i]
-        grid = v.grid
-        prod = np.fft.ifft(_dealias(grid, np.fft.fft(v.values**2 * v.deriv(1))))
-        res = v_t + v.deriv(3) - 6 * prod + complex(a) * v.deriv(1)
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+
+    def residual(v_t, v):
+        prod = np.fft.ifft(_dealias(v.grid, np.fft.fft(v.values**2 * v.deriv(1))))
+        return v_t + v.deriv(3) - 6 * prod + complex(a) * v.deriv(1)
+
+    return _stencil_residual(v_traj, dt, residual)
 
 
 def conserved_quantities(u: Field1D) -> tuple:

@@ -14,68 +14,47 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .curvering import CurveParams, Rat
-from .identities import IDENTITY_SETS, VerifyReport, verify_all
+from .identities import IDENTITY_SETS, VerifyReport, merge_constraints, verify_all
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """How many curves to draw, from which seeded distribution."""
+    """How many curves to draw, from which seeded distribution.
+
+    `constraints` takes Constraint values or their text ('l0=0', 'l5!=0',
+    'l5=4'); they are merged once, here, into one directive per coefficient.
+    """
 
     count: int = 20
     seed: int = 42
-    constraints: frozenset = frozenset()
+    constraints: tuple = ()
     num_bound: int = 100
     den_bound: int = 10
 
     def __post_init__(self):
-        object.__setattr__(self, "constraints", frozenset(self.constraints))
-        for c in self.constraints:
-            _parse_directive(c)
+        merged = merge_constraints(self.constraints)
+        if len(merged) == 7 and all(c.kind == "=" and c.value == 0 for c in merged):
+            raise ValueError("constraints force every coefficient to zero, so f(x) would vanish")
+        object.__setattr__(self, "constraints", merged)
 
 
-def _parse_directive(text: str):
-    """'l3=0' | 'l5!=0' | 'l5=4' -> (index, kind, value)."""
-    text = text.strip()
-    if "!=" in text:
-        name, value = text.split("!=")
-        if value.strip() != "0":
-            raise ValueError(f"unsupported constraint {text!r}")
-        idx = _coeff_index(name)
-        return idx, "nonzero", None
-    name, value = text.split("=")
-    idx = _coeff_index(name)
-    val = Rat(value.strip())
-    if val == 0:
-        return idx, "zero", None
-    return idx, "fixed", val
-
-
-def _coeff_index(name: str) -> int:
-    name = name.strip()
-    if not name.startswith("l") or not name[1:].isdigit() or not 0 <= int(name[1:]) <= 6:
-        raise ValueError(f"constraint must name a coefficient l0..l6, got {name!r}")
-    return int(name[1:])
+def _draw(rng: random.Random, config: SweepConfig) -> Rat:
+    return Rat(rng.randint(-config.num_bound, config.num_bound), rng.randint(1, config.den_bound))
 
 
 def sample_curve(rng: random.Random, config: SweepConfig) -> CurveParams:
     """One random curve honoring the configured coefficient directives."""
-    directives = dict()
-    for c in config.constraints:
-        idx, kind, val = _parse_directive(c)
-        directives[idx] = (kind, val)
+    directives = {c.index: c for c in config.constraints}
     while True:
         lams = []
         for j in range(7):
-            kind, val = directives.get(j, (None, None))
-            if kind == "zero":
-                lams.append(Rat(0))
+            c = directives.get(j)
+            if c is not None and c.kind == "=":
+                lams.append(c.value)
                 continue
-            if kind == "fixed":
-                lams.append(val)
-                continue
-            v = Rat(rng.randint(-config.num_bound, config.num_bound), rng.randint(1, config.den_bound))
-            while kind == "nonzero" and v == 0:
-                v = Rat(rng.randint(-config.num_bound, config.num_bound), rng.randint(1, config.den_bound))
+            v = _draw(rng, config)
+            while c is not None and v == 0:  # the directive is l<j>!=0
+                v = _draw(rng, config)
             lams.append(v)
         if any(v != 0 for v in lams):
             return CurveParams(tuple(lams))
@@ -88,7 +67,7 @@ def sample_curves(config: SweepConfig) -> list[CurveParams]:
 
 def _sweep_worker(args) -> VerifyReport:
     lam_strings, tags, witness_seed = args
-    params = CurveParams(tuple(Rat(s) for s in lam_strings))
+    params = CurveParams(tuple(lam_strings))
     return verify_all(params, tags, witness_seed=witness_seed)
 
 

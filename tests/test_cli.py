@@ -1,7 +1,14 @@
 """Command-line surface: exit codes, report files, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import g2soliton
 from g2soliton.cli import main
 
 
@@ -41,8 +48,10 @@ def test_verify_g2_unknown_set():
     assert code == 1
 
 
-def test_bad_lambda_is_usage_error():
+def test_bad_lambda_is_usage_error(capsys):
     assert run_cli("verify-g2", "--lambda", "1,2,3", "--set", "weierstrass") == 2
+    assert run_cli("verify-g2", "--lambda", "1,2,3,4,5,6,1/0", "--set", "weierstrass") == 2
+    assert capsys.readouterr().err.count("\n") == 2
 
 
 def test_half_period_with_projective_match(tmp_path):
@@ -105,6 +114,42 @@ def test_sweep_special_sets_with_constraints(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["summary"]["nonzero"] == 0 and report["summary"]["skipped"] == 0
+
+
+@pytest.mark.parametrize(
+    "constraints", ["l5=0,l5!=0", "l5=4,l5=3", "l0=0,l1=0,l2=0,l3=0,l4=0,l5=0,l6=0", "l5=1/0"]
+)
+def test_sweep_bad_constraints_are_usage_errors(constraints, capsys):
+    code = run_cli("sweep", "--count", "1", "--set", "weierstrass", "--constraints", constraints)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+
+
+def test_sweep_redundant_constraints_ignore_hash_seed(tmp_path):
+    # l5=4 absorbs l5!=0, whatever order a set of strings iterates in
+    src = str(Path(g2soliton.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("1", "2", "3"):
+        out = tmp_path / f"s{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "g2soliton.cli", "sweep", "--count", "2", "--seed", "3",
+             "--set", "kummer", "--constraints", "l5=4,l5!=0", "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    report = json.loads(outputs[0])
+    assert report["constraints"] == ["l5=4"]
+    assert all(e["curve"][5] == "4" for e in report["entries"])
+
+
+def test_elliptic_check_zero_modulus_is_usage_error(capsys):
+    # K'(0) is infinite, so no half-period point can be evaluated
+    assert run_cli("elliptic-check", "--k", "0", "--re", "0.2:1.8:2", "--im=-0.4:0.4:2") == 2
+    assert "half-period points" in capsys.readouterr().err
 
 
 def test_elliptic_check_writes_csv(tmp_path):

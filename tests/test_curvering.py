@@ -16,13 +16,11 @@ from g2soliton.curvering import (
     PoleAtPoint,
     Rat,
     eval_probe,
-    fld_arith,
-    is_zero,
     probe_digits,
     random_probe_point,
     rat_sqrt,
-    reduce_y,
 )
+from g2soliton.identities import G2Functions
 
 GENERIC = CurveParams((1, 2, 1, 3, 1, 4, 5))
 QUINTIC_X5 = CurveParams((0, 0, 0, 0, 0, 1, 0))  # f(x) = x^5
@@ -47,34 +45,40 @@ def test_curve_params_validation():
         CurveParams((0,) * 7)
     with pytest.raises(ValueError):
         CurveParams.from_text("lambda = [1,2,3]")
+    with pytest.raises(ValueError):
+        CurveParams.from_text("1,2,3,4,5,6,1/0")
+    with pytest.raises(ValueError):
+        CurveParams.from_text("1,2,3,4,5,6,x")
 
 
 def test_usability_flags():
-    assert GENERIC.weierstrass_usable and GENERIC.jacobi_usable
-    assert not CurveParams((1, 2, 1, 3, 1, 0, 5)).weierstrass_usable
-    assert not CurveParams((1, 0, 1, 3, 1, 4, 5)).jacobi_usable
+    # the Weierstrass triple needs l5 != 0, the Jacobi triple l1 != 0
+    generic = G2Functions(GENERIC)
+    assert generic.p22 is not None and generic.hp11 is not None
+    assert G2Functions(CurveParams((1, 2, 1, 3, 1, 0, 5))).p22 is None
+    assert G2Functions(CurveParams((1, 0, 1, 3, 1, 4, 5))).hp11 is None
 
 
 def test_dual_reverses_coefficients():
     assert GENERIC.dual().lambdas == tuple(reversed(GENERIC.lambdas))
 
 
-# -- reduce_y -------------------------------------------------------------------
+# -- y-reduction ------------------------------------------------------------------
 
 
 def test_reduce_y_square_becomes_sextic():
-    p = reduce_y(GENERIC, {(0, 0, 2, 0): Rat(1)})
+    p = Poly(GENERIC, {(0, 0, 2, 0): Rat(1)})
     assert p == Poly.f_of(GENERIC, 1)
 
 
 def test_reduce_y_identity_on_reduced():
-    p = reduce_y(GENERIC, {(0, 0, 1, 1): Rat(1)})
+    p = Poly(GENERIC, {(0, 0, 1, 1): Rat(1)})
     assert p.terms == {(0, 0, 1, 1): Rat(1)}
 
 
 def test_reduce_y_cube_on_x5_curve():
     # y^2 = x^5, so y^3 = x^5 * y by hand expansion
-    p = reduce_y(QUINTIC_X5, {(0, 0, 3, 0): Rat(1)})
+    p = Poly(QUINTIC_X5, {(0, 0, 3, 0): Rat(1)})
     assert p.terms == {(5, 0, 1, 0): Rat(1)}
 
 
@@ -89,9 +93,9 @@ def test_reduce_y_cube_on_x5_curve():
 )
 @settings(max_examples=60, deadline=None)
 def test_reduce_y_idempotent(raw):
-    once = reduce_y(GENERIC, raw)
+    once = Poly(GENERIC, raw)
     assert all(m[2] <= 1 and m[3] <= 1 for m in once.terms)
-    again = reduce_y(GENERIC, dict(once.terms))
+    again = Poly(GENERIC, dict(once.terms))
     assert once == again
 
 
@@ -136,12 +140,12 @@ def test_monomials_stay_y_reduced_after_products():
 
 def test_y_squared_collapses_to_sextic():
     a = Fld.variable(GENERIC, "y1")
-    assert fld_arith(a, a, "*") == Fld(Poly.f_of(GENERIC, 1))
+    assert a * a == Fld(Poly.f_of(GENERIC, 1))
 
 
 def test_reciprocal_of_y_is_conjugated():
     one = Fld.const(GENERIC, 1)
-    inv = fld_arith(one, Fld.variable(GENERIC, "y1"), "/")
+    inv = one / Fld.variable(GENERIC, "y1")
     assert inv.num == poly_var(GENERIC, "y1")
     assert inv.den == Poly.f_of(GENERIC, 1)
     assert not inv.den.has_y()
@@ -149,22 +153,22 @@ def test_reciprocal_of_y_is_conjugated():
 
 def test_division_of_equal_elements_is_one():
     d = Fld(poly_var(GENERIC, "x1") - poly_var(GENERIC, "x2"))
-    assert fld_arith(d, d, "/") == Fld.const(GENERIC, 1)
+    assert d / d == Fld.const(GENERIC, 1)
 
 
 def test_division_by_zero_raises():
     zero = Fld.const(GENERIC, 0)
     with pytest.raises(DivisionByZero):
-        fld_arith(Fld.const(GENERIC, 1), zero, "/")
+        Fld.const(GENERIC, 1) / zero
 
 
 def test_is_zero_examples():
     y1 = Fld.variable(GENERIC, "y1")
-    assert is_zero(y1 * y1 - Fld(Poly.f_of(GENERIC, 1)))
+    assert (y1 * y1 - Fld(Poly.f_of(GENERIC, 1))).is_zero()
     x1 = Fld.variable(GENERIC, "x1")
     x2 = Fld.variable(GENERIC, "x2")
-    assert not is_zero(x1 - x2)
-    assert is_zero((x1 + x2) ** 2 - x1**2 - 2 * x1 * x2 - x2**2)
+    assert not (x1 - x2).is_zero()
+    assert ((x1 + x2) ** 2 - x1**2 - 2 * x1 * x2 - x2**2).is_zero()
 
 
 def test_denominators_never_carry_y():

@@ -9,7 +9,6 @@ import pytest
 
 from g2soliton.elliptic import (
     DegenerateRoots,
-    GmkdvParams,
     JacobiParams,
     PoleArgument,
     WeierstrassRoots,
@@ -17,7 +16,6 @@ from g2soliton.elliptic import (
     cn,
     dn,
     halfperiod_residual_g1,
-    halfperiod_shift_report,
     quarter_period,
     sn,
     sn_ode_residual,
@@ -27,6 +25,7 @@ from g2soliton.elliptic import (
     weierstrass_p,
     weierstrass_p_prime,
 )
+from g2soliton.jets import sn_jet
 
 
 def test_sn_degenerates_to_sine():
@@ -156,8 +155,8 @@ def test_halfperiod_zero_is_guarded():
 
 def test_both_odd_shifts_satisfy_relation():
     # 2iK' is a period, so the single and triple imaginary shifts agree
-    report = halfperiod_shift_report(0.4 + 0.1j, 0.6)
-    assert report[1] < 1e-9 and report[3] < 1e-9
+    for m in (1, 3):
+        assert abs(halfperiod_residual_g1(0.4 + 0.1j, 0.6, shift_multiple=m)) < 1e-9
 
 
 # -- Weierstrass function -----------------------------------------------------------
@@ -214,5 +213,10 @@ def test_pole_guard_on_lattice():
 
 
 def test_standard_sn_coefficient():
-    assert GmkdvParams.standard_sn(math.sqrt(2)).a == pytest.approx(1.5, rel=1e-15)
-    assert GmkdvParams.standard_sn(0.6).a == pytest.approx((1 + 0.36) / 2)
+    # a = (1+k^2)/2 makes v = sn(x/sqrt(2), k) a static solution of
+    # v_xx + a v - k^2 v^3 = 0; at k = sqrt(2) this is a = 3/2
+    for k in (math.sqrt(2), 0.6):
+        a = (1 + k * k) / 2
+        for x in (0.3, 0.7 + 0.2j):
+            v = sn_jet(x, k, 2, scale=1 / math.sqrt(2))
+            assert abs(v.value(2) + a * v.value(0) - k * k * v.value(0) ** 3) < 1e-12

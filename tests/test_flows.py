@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from g2soliton.curvering import CurveParams, Fld, Poly, Rat, rat_to_mp
-from g2soliton.flows import flow_derivative, flow_velocity
+from g2soliton.flows import flow_derivative
 from g2soliton.identities import G2Functions
 
 GENERIC = CurveParams((1, 2, 1, 3, 1, 4, 5))
@@ -23,8 +23,6 @@ def test_flow_of_coordinates_matches_inversion():
     assert flow_derivative(x2, 2) == -y2 / dx
     assert flow_derivative(x1, 1) == -x2 * y1 / dx
     assert flow_derivative(x2, 1) == x1 * y2 / dx
-    v1, v2 = flow_velocity(GENERIC, 1)
-    assert v1 == -x2 * y1 / dx and v2 == x1 * y2 / dx
 
 
 def test_flow_of_constant_is_zero():

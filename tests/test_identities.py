@@ -9,14 +9,14 @@ import pytest
 from g2soliton.curvering import CurveParams, Fld, Poly, Rat, random_probe_point
 from g2soliton.flows import flow_derivative
 from g2soliton.identities import (
+    Constraint,
     G2Functions,
     IDENTITY_SETS,
     MissingConstraint,
-    build_functions,
     dual_transform,
     find_witness,
-    halfperiod_check,
     identity_ids,
+    merge_constraints,
     probe_identity,
     residual,
     residuals,
@@ -82,12 +82,12 @@ def test_r_family_collapses_when_l6_zero():
 
 def test_build_functions_guards():
     no_w = CurveParams((1, 2, 1, 3, 1, 0, 5))
-    with pytest.raises(MissingConstraint):
-        build_functions(no_w, require=("weierstrass",))
-    fns = build_functions(no_w)
+    fns = G2Functions(no_w)
     assert fns.p22 is None
     with pytest.raises(MissingConstraint):
         fns.base("p22")
+    with pytest.raises(MissingConstraint):
+        residuals("W1", fns)
 
 
 def test_symmetry_under_point_swap(generic_fns):
@@ -181,14 +181,14 @@ def test_kummer_on_fractional_curve_with_l0_not_one():
 
 
 def test_halfperiod_check_components(special_fns):
-    comps = halfperiod_check(special_fns)
+    comps = residuals("HP", special_fns)
     assert len(comps) == 3
     assert all(c.is_zero() for c in comps)
 
 
 def test_halfperiod_guard():
     with pytest.raises(MissingConstraint):
-        halfperiod_check(G2Functions(GENERIC))
+        residuals("HP", G2Functions(GENERIC))
 
 
 def test_gii_matches_halfperiod_images(special_fns):
@@ -296,6 +296,26 @@ def test_identity_ids_carry_constraints():
     assert not ids["HP"].runnable_on(GENERIC)
 
 
+def test_constraint_text_round_trip():
+    for text, canonical in (("l5!=0", "l5!=0"), (" l3 = -2/4 ", "l3=-1/2"), ("l0=0", "l0=0"), ("l1=4", "l1=4")):
+        c = Constraint.parse(text)
+        assert str(c) == canonical and Constraint.parse(str(c)) == c
+    assert Constraint.parse("l6=0").holds(QUINTIC) and not Constraint.parse("l6=0").holds(GENERIC)
+    assert Constraint.parse("l5=4").holds(SPECIAL) and not Constraint.parse("l5!=0").holds(CurveParams((1,) * 5 + (0, 1)))
+    for bad in ("l7=0", "l5!=3", "l5=1/0", "x5=0", "l5", "l5==4", "l5=four"):
+        with pytest.raises(ValueError):
+            Constraint.parse(bad)
+
+
+def test_merge_constraints_folds_and_rejects_contradictions():
+    merged = merge_constraints(["l5!=0", "l6=0", "l5=4", "l0=0", "l5!=0"])
+    assert [str(c) for c in merged] == ["l0=0", "l5=4", "l6=0"]
+    assert merge_constraints(["l5=4", "l5!=0"]) == merge_constraints(["l5!=0", "l5=4"])
+    for bad in (["l5=0", "l5!=0"], ["l5!=0", "l5=0"], ["l5=4", "l5=3"], ["l1=4", "l5!=0", "l1=1/4"]):
+        with pytest.raises(ValueError, match="contradictory"):
+            merge_constraints(bad)
+
+
 # -- sweeps ----------------------------------------------------------------------
 
 
@@ -325,5 +345,6 @@ def test_sweep_parallel_matches_serial():
 
 
 def test_sweep_config_rejects_bad_directives():
-    with pytest.raises(ValueError):
-        SweepConfig(count=1, seed=0, constraints=frozenset({"l9=0"}))
+    for bad in ({"l9=0"}, {"l5=0", "l5!=0"}, {"l5=4", "l5=3"}, {"l5=1/0"}, {f"l{i}=0" for i in range(7)}):
+        with pytest.raises(ValueError):
+            SweepConfig(count=1, seed=0, constraints=frozenset(bad))

@@ -10,7 +10,6 @@ from g2soliton.pde import (
     PdeError,
     cnoidal_wave,
     conserved_quantities,
-    evolve,
     evolve_trajectory,
     exact_soliton,
     gmkdv_residual,
@@ -49,7 +48,7 @@ def test_field_shape_guard(grid):
 
 def test_soliton_travel_and_shape(grid):
     u0 = one_soliton(grid, 4.0, 10.0)
-    u1 = evolve("kdv", u0, 0.5, 1e-3)
+    u1 = evolve_trajectory("kdv", u0, 0.5, 1e-3, save_every=500)[-1]
     assert abs(soliton_peak_travel(u1, 10.0) - 2.0) < 0.05
     assert np.max(np.abs(u1.values - exact_soliton(grid, 4.0, 10.0, 0.5))) < 1e-3
 
@@ -62,7 +61,7 @@ def test_soliton_trajectory_residual(grid):
 
 def test_gmkdv_constant_is_fixed_point(grid):
     v0 = Field1D(grid, 0.37 * np.ones(grid.n), "v")
-    v1 = evolve("gmkdv", v0, 0.5, 1e-3, a=1.5)
+    v1 = evolve_trajectory("gmkdv", v0, 0.5, 1e-3, a=1.5, save_every=500)[-1]
     assert np.max(np.abs(v1.values - 0.37)) < 1e-13
 
 
@@ -170,17 +169,17 @@ def test_dealias_band_stays_empty(grid):
     # the integrator state is exactly zero above the cutoff; the snapshot
     # round-trips through ifft/fft, which injects only ~1e-16 noise
     u0 = one_soliton(grid, 4.0, 10.0)
-    u1 = evolve("kdv", u0, 0.05, 1e-3)
+    u1 = evolve_trajectory("kdv", u0, 0.05, 1e-3, save_every=50)[-1]
     hat = u1.spectrum()
     assert np.max(np.abs(hat[~grid.dealias_mask])) < 1e-12
 
 
 def test_time_step_convergence_at_least_third_order(grid):
     u0 = one_soliton(grid, 4.0, 10.0)
-    reference = evolve("kdv", u0, 0.5, 1e-4, substeps=1)
+    reference = evolve_trajectory("kdv", u0, 0.5, 1e-4, save_every=5000, substeps=1)[-1]
     errors = []
     for dt in (4e-3, 2e-3):
-        u1 = evolve("kdv", u0, 0.5, dt, substeps=1)
+        u1 = evolve_trajectory("kdv", u0, 0.5, dt, save_every=round(0.5 / dt), substeps=1)[-1]
         errors.append(np.max(np.abs(u1.values - reference.values)))
     assert errors[0] / errors[1] >= 8.0
 
@@ -188,9 +187,9 @@ def test_time_step_convergence_at_least_third_order(grid):
 def test_blowup_detection(grid):
     u0 = Field1D(grid, 1e9 * np.ones(grid.n))
     with pytest.raises(PdeError):
-        evolve("kdv", u0, 0.01, 1e-3)
+        evolve_trajectory("kdv", u0, 0.01, 1e-3, save_every=10)
 
 
 def test_unknown_equation(grid):
     with pytest.raises(ValueError):
-        evolve("burgers", one_soliton(grid, 4.0, 10.0), 0.01, 1e-3)
+        evolve_trajectory("burgers", one_soliton(grid, 4.0, 10.0), 0.01, 1e-3)
