@@ -30,6 +30,8 @@ def main() -> int:
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default="verification_report.json")
     args = parser.parse_args()
+    if args.count < 1:
+        parser.error(f"--count must be at least 1, got {args.count}")
 
     payload = {"count": args.count, "seed": args.seed, "families": {}}
     clean = True

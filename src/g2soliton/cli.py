@@ -283,6 +283,8 @@ def _cmd_static_transforms(args) -> int:
 def _cmd_akns_check(args) -> int:
     # bounded uniform draws keep the absolute roundoff of the exactly-zero
     # diagonal below 1e-13; gaussian tails would not
+    if args.draws < 1 or args.jets < 1:
+        raise ValueError(f"--draws and --jets must be at least 1, got {args.draws} and {args.jets}")
     rng = np.random.default_rng(args.seed)
     worst_diag = worst_off = worst_asym = 0.0
     for _ in range(args.draws):
@@ -337,10 +339,25 @@ def _initial_field(spec: str, grid: Grid1D) -> tuple:
     raise CheckFailed(f"unknown --init kind {kind!r}")
 
 
+def _time_steps(args, min_steps: int = 0) -> int:
+    """Steps of size --dt up to --t-end; ValueError unless both are positive
+    and there are at least `min_steps` of them."""
+    if not (args.dt > 0 and args.t_end > 0):
+        raise ValueError(f"--dt and --t-end must be positive, got {args.dt:g} and {args.t_end:g}")
+    steps = int(round(args.t_end / args.dt))
+    if steps < min_steps:
+        raise ValueError(
+            f"--t-end must be at least {min_steps}*dt = {min_steps * args.dt:g}: "
+            f"the residual stencil needs {min_steps + 1} snapshots"
+        )
+    return steps
+
+
 def _cmd_pde_run(args) -> int:
+    steps = _time_steps(args)
     grid = Grid1D(args.n, args.length)
     u0, init_info = _initial_field(args.init, grid)
-    save_every = max(1, int(round(args.t_end / args.dt)) // max(1, args.snapshots - 1))
+    save_every = max(1, steps // max(1, args.snapshots - 1))
     try:
         traj = evolve_trajectory(args.eq, u0, args.t_end, args.dt, a=args.a, save_every=save_every)
     except PdeError as exc:
@@ -381,6 +398,7 @@ def _cmd_pde_run(args) -> int:
 
 
 def _cmd_miura_pipeline(args) -> int:
+    _time_steps(args, min_steps=4)
     grid = Grid1D(args.n, args.length)
     v0 = Field1D(
         grid,

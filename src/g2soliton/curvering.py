@@ -296,9 +296,7 @@ class Poly:
         return Poly(self.params, {m: -c for m, c in self.terms.items()}, _clean=True)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Rat)):
-            other = Poly.const(self.params, other)
-        if not isinstance(other, Poly):
+        if not isinstance(other, (int, Rat, Poly)):
             return NotImplemented
         return self + (-other)
 
@@ -389,7 +387,7 @@ class Poly:
         return tuple(mins)
 
     def shift_down(self, mono: tuple) -> "Poly":
-        """Divide by a monomial known to divide every term."""
+        """Divide by a monomial known to divide every term (negative exponents multiply)."""
         if mono == (0, 0, 0, 0):
             return self
         out = {}
@@ -401,40 +399,36 @@ class Poly:
         return Poly(self.params, out, _clean=True)
 
     def try_divide(self, divisor: "Poly"):
-        """Exact division by a y-free polynomial; None if it does not divide.
+        """Exact quotient by c*(x1 - x2); None if it does not divide.
 
-        y-free divisors act sector-wise on the free module basis
-        {1, y1, y2, y1*y2}, so ordinary multivariate division applies.
+        Multiplying by (x1 - x2) keeps the total degree d and the y-sector, so
+        division acts on each row c_0..c_d of coefficients of x1^i * x2^(d-i)
+        by itself: the quotient row is the prefix sum q_i = -(c_0 + ... + c_i),
+        and the row divides exactly when its sum is zero.  Any divisor other
+        than a rational multiple of x1 - x2 raises ValueError.
         """
         self._same_ring(divisor)
         if divisor.is_zero():
             raise DivisionByZero("division by zero polynomial")
-        if divisor.has_y():
-            raise ValueError("divisor must be free of y1, y2")
-        if self.is_zero():
-            return self
-        lead_m, lead_c = divisor.leading()
-        rem = dict(self.terms)
+        c = divisor.terms.get((1, 0, 0, 0))
+        if len(divisor.terms) != 2 or c is None or divisor.terms.get((0, 1, 0, 0)) != -c:
+            raise ValueError("divisor must be a rational multiple of x1 - x2")
+        rows: dict = {}
+        for (e1, e2, a1, a2), v in self.terms.items():
+            rows.setdefault((e1 + e2, a1, a2), {})[e1] = v
+        scale = -1 / c
         quo: dict = {}
-        div_items = list(divisor.terms.items())
-        while rem:
-            m = max(rem, key=_order_key)
-            c = rem[m]
-            q0 = m[0] - lead_m[0]
-            q1 = m[1] - lead_m[1]
-            if q0 < 0 or q1 < 0:
+        for (d, a1, a2), row in rows.items():
+            top = max(row)
+            s = 0
+            for i in range(min(row), top):
+                v = row.get(i)
+                if v is not None:
+                    s += v
+                if s:
+                    quo[(i, d - 1 - i, a1, a2)] = s * scale
+            if s + row[top] != 0:
                 return None
-            qm = (q0, q1, m[2], m[3])
-            qc = c / lead_c
-            quo[qm] = qc
-            for dm, dc in div_items:
-                key = (qm[0] + dm[0], qm[1] + dm[1], qm[2], qm[3])
-                prev = rem.get(key)
-                val = (prev if prev is not None else Rat(0)) - qc * dc
-                if val == 0:
-                    rem.pop(key, None)
-                else:
-                    rem[key] = val
         return Poly(self.params, quo, _clean=True)
 
     # -- evaluation ---------------------------------------------------------
@@ -491,6 +485,29 @@ def _x1_minus_x2(params) -> Poly:
     return Poly(params, {(1, 0, 0, 0): Rat(1), (0, 1, 0, 0): Rat(-1)}, _clean=True)
 
 
+def _den_poly(params, a: int, b: int, k: int) -> Poly:
+    """x1^a * x2^b * (x1 - x2)^k, expanded by the binomial theorem."""
+    terms = {(a + i, b + k - i, 0, 0): Rat((-1) ** (k - i) * math.comb(k, i)) for i in range(k + 1)}
+    return Poly(params, terms, _clean=True)
+
+
+def _divide_binom(p: Poly, limit) -> tuple:
+    """(p / (x1 - x2)^j, j) for the largest j <= limit that divides p."""
+    binom = _x1_minus_x2(p.params)
+    j = 0
+    while j < limit and not p.is_constant():
+        q = p.try_divide(binom)
+        if q is None:
+            break
+        p, j = q, j + 1
+    return p, j
+
+
+def _times_den(p: Poly, a: int, b: int, k: int) -> Poly:
+    """p * x1^a * x2^b * (x1 - x2)^k."""
+    return p * _den_poly(p.params, a, b, k) if k else p.shift_down((-a, -b, 0, 0))
+
+
 class Fld:
     """Element of the curve's function field: Poly / y-free Poly, normalized.
 
@@ -498,54 +515,42 @@ class Fld:
     coefficient; numerator and denominator share no common monomial, no
     common rational content, and no common power of (x1 - x2).  Equality of
     a/b and c/d holds iff a*d - c*b reduces to the zero polynomial.
+
+    The catalog's denominators are all structured, x1^a * x2^b * (x1 - x2)^k
+    with constant 1 in normal form, so `struct` keeps (a, b, k) (None for
+    other denominators).  Products, sums and powers of structured elements
+    work on the exponents and normalise only the new numerator; negation and
+    nonzero rational multiples keep any normal form as it is.
     """
 
-    __slots__ = ("num", "den", "_struct")
+    __slots__ = ("num", "den", "struct")
 
     def __init__(self, num: Poly, den: Poly | None = None):
-        params = num.params
         if den is None:
-            den = Poly.const(params, 1)
+            den = Poly.const(num.params, 1)
         if den.has_y():
             num, den = _clear_y_denominator(num, den)
         if den.is_zero():
             raise DivisionByZero("denominator reduces to zero")
-        if num.is_zero():
-            self.num = Poly.zero(params)
-            self.den = Poly.const(params, 1)
-            self._struct = (Rat(1), 0, 0, 0)
-            return
-        # common monomial in x1, x2 (denominator carries no y)
-        gn = num.common_monomial()
-        gd = den.common_monomial()
-        g = (min(gn[0], gd[0]), min(gn[1], gd[1]), 0, 0)
-        if g != (0, 0, 0, 0):
-            num = num.shift_down(g)
-            den = den.shift_down(g)
-        # cancel shared powers of (x1 - x2); keeps flow derivatives compact
-        binom = _x1_minus_x2(params)
-        while True:
-            qd = den.try_divide(binom)
-            if qd is None:
-                break
-            qn = num.try_divide(binom)
-            if qn is None:
-                break
-            num, den = qn, qd
-        # scale so den is integer-primitive with positive leading coefficient
-        c = den.content()
-        _, lead = den.leading()
-        if lead < 0:
-            c = -c
-        if c != 1:
-            inv = 1 / c
-            num = num * inv
-            den = den * inv
-        self.num = num
-        self.den = den
-        self._struct = _den_structure(den)
+        # split den = x1^a * x2^b * (x1 - x2)^k * rest, learning k as we divide
+        a, b, _, _ = den.common_monomial()
+        rest, k = _divide_binom(den.shift_down((a, b, 0, 0)), math.inf)
+        if rest.is_constant():  # structured: fold the constant into num
+            num, rest = num * (1 / rest.constant_value()), None
+        self.num, self.den, self.struct = _normalise(num, a, b, k, rest)
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _make(cls, num: Poly, den: Poly, struct) -> "Fld":
+        out = cls.__new__(cls)
+        out.num, out.den, out.struct = num, den, struct
+        return out
+
+    @classmethod
+    def structured(cls, num: Poly, a: int, b: int, k: int) -> "Fld":
+        """num / (x1^a * x2^b * (x1 - x2)^k) in normal form."""
+        return cls._make(*_normalise(num, a, b, k))
 
     @classmethod
     def const(cls, params, value) -> "Fld":
@@ -594,16 +599,18 @@ class Fld:
             return other
         if other.is_zero():
             return self
-        sa, sb = self._struct, other._struct
-        if sa is not None and sb is not None:
-            num, den = _add_structured(self, other, sa, sb)
-            return Fld(num, den)
-        return Fld(self.num * other.den + other.num * self.den, self.den * other.den)
+        sa, sb = self.struct, other.struct
+        if sa is None or sb is None:
+            return Fld(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, k = (max(u, v) for u, v in zip(sa, sb))
+        num = _times_den(self.num, a - sa[0], b - sa[1], k - sa[2])
+        num = num + _times_den(other.num, a - sb[0], b - sb[1], k - sb[2])
+        return Fld.structured(num, a, b, k)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Fld(-self.num, self.den)
+        return Fld._make(-self.num, self.den, self.struct)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -618,11 +625,14 @@ class Fld:
         if isinstance(other, (int, Rat)):
             if other == 0:
                 return Fld.const(self.params, 0)
-            return Fld(self.num * other, self.den)
+            return Fld._make(self.num * other, self.den, self.struct)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Fld(self.num * other.num, self.den * other.den)
+        sa, sb = self.struct, other.struct
+        if sa is None or sb is None:
+            return Fld(self.num * other.num, self.den * other.den)
+        return Fld.structured(self.num * other.num, sa[0] + sb[0], sa[1] + sb[1], sa[2] + sb[2])
 
     __rmul__ = __mul__
 
@@ -646,7 +656,10 @@ class Fld:
             raise ValueError("integer powers only")
         if n < 0:
             return self.inverse() ** (-n)
-        return Fld(self.num**n, self.den**n)
+        if self.struct is None:
+            return Fld(self.num**n, self.den**n)
+        a, b, k = self.struct
+        return Fld.structured(self.num**n, n * a, n * b, n * k)
 
     def swap_points(self) -> "Fld":
         return Fld(self.num.swap_points(), self.den.swap_points())
@@ -674,6 +687,29 @@ class Fld:
     __repr__ = __str__
 
 
+def _normalise(num: Poly, a: int, b: int, k: int, rest: Poly | None = None) -> tuple:
+    """(num, den, struct) in normal form for num / (x1^a * x2^b * (x1-x2)^k * rest).
+
+    rest=None stands for 1, the structured case.  Shared monomials and powers
+    of (x1 - x2) are cancelled; a general den is then scaled to be
+    integer-primitive with positive leading coefficient.
+    """
+    params = num.params
+    if num.is_zero():
+        return num, Poly.const(params, 1), (0, 0, 0)
+    gn = num.common_monomial()
+    shift = (min(gn[0], a), min(gn[1], b), 0, 0)
+    num = num.shift_down(shift)
+    a, b = a - shift[0], b - shift[1]
+    num, j = _divide_binom(num, k)
+    den = _den_poly(params, a, b, k - j)
+    if rest is None:
+        return num, den, (a, b, k - j)
+    den = rest * den
+    inv = 1 / den.content() if den.leading()[1] > 0 else -1 / den.content()
+    return num * inv, den * inv, None
+
+
 def _clear_y_denominator(num: Poly, den: Poly) -> tuple:
     """Rationalize a denominator containing y via conjugation.
 
@@ -697,43 +733,6 @@ def _clear_y_denominator(num: Poly, den: Poly) -> tuple:
         conj = a - b * yv
         num = num * conj
         den = a * a - b * b * Poly.f_of(params, which)
-    if den.has_y():  # pragma: no cover - conjugation always clears both
-        raise CurveRingError("failed to rationalize denominator")
-    return num, den
-
-
-def _den_structure(den: Poly):
-    """Recognize den == c * x1^a * x2^b * (x1-x2)^k; None otherwise."""
-    mono = den.common_monomial()
-    rest = den.shift_down(mono)
-    k = 0
-    binom = _x1_minus_x2(den.params)
-    while not rest.is_constant():
-        q = rest.try_divide(binom)
-        if q is None:
-            return None
-        rest = q
-        k += 1
-    return (rest.constant_value(), mono[0], mono[1], k)
-
-
-def _structured_den(params, c, a, b, k) -> Poly:
-    p = Poly(params, {(a, b, 0, 0): c}, _clean=True)
-    if k:
-        p = p * _x1_minus_x2(params) ** k
-    return p
-
-
-def _add_structured(f1: Fld, f2: Fld, s1, s2) -> tuple:
-    """Add via the structured lcm of denominators c*x1^a*x2^b*(x1-x2)^k."""
-    c1, a1, b1, k1 = s1
-    c2, a2, b2, k2 = s2
-    a, b, k = max(a1, a2), max(b1, b2), max(k1, k2)
-    params = f1.params
-    cof1 = _structured_den(params, 1 / c1, a - a1, b - b1, k - k1)
-    cof2 = _structured_den(params, 1 / c2, a - a2, b - b2, k - k2)
-    num = f1.num * cof1 + f2.num * cof2
-    den = _structured_den(params, Rat(1), a, b, k)
     return num, den
 
 

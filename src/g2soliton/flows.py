@@ -8,13 +8,26 @@ x2 dx2/y2 invert to the vector fields
 
 with d y_i = f'(x_i)/(2 y_i) * d x_i on the curve.  Both derivations map the
 coordinate ring into (1/(x1-x2)) * ring, so a flow derivative of a Poly is an
-Fld with denominator (x1 - x2), and flow derivatives of Fld elements stay in
-rationalized normal form with no extra work.
+Fld with denominator (x1 - x2).
+
+For a structured g = N / (x1^a * x2^b * B^k) with B = x1 - x2, the log
+derivative of the denominator is a*Dx1/x1 + b*Dx2/x2 + k*DB/B, which gives
+the closed form
+
+    D g = (N' * x1*x2*B - N * L) / (x1^(a+1) * x2^(b+1) * B^(k+2)),
+
+with N' the numerator of D N over B and, along u2 and u1,
+
+    L2 = a*y1*x2*B - b*y2*x1*B + k*(y1 + y2)*x1*x2,
+    L1 = -a*y1*x2^2*B + b*y2*x1^2*B - k*(x2*y1 + x1*y2)*x1*x2.
+
+The result is normalised like any structured product.  Other denominators
+use the quotient rule over B * den^2.
 """
 
 from __future__ import annotations
 
-from .curvering import Fld, Poly, Rat, _x1_minus_x2
+from .curvering import Fld, Poly, Rat, _den_poly
 
 FLOW_U1 = 1
 FLOW_U2 = 2
@@ -57,15 +70,27 @@ def flow_poly_numerator(p: Poly, direction: int) -> Poly:
     return num
 
 
+def _log_den_numerator(params, a: int, b: int, k: int, direction: int) -> Poly:
+    """L with D(x1^a x2^b B^k) / (x1^a x2^b B^k) = L / (x1 x2 B^2), B = x1 - x2."""
+    if direction == 2:
+        terms = {(1, 1, 1, 0): a + k, (0, 2, 1, 0): -a, (2, 0, 0, 1): -b, (1, 1, 0, 1): b + k}
+    else:
+        terms = {(1, 2, 1, 0): -a - k, (0, 3, 1, 0): a, (3, 0, 0, 1): b, (2, 1, 0, 1): -b - k}
+    return Poly(params, {m: Rat(c) for m, c in terms.items() if c}, _clean=True)
+
+
 def flow_derivative(g: Fld | Poly, direction: int) -> Fld:
     """Exact derivative of a function-field element along u1 or u2."""
     _check_direction(direction)
     if isinstance(g, Poly):
-        return Fld(flow_poly_numerator(g, direction), _x1_minus_x2(g.params))
-    binom = _x1_minus_x2(g.params)
+        g = Fld(g)
+    params = g.params
     dn = flow_poly_numerator(g.num, direction)
-    dd = flow_poly_numerator(g.den, direction)
-    if dd.is_zero():
-        return Fld(dn, binom * g.den)
-    num = dn * g.den - g.num * dd
-    return Fld(num, binom * g.den * g.den)
+    if g.struct is None:
+        num = dn * g.den - g.num * flow_poly_numerator(g.den, direction)
+        return Fld(num, _den_poly(params, 0, 0, 1) * g.den * g.den)
+    a, b, k = g.struct
+    if not (a or b or k):
+        return Fld.structured(dn, 0, 0, 1)
+    num = dn * _den_poly(params, 1, 1, 1) - g.num * _log_den_numerator(params, a, b, k, direction)
+    return Fld.structured(num, a + 1, b + 1, k + 2)

@@ -32,6 +32,8 @@ class SweepConfig:
     den_bound: int = 10
 
     def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"count must be at least 1, got {self.count}")
         merged = merge_constraints(self.constraints)
         if len(merged) == 7 and all(c.kind == "=" and c.value == 0 for c in merged):
             raise ValueError("constraints force every coefficient to zero, so f(x) would vanish")

@@ -214,3 +214,26 @@ def test_miura_pipeline_command(tmp_path):
     assert run_cli("miura-pipeline", "--t-end", "0.02", "--out", str(out)) == 0
     summary = json.loads(out.read_text())
     assert summary["mapped_kdv_residual"] < 1e-6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--count", "0", "--set", "weierstrass"),
+        ("sweep", "--count", "-3", "--set", "weierstrass"),
+        ("akns-check", "--draws", "0"),
+        ("pde-run", "--dt", "0"),
+        ("pde-run", "--t-end", "-1"),
+        ("miura-pipeline", "--t-end", "0.001"),
+    ],
+)
+def test_vacuous_or_degenerate_runs_are_usage_errors(argv, capsys):
+    # each used to pass having checked nothing, or to end in a traceback
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+
+
+def test_miura_pipeline_short_run_names_minimum(capsys):
+    assert run_cli("miura-pipeline", "--t-end", "0.001", "--dt", "1e-3") == 2
+    assert "at least 4*dt = 0.004" in capsys.readouterr().err

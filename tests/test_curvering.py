@@ -20,6 +20,7 @@ from g2soliton.curvering import (
     random_probe_point,
     rat_sqrt,
 )
+from g2soliton.flows import flow_derivative, flow_poly_numerator
 from g2soliton.identities import G2Functions
 
 GENERIC = CurveParams((1, 2, 1, 3, 1, 4, 5))
@@ -196,6 +197,72 @@ def test_cross_multiplication_equality():
     x2 = Fld.variable(GENERIC, "x2")
     a = (x1**2 - x2**2) / (x1 - x2)
     assert a == x1 + x2
+
+
+# -- structured denominators x1^a * x2^b * (x1 - x2)^k ------------------------------
+
+GII_LOCUS = CurveParams((0, 4, -2, 5, 7, 4, 0))  # l0 = l6 = 0, l1 = l5 = 4
+
+
+def _x1_minus_x2(params):
+    return poly_var(params, "x1") - poly_var(params, "x2")
+
+
+def _random_structured(rng, params):
+    """An element with denominator c * x1^a * x2^b * (x1-x2)^k, a, b, k <= 3,
+    whose numerator sometimes shares factors with it."""
+    x1, x2, binom = poly_var(params, "x1"), poly_var(params, "x2"), _x1_minus_x2(params)
+    a, b, k = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+    num = _random_poly(rng, params, 3) * x1 ** rng.randint(0, 2) * binom ** rng.randint(0, 2)
+    den = x1**a * x2**b * binom**k * Rat(rng.choice((-3, 1, 2)), rng.randint(1, 3))
+    return Fld(num, den)
+
+
+def _same_form(got, want):
+    assert got.num == want.num and got.den == want.den
+    # and the form is reduced: num shares no x1, x2 or x1 - x2 with den
+    a, b, k = got.struct
+    x1, x2, binom = poly_var(got.params, "x1"), poly_var(got.params, "x2"), _x1_minus_x2(got.params)
+    assert got.den == x1**a * x2**b * binom**k
+    gn = got.num.common_monomial()
+    assert not (a and gn[0]) and not (b and gn[1])
+    assert not k or got.num.try_divide(binom) is None
+
+
+@pytest.mark.parametrize("params", [GENERIC, GII_LOCUS], ids=["sextic", "l0=l6=0"])
+def test_structured_arithmetic_matches_general_constructor(params):
+    rng = random.Random(4242)
+    binom = _x1_minus_x2(params)
+    for _ in range(25):
+        f, g = _random_structured(rng, params), _random_structured(rng, params)
+        _same_form(f * g, Fld(f.num * g.num, f.den * g.den))
+        _same_form(f + g, Fld(f.num * g.den + g.num * f.den, f.den * g.den))
+        _same_form(f - g, Fld(f.num * g.den - g.num * f.den, f.den * g.den))
+        _same_form(-f, Fld(-f.num, f.den))
+        _same_form(f * Rat(-5, 7), Fld(f.num * Rat(-5, 7), f.den))
+        _same_form(f**2, Fld(f.num**2, f.den**2))
+        for direction in (1, 2):
+            # quotient rule over (x1 - x2) * den^2
+            dn = flow_poly_numerator(f.num, direction)
+            dd = flow_poly_numerator(f.den, direction)
+            _same_form(flow_derivative(f, direction), Fld(dn * f.den - f.num * dd, binom * f.den * f.den))
+
+
+def test_try_divide_by_x1_minus_x2():
+    x1, x2, y1 = (poly_var(GENERIC, n) for n in ("x1", "x2", "y1"))
+    binom = x1 - x2
+    q = x1**3 * y1 - Rat(2, 3) * x2**2 + x1 * x2 + 5
+    assert (q * binom).try_divide(binom) == q
+    assert (q * binom * Rat(-3, 2)).try_divide(binom * Rat(-3, 2)) == q
+    # a gappy row fills in: x1^5 - x2^5 = (x1 - x2)(x1^4 + ... + x2^4)
+    assert (x1**5 - x2**5).try_divide(binom) == sum((x1**i * x2 ** (4 - i) for i in range(5)), Poly.zero(GENERIC))
+    assert (x1**2 + x2**2).try_divide(binom) is None
+    assert (q * binom + y1).try_divide(binom) is None
+    for other in (x1 + x2, x1 - 2, 2 * x1 - x2, y1 * binom):
+        with pytest.raises(ValueError):
+            q.try_divide(other)
+    with pytest.raises(DivisionByZero):
+        q.try_divide(Poly.zero(GENERIC))
 
 
 # -- probes ------------------------------------------------------------------------
