@@ -29,6 +29,7 @@ from .elliptic import (
     weierstrass_ode_residual,
 )
 from .identities import (
+    Constraint,
     G2Functions,
     IDENTITY_SETS,
     MissingConstraint,
@@ -78,7 +79,18 @@ def _emit(report: dict, out_path: str | None) -> None:
 
 def _range_spec(text: str) -> tuple:
     lo, hi, n = text.split(":")
+    if int(n) < 1:
+        raise ValueError(f"range {text!r} must have at least one point")
     return float(lo), float(hi), int(n)
+
+
+# the curve loci on which kummer adds KUM1 and half-period adds GII
+_QUINTIC = (Constraint.parse("l6=0"),)
+_PROJECTIVE_MAP = (Constraint.parse("l1=4"), Constraint.parse("l5=4"))
+
+
+def _on_locus(params: CurveParams, locus: tuple) -> bool:
+    return all(c.holds(params) for c in locus)
 
 
 # -- subcommand runners ---------------------------------------------------------
@@ -97,7 +109,7 @@ def _cmd_verify_g2(args) -> int:
 
 def _cmd_kummer(args) -> int:
     params = _parse_lambda(args.lam)
-    tags = ["KUM2"] + (["KUM1"] if params.lambdas[6] == 0 else [])
+    tags = ["KUM2"] + (["KUM1"] if _on_locus(params, _QUINTIC) else [])
     report = verify_all(params, tags)
     print(report.table())
     _emit({"command": "kummer", "entries": report.to_json_entries()}, args.out)
@@ -128,7 +140,7 @@ def _cmd_half_period(args) -> int:
                  "status": "zero" if ok else "nonzero", "witness_point": None,
                  "millis": millis, "reason": None}
             )
-    if params.lambdas[1] == 4 and params.lambdas[5] == 4:
+    if _on_locus(params, _PROJECTIVE_MAP):
         result = verify_identity("GII", fns)
         failed = failed or result.status != "zero"
         entries.append(result.to_json(params))
@@ -239,6 +251,8 @@ def _cmd_elliptic_check(args) -> int:
 
 
 def _cmd_static_transforms(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     rng = random.Random(args.seed)
     worst = {name: 0.0 for name in TRANSFORMATIONS}
     for _ in range(args.samples):
@@ -339,7 +353,7 @@ def _initial_field(spec: str, grid: Grid1D) -> tuple:
     raise CheckFailed(f"unknown --init kind {kind!r}")
 
 
-def _time_steps(args, min_steps: int = 0) -> int:
+def _time_steps(args, min_steps: int) -> int:
     """Steps of size --dt up to --t-end; ValueError unless both are positive
     and there are at least `min_steps` of them."""
     if not (args.dt > 0 and args.t_end > 0):
@@ -347,14 +361,14 @@ def _time_steps(args, min_steps: int = 0) -> int:
     steps = int(round(args.t_end / args.dt))
     if steps < min_steps:
         raise ValueError(
-            f"--t-end must be at least {min_steps}*dt = {min_steps * args.dt:g}: "
-            f"the residual stencil needs {min_steps + 1} snapshots"
+            f"--t-end must be at least {min_steps}*dt = {min_steps * args.dt:g}, got {args.t_end:g}: "
+            f"the run needs {min_steps + 1} snapshots"
         )
     return steps
 
 
 def _cmd_pde_run(args) -> int:
-    steps = _time_steps(args)
+    steps = _time_steps(args, min_steps=1)
     grid = Grid1D(args.n, args.length)
     u0, init_info = _initial_field(args.init, grid)
     save_every = max(1, steps // max(1, args.snapshots - 1))

@@ -8,9 +8,14 @@ polynomials whose denominator is free of y1, y2; equality-to-zero of a
 numerator term map is therefore an exact decision procedure for identities
 between hyperelliptic functions.
 
-Coefficients are exact rationals (fractions.Fraction).  Numeric probing is
-done with mpmath at a configurable precision (PROBE_DIGITS environment
-variable, default 30 digits).
+Coefficients are fraction-free: a `Poly` is one rational scale
+(fractions.Fraction) times a polynomial with integer coefficients of gcd 1,
+so ring operations are integer arithmetic plus one rational product per
+result.  The curve coefficients are held as integers l_j * D over their
+least common denominator D, and each y_i^2 -> f(x_i) substitution moves a
+factor 1/D into the scale.  Numeric probing forms each term's rational
+coefficient and evaluates with mpmath at a configurable precision
+(PROBE_DIGITS environment variable, default 30 digits).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 import numbers
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Rat
 from typing import Mapping
 
@@ -87,6 +92,9 @@ class CurveParams:
     """The seven rational coefficients l0..l6 of the sextic f(x)."""
 
     lambdas: tuple
+    # l_j = int_lambdas[j] / lambda_den over the least common denominator
+    int_lambdas: tuple = field(init=False, repr=False, compare=False)
+    lambda_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lams = tuple(_to_rat(v) for v in self.lambdas)
@@ -94,7 +102,10 @@ class CurveParams:
             raise ValueError("expected exactly 7 coefficients l0..l6")
         if all(v == 0 for v in lams):
             raise ValueError("f(x) must not be identically zero")
+        den = math.lcm(*(v.denominator for v in lams))
         object.__setattr__(self, "lambdas", lams)
+        object.__setattr__(self, "int_lambdas", tuple(v.numerator * (den // v.denominator) for v in lams))
+        object.__setattr__(self, "lambda_den", den)
 
     @classmethod
     def from_text(cls, text: str) -> "CurveParams":
@@ -142,89 +153,135 @@ def _order_key(m) -> tuple:
     return (m[0] + m[1] + m[2] + m[3], m[0], m[1], m[2])
 
 
-def _reduce_terms(params: CurveParams, items) -> dict:
-    """Substitute y_i^2 -> f(x_i) until every y exponent is 0 or 1."""
-    lams = params.lambdas
+_ONE = Rat(1)
+
+
+def _reduce_terms(params: CurveParams, items) -> tuple:
+    """Substitute y_i^2 -> f(x_i) until every y exponent is 0 or 1.
+
+    `items` are (monomial, integer) pairs.  With f = (1/D) * sum L_j x^j, each
+    substitution multiplies a term by L_j and its value by 1/D, so a term
+    that needs t fewer substitutions than the r of the most reduced one is
+    first multiplied by D^t.  Returns (terms, r): integer terms whose value
+    is D^r times that of the input.
+    """
+    lams = [(j, c) for j, c in enumerate(params.int_lambdas) if c]
+    den = params.lambda_den
+    r = max((m[2] // 2 + m[3] // 2 for m, _ in items), default=0)
+    if den != 1 and r:
+        powers = [den**t for t in range(r + 1)]
+        stack = [(m, c * powers[r - m[2] // 2 - m[3] // 2]) for m, c in items]
+    else:
+        stack = list(items)
     out: dict = {}
-    stack = list(items)
     while stack:
         mono, coef = stack.pop()
-        if coef == 0:
+        if not coef:
             continue
         e1, e2, a1, a2 = mono
         if a1 >= 2:
-            for j in range(7):
-                if lams[j] != 0:
-                    stack.append(((e1 + j, e2, a1 - 2, a2), coef * lams[j]))
+            for j, lam in lams:
+                stack.append(((e1 + j, e2, a1 - 2, a2), coef * lam))
         elif a2 >= 2:
-            for j in range(7):
-                if lams[j] != 0:
-                    stack.append(((e1, e2 + j, a1, a2 - 2), coef * lams[j]))
+            for j, lam in lams:
+                stack.append(((e1, e2 + j, a1, a2 - 2), coef * lam))
         else:
             prev = out.get(mono)
             if prev is None:
                 out[mono] = coef
             else:
-                s = prev + coef
-                if s == 0:
-                    del out[mono]
+                coef += prev
+                if coef:
+                    out[mono] = coef
                 else:
-                    out[mono] = s
+                    del out[mono]
+    return out, r
+
+
+def _canonical(terms: dict, scale: Rat) -> tuple:
+    """(terms, scale) with the content and sign of integer `terms` moved into scale."""
+    if not terms:
+        return terms, _ONE
+    g = math.gcd(*terms.values())
+    if terms[max(terms)] < 0:
+        g = -g
+    if g != 1:
+        terms = {m: c // g for m, c in terms.items()}
+        scale = scale * g
+    return terms, scale
+
+
+def _poly(params: CurveParams, terms: dict, scale: Rat) -> "Poly":
+    """A Poly from terms and scale already in canonical form."""
+    out = Poly.__new__(Poly)
+    out.params, out.terms, out.scale = params, terms, scale
     return out
 
 
 class Poly:
     """Sparse y-reduced polynomial over the curve's coefficient field.
 
-    Immutable by convention: operations return new instances and never touch
-    `terms` after construction, so values are safe to share across workers.
+    The value is scale * sum(terms[m] * m).  `terms` maps exponent tuples
+    (x1, x2, y1, y2) to integers with gcd 1, the lexicographically largest
+    monomial has a positive coefficient, and `scale` is a nonzero rational;
+    the zero polynomial has no terms and scale 1.  The form is canonical, so
+    equal values compare and hash equal.  Immutable by convention:
+    operations return new instances and never touch `terms` after
+    construction, so values are safe to share across workers.
     """
 
-    __slots__ = ("params", "terms")
+    __slots__ = ("params", "terms", "scale")
 
-    def __init__(self, params: CurveParams, terms: Mapping | None = None, *, _clean: bool = False):
+    def __init__(self, params: CurveParams, terms: Mapping | None = None):
+        """y-reduce a map from exponent tuples to rational coefficients."""
+        items = [(tuple(m), _to_rat(c)) for m, c in (terms or {}).items()]
+        den = math.lcm(*(c.denominator for _, c in items))
+        ints, r = _reduce_terms(params, [(m, c.numerator * (den // c.denominator)) for m, c in items])
         self.params = params
-        if terms is None:
-            self.terms = {}
-        elif _clean:
-            self.terms = dict(terms)
-        else:
-            self.terms = _reduce_terms(params, [(tuple(m), _to_rat(c)) for m, c in terms.items()])
+        self.terms, self.scale = _canonical(ints, Rat(1, den * params.lambda_den**r))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def scaled(cls, params, terms: dict, scale=_ONE) -> "Poly":
+        """scale * sum(terms[m] * m) for nonzero integer terms, already y-reduced.
+
+        The new value owns `terms`.
+        """
+        return _poly(params, *_canonical(terms, _to_rat(scale)))
+
+    @classmethod
     def zero(cls, params) -> "Poly":
-        return cls(params, {}, _clean=True)
+        return _poly(params, {}, _ONE)
 
     @classmethod
     def const(cls, params, value) -> "Poly":
         v = _to_rat(value)
-        return cls(params, {(0, 0, 0, 0): v} if v != 0 else {}, _clean=True)
+        return _poly(params, {(0, 0, 0, 0): 1}, v) if v != 0 else cls.zero(params)
 
     @classmethod
     def variable(cls, params, name: str) -> "Poly":
         idx = {"x1": 0, "x2": 1, "y1": 2, "y2": 3}[name]
         mono = tuple(1 if i == idx else 0 for i in range(4))
-        return cls(params, {mono: Rat(1)}, _clean=True)
+        return _poly(params, {mono: 1}, _ONE)
 
     @classmethod
     def f_of(cls, params, which: int) -> "Poly":
         """The sextic f(x1) (which=1) or f(x2) (which=2) as a polynomial."""
         terms = {}
-        for j, lam in enumerate(params.lambdas):
-            if lam != 0:
+        for j, lam in enumerate(params.int_lambdas):
+            if lam:
                 terms[(j, 0, 0, 0) if which == 1 else (0, j, 0, 0)] = lam
-        return cls(params, terms, _clean=True)
+        return cls.scaled(params, terms, Rat(1, params.lambda_den))
 
     @classmethod
     def fprime_of(cls, params, which: int) -> "Poly":
         """d f / d x evaluated in x1 or x2."""
         terms = {}
-        for j, lam in enumerate(params.lambdas):
-            if j >= 1 and lam != 0:
+        for j, lam in enumerate(params.int_lambdas):
+            if j >= 1 and lam:
                 terms[(j - 1, 0, 0, 0) if which == 1 else (0, j - 1, 0, 0)] = j * lam
-        return cls(params, terms, _clean=True)
+        return cls.scaled(params, terms, Rat(1, params.lambda_den))
 
     # -- basic structure ---------------------------------------------------
 
@@ -245,7 +302,7 @@ class Poly:
             return Rat(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms[(0, 0, 0, 0)]
+        return self.scale
 
     def has_y(self) -> bool:
         return any(m[2] or m[3] for m in self.terms)
@@ -255,7 +312,7 @@ class Poly:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms, key=_order_key)
-        return m, self.terms[m]
+        return m, self.terms[m] * self.scale
 
     def _same_ring(self, other: "Poly") -> None:
         if self.params is not other.params and self.params.lambdas != other.params.lambdas:
@@ -264,10 +321,14 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.params.lambdas == other.params.lambdas and self.terms == other.terms
+        return (
+            self.scale == other.scale
+            and self.terms == other.terms
+            and self.params.lambdas == other.params.lambdas
+        )
 
     def __hash__(self):
-        return hash((self.params.lambdas, frozenset(self.terms.items())))
+        return hash((self.params.lambdas, frozenset(self.terms.items()), self.scale))
 
     # -- ring operations ---------------------------------------------------
 
@@ -277,23 +338,34 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._same_ring(other)
-        out = dict(self.terms)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        # common scale g/l: the operands' terms get integer multipliers u, v
+        s, t = self.scale, other.scale
+        g = math.gcd(s.numerator, t.numerator)
+        l = math.lcm(s.denominator, t.denominator)
+        u = s.numerator // g * (l // s.denominator)
+        v = t.numerator // g * (l // t.denominator)
+        out = dict(self.terms) if u == 1 else {m: c * u for m, c in self.terms.items()}
         for m, c in other.terms.items():
+            c *= v
             prev = out.get(m)
             if prev is None:
                 out[m] = c
             else:
-                s = prev + c
-                if s == 0:
-                    del out[m]
+                c += prev
+                if c:
+                    out[m] = c
                 else:
-                    out[m] = s
-        return Poly(self.params, out, _clean=True)
+                    del out[m]
+        return _poly(self.params, *_canonical(out, Rat(g, l)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.params, {m: -c for m, c in self.terms.items()}, _clean=True)
+        return _poly(self.params, self.terms, -self.scale) if self.terms else self
 
     def __sub__(self, other):
         if not isinstance(other, (int, Rat, Poly)):
@@ -305,28 +377,30 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Rat)):
-            c = _to_rat(other)
-            if c == 0:
+            if other == 0:
                 return Poly.zero(self.params)
-            return Poly(self.params, {m: v * c for m, v in self.terms.items()}, _clean=True)
+            return _poly(self.params, self.terms, self.scale * other) if self.terms else self
         if not isinstance(other, Poly):
             return NotImplemented
         self._same_ring(other)
+        if not self.terms or not other.terms:
+            return Poly.zero(self.params)
         raw: dict = {}
-        needs_reduce = False
         for (a1, a2, b1, b2), c1 in self.terms.items():
             for (d1, d2, e1, e2), c2 in other.terms.items():
                 key = (a1 + d1, a2 + d2, b1 + e1, b2 + e2)
-                if key[2] > 1 or key[3] > 1:
-                    needs_reduce = True
                 prev = raw.get(key)
                 if prev is None:
                     raw[key] = c1 * c2
                 else:
                     raw[key] = prev + c1 * c2
-        if needs_reduce:
-            return Poly(self.params, _reduce_terms(self.params, raw.items()), _clean=True)
-        return Poly(self.params, {m: c for m, c in raw.items() if c != 0}, _clean=True)
+        scale = self.scale * other.scale
+        if (_has_var(self, 2) and _has_var(other, 2)) or (_has_var(self, 3) and _has_var(other, 3)):
+            terms, r = _reduce_terms(self.params, list(raw.items()))
+            return _poly(self.params, *_canonical(terms, scale / self.params.lambda_den**r))
+        # without a y-substitution this is a product in Z[x1, x2, y1, y2]:
+        # primitive by Gauss's lemma, its leading term the product of theirs
+        return _poly(self.params, {m: c for m, c in raw.items() if c}, scale)
 
     __rmul__ = __mul__
 
@@ -353,50 +427,31 @@ class Poly:
                 continue
             key = tuple(v - 1 if i == var else v for i, v in enumerate(m))
             out[key] = c * e
-        return Poly(self.params, out, _clean=True)
+        return _poly(self.params, *_canonical(out, self.scale))
 
     def swap_points(self) -> "Poly":
         """Simultaneous exchange x1<->x2, y1<->y2."""
-        return Poly(
-            self.params,
-            {(m[1], m[0], m[3], m[2]): c for m, c in self.terms.items()},
-            _clean=True,
-        )
+        out = {(m[1], m[0], m[3], m[2]): c for m, c in self.terms.items()}
+        return _poly(self.params, *_canonical(out, self.scale))
 
     def content(self) -> Rat:
         """Positive rational c with self/c integer-coefficient and primitive."""
-        if not self.terms:
-            return Rat(1)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            d = c.denominator
-            den_lcm = den_lcm // math.gcd(den_lcm, d) * d
-        return Rat(num_gcd, den_lcm)
+        return abs(self.scale)
 
     def common_monomial(self) -> tuple:
         """Componentwise minimum exponent vector over all terms."""
-        if not self.terms:
-            return (0, 0, 0, 0)
-        mins = [None] * 4
-        for m in self.terms:
-            for i in range(4):
-                if mins[i] is None or m[i] < mins[i]:
-                    mins[i] = m[i]
-        return tuple(mins)
+        return tuple(map(min, zip(*self.terms))) if self.terms else (0, 0, 0, 0)
 
     def shift_down(self, mono: tuple) -> "Poly":
         """Divide by a monomial known to divide every term (negative exponents multiply)."""
         if mono == (0, 0, 0, 0):
             return self
-        out = {}
-        for m, c in self.terms.items():
-            key = tuple(m[i] - mono[i] for i in range(4))
-            if any(v < 0 for v in key):
-                raise ValueError("monomial does not divide all terms")
-            out[key] = c
-        return Poly(self.params, out, _clean=True)
+        if self.terms and any(u < v for u, v in zip(self.common_monomial(), mono)):
+            raise ValueError("monomial does not divide all terms")
+        s1, s2, t1, t2 = mono
+        out = {(e1 - s1, e2 - s2, a1 - t1, a2 - t2): c for (e1, e2, a1, a2), c in self.terms.items()}
+        # a monomial factor keeps the lexicographic order, hence the sign
+        return _poly(self.params, out, self.scale)
 
     def try_divide(self, divisor: "Poly"):
         """Exact quotient by c*(x1 - x2); None if it does not divide.
@@ -410,47 +465,52 @@ class Poly:
         self._same_ring(divisor)
         if divisor.is_zero():
             raise DivisionByZero("division by zero polynomial")
-        c = divisor.terms.get((1, 0, 0, 0))
-        if len(divisor.terms) != 2 or c is None or divisor.terms.get((0, 1, 0, 0)) != -c:
+        if divisor.terms != {(1, 0, 0, 0): 1, (0, 1, 0, 0): -1}:
             raise ValueError("divisor must be a rational multiple of x1 - x2")
+        if not self.terms:
+            return self
         rows: dict = {}
         for (e1, e2, a1, a2), v in self.terms.items():
             rows.setdefault((e1 + e2, a1, a2), {})[e1] = v
-        scale = -1 / c
         quo: dict = {}
         for (d, a1, a2), row in rows.items():
             top = max(row)
-            s = 0
+            q = 0
             for i in range(min(row), top):
                 v = row.get(i)
                 if v is not None:
-                    s += v
-                if s:
-                    quo[(i, d - 1 - i, a1, a2)] = s * scale
-            if s + row[top] != 0:
+                    q -= v
+                if q:
+                    quo[(i, d - 1 - i, a1, a2)] = q
+            if q != row[top]:
                 return None
-        return Poly(self.params, quo, _clean=True)
+        # the quotient of a primitive polynomial by x1 - x2 is primitive, and
+        # its leading coefficient is the dividend's
+        return _poly(self.params, quo, self.scale / divisor.scale)
 
     # -- evaluation ---------------------------------------------------------
 
     def eval_exact(self, x1, x2, y1, y2) -> Rat:
         x1, x2, y1, y2 = (_to_rat(v) for v in (x1, x2, y1, y2))
         total = Rat(0)
+        s = self.scale
         for (e1, e2, a1, a2), c in self.terms.items():
-            total += c * x1**e1 * x2**e2 * y1**a1 * y2**a2
+            total += c * s * x1**e1 * x2**e2 * y1**a1 * y2**a2
         return total
 
     def eval_mp(self, x1, x2, y1, y2):
         total = mp.mpc(0)
+        s = self.scale
         for (e1, e2, a1, a2), c in self.terms.items():
-            total += rat_to_mp(c) * x1**e1 * x2**e2 * y1**a1 * y2**a2
+            total += rat_to_mp(c * s) * x1**e1 * x2**e2 * y1**a1 * y2**a2
         return total
 
     def eval_mp_scale(self, x1, x2, y1, y2):
         """Sum of term magnitudes, for relative-error scaling of probes."""
         total = mp.mpf(0)
+        s = self.scale
         for (e1, e2, a1, a2), c in self.terms.items():
-            total += abs(rat_to_mp(c) * x1**e1 * x2**e2 * y1**a1 * y2**a2)
+            total += abs(rat_to_mp(c * s) * x1**e1 * x2**e2 * y1**a1 * y2**a2)
         return total
 
     # -- display -------------------------------------------------------------
@@ -460,7 +520,7 @@ class Poly:
             return "0"
         parts = []
         for m in sorted(self.terms, key=_order_key, reverse=True):
-            c = self.terms[m]
+            c = self.terms[m] * self.scale
             factors = []
             for name, e in zip(("x1", "x2", "y1", "y2"), m):
                 if e == 1:
@@ -481,14 +541,18 @@ class Poly:
     __repr__ = __str__
 
 
+def _has_var(p: Poly, var: int) -> bool:
+    return any(m[var] for m in p.terms)
+
+
 def _x1_minus_x2(params) -> Poly:
-    return Poly(params, {(1, 0, 0, 0): Rat(1), (0, 1, 0, 0): Rat(-1)}, _clean=True)
+    return _poly(params, {(1, 0, 0, 0): 1, (0, 1, 0, 0): -1}, _ONE)
 
 
 def _den_poly(params, a: int, b: int, k: int) -> Poly:
     """x1^a * x2^b * (x1 - x2)^k, expanded by the binomial theorem."""
-    terms = {(a + i, b + k - i, 0, 0): Rat((-1) ** (k - i) * math.comb(k, i)) for i in range(k + 1)}
-    return Poly(params, terms, _clean=True)
+    terms = {(a + i, b + k - i, 0, 0): (-1) ** (k - i) * math.comb(k, i) for i in range(k + 1)}
+    return _poly(params, terms, _ONE)
 
 
 def _divide_binom(p: Poly, limit) -> tuple:
@@ -727,8 +791,8 @@ def _clear_y_denominator(num: Poly, den: Poly) -> tuple:
             for m, c in den.terms.items()
             if m[var] == 1
         }
-        a = Poly(params, a_terms, _clean=True)
-        b = Poly(params, b_terms, _clean=True)
+        a = Poly.scaled(params, a_terms, den.scale)
+        b = Poly.scaled(params, b_terms, den.scale)
         yv = Poly.variable(params, "y1" if which == 1 else "y2")
         conj = a - b * yv
         num = num * conj

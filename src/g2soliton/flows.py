@@ -76,7 +76,7 @@ def _log_den_numerator(params, a: int, b: int, k: int, direction: int) -> Poly:
         terms = {(1, 1, 1, 0): a + k, (0, 2, 1, 0): -a, (2, 0, 0, 1): -b, (1, 1, 0, 1): b + k}
     else:
         terms = {(1, 2, 1, 0): -a - k, (0, 3, 1, 0): a, (3, 0, 0, 1): b, (2, 1, 0, 1): -b - k}
-    return Poly(params, {m: Rat(c) for m, c in terms.items() if c}, _clean=True)
+    return Poly.scaled(params, {m: c for m, c in terms.items() if c})
 
 
 def flow_derivative(g: Fld | Poly, direction: int) -> Fld:

@@ -125,7 +125,7 @@ class IdentityId:
 
 def symmetric_pairing(params: CurveParams) -> Poly:
     """F(x1,x2): the polarized form of f whose square section is (y1 y2)^2."""
-    l = params.lambdas
+    l = params.int_lambdas
     terms = {
         (3, 3, 0, 0): 2 * l[6],
         (3, 2, 0, 0): l[5],
@@ -138,7 +138,7 @@ def symmetric_pairing(params: CurveParams) -> Poly:
         (0, 1, 0, 0): l[1],
         (0, 0, 0, 0): 2 * l[0],
     }
-    return Poly(params, {m: c for m, c in terms.items() if c != 0}, _clean=True)
+    return Poly.scaled(params, {m: c for m, c in terms.items() if c}, Rat(1, params.lambda_den))
 
 
 # identities on the Weierstrass triple divide by l5, those on the Jacobi triple by l1
@@ -166,7 +166,7 @@ class G2Functions:
         l = params.lambdas
         x1 = Poly.variable(params, "x1")
         x2 = Poly.variable(params, "x2")
-        y1y2 = Poly(params, {(0, 0, 1, 1): Rat(1)}, _clean=True)
+        y1y2 = Poly(params, {(0, 0, 1, 1): 1})
         binom2 = _x1_minus_x2(params) ** 2
         self.f_poly = symmetric_pairing(params)
 
@@ -240,7 +240,7 @@ class ExactContext:
         return self._fns.deriv(name, dirs)
 
     def y1y2(self):
-        return Fld(Poly(self._fns.params, {(0, 0, 1, 1): Rat(1)}, _clean=True))
+        return Fld(Poly(self._fns.params, {(0, 0, 1, 1): 1}))
 
     def sep_sq(self):
         return Fld(_x1_minus_x2(self._fns.params) ** 2)
@@ -867,8 +867,8 @@ def dual_transform_poly(p: Poly, target: CurveParams) -> Fld:
     num_terms = {}
     for (e1, e2, a1, a2), coef in p.terms.items():
         num_terms[(d1 - e1 - 3 * a1, d2 - e2 - 3 * a2, a1, a2)] = coef
-    num = Poly(target, num_terms, _clean=True)
-    den = Poly(target, {(d1, d2, 0, 0): Rat(1)}, _clean=True)
+    num = Poly.scaled(target, num_terms, p.scale)
+    den = Poly.scaled(target, {(d1, d2, 0, 0): 1})
     return Fld(num, den)
 
 

@@ -224,7 +224,10 @@ def test_miura_pipeline_command(tmp_path):
         ("akns-check", "--draws", "0"),
         ("pde-run", "--dt", "0"),
         ("pde-run", "--t-end", "-1"),
+        ("pde-run", "--t-end", "0.0004"),
         ("miura-pipeline", "--t-end", "0.001"),
+        ("static-transforms", "--samples", "0"),
+        ("elliptic-check", "--re", "0:1:0"),
     ],
 )
 def test_vacuous_or_degenerate_runs_are_usage_errors(argv, capsys):

@@ -1,5 +1,6 @@
 """Exact coordinate-ring and function-field arithmetic."""
 
+import math
 import random
 
 import mpmath as mp
@@ -96,7 +97,7 @@ def test_reduce_y_cube_on_x5_curve():
 def test_reduce_y_idempotent(raw):
     once = Poly(GENERIC, raw)
     assert all(m[2] <= 1 and m[3] <= 1 for m in once.terms)
-    again = Poly(GENERIC, dict(once.terms))
+    again = Poly(GENERIC, {m: c * once.scale for m, c in once.terms.items()})
     assert once == again
 
 
@@ -263,6 +264,135 @@ def test_try_divide_by_x1_minus_x2():
             q.try_divide(other)
     with pytest.raises(DivisionByZero):
         q.try_divide(Poly.zero(GENERIC))
+
+
+# -- fraction-free Poly against a dict-of-Fraction reference ----------------------
+
+FRACTION_CURVES = [
+    CurveParams(("3/2", "-7/3", "5", "1/4", "-2/5", "9/7", "5/6")),  # general sextic
+    CurveParams(("0", "7/3", "-2", "5/4", "1/7", "-9/2", "0")),  # l0 = l6 = 0
+    CurveParams(("1/3", "4", "-2/3", "5/4", "7/9", "4", "-1/2")),  # l1 = l5 = 4
+]
+
+
+def _ref_reduce(params, raw):
+    """y-reduce {monomial: Fraction} by y_i^2 -> sum_j l_j x_i^j, in Fractions."""
+    out = {}
+    stack = list(raw.items())
+    while stack:
+        (e1, e2, a1, a2), c = stack.pop()
+        if a1 >= 2:
+            stack += [((e1 + j, e2, a1 - 2, a2), c * l) for j, l in enumerate(params.lambdas)]
+        elif a2 >= 2:
+            stack += [((e1, e2 + j, a1, a2 - 2), c * l) for j, l in enumerate(params.lambdas)]
+        else:
+            out[(e1, e2, a1, a2)] = out.get((e1, e2, a1, a2), Rat(0)) + c
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _ref_mul(params, p, q):
+    raw = {}
+    for m, c in p.items():
+        for n, d in q.items():
+            key = tuple(u + v for u, v in zip(m, n))
+            raw[key] = raw.get(key, Rat(0)) + c * d
+    return _ref_reduce(params, raw)
+
+
+def _ref_add(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, Rat(0)) + c
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _ref_scale(p, c):
+    return {m: v * c for m, v in p.items() if v * c != 0}
+
+
+def _value(p):
+    """The rational coefficients of a Poly."""
+    return {m: c * p.scale for m, c in p.terms.items()}
+
+
+def _assert_canonical(p):
+    if not p.terms:
+        assert p.scale == 1
+        return
+    assert all(isinstance(c, int) and c != 0 for c in p.terms.values())
+    assert math.gcd(*p.terms.values()) == 1
+    assert p.terms[max(p.terms)] > 0
+    assert isinstance(p.scale, Rat) and p.scale != 0
+
+
+def _check(p, want):
+    _assert_canonical(p)
+    assert _value(p) == want
+    rebuilt = Poly(p.params, want)
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+
+
+@pytest.mark.parametrize("params", FRACTION_CURVES, ids=["sextic", "l0=l6=0", "l1=l5=4"])
+def test_fraction_free_poly_matches_fraction_reference(params):
+    rng = random.Random(515)
+    binom = Poly.variable(params, "x1") - Poly.variable(params, "x2")
+    for _ in range(40):
+        a, b = _random_poly(rng, params, 5), _random_poly(rng, params, 5)
+        va, vb = _value(a), _value(b)
+        c = Rat(rng.randint(-9, 9) or 1, rng.randint(1, 6))
+        _check(a * b, _ref_mul(params, va, vb))
+        _check(a + b, _ref_add(va, vb))
+        _check(a - b, _ref_add(va, _ref_scale(vb, Rat(-1))))
+        _check(a - a, {})
+        _check(-a, _ref_scale(va, Rat(-1)))
+        _check(a * c, _ref_scale(va, c))
+        _check(c * a + b * 0, _ref_scale(va, c))
+        for var in range(4):
+            want = {}
+            for m, v in va.items():
+                if m[var]:
+                    want[tuple(e - (i == var) for i, e in enumerate(m))] = v * m[var]
+            _check(a.partial(var), want)
+        _check(a.swap_points(), {(m[1], m[0], m[3], m[2]): v for m, v in va.items()})
+        low = a.common_monomial()
+        _check(a.shift_down(low), {tuple(e - s for e, s in zip(m, low)): v for m, v in va.items()})
+        _check(a.shift_down((-2, -1, 0, 0)), {(m[0] + 2, m[1] + 1, m[2], m[3]): v for m, v in va.items()})
+        # y-reduction of raw monomials with y exponents up to 4
+        raw = {
+            (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 4), rng.randint(0, 4)): Rat(
+                rng.randint(-9, 9), rng.randint(1, 5)
+            )
+            for _ in range(4)
+        }
+        _check(Poly(params, raw), _ref_reduce(params, raw))
+        # exact division by c * (x1 - x2), and None where the quotient is not a polynomial
+        prod = a * binom * c
+        q = prod.try_divide(binom * c)
+        _check(q, va)
+        for dividend in (a, prod + b * binom ** rng.randint(0, 1)):
+            # x1 - x2 divides iff every y-sector vanishes on the diagonal x2 = x1
+            on_diagonal = {}
+            for (e1, e2, a1, a2), v in _value(dividend).items():
+                on_diagonal[(e1 + e2, a1, a2)] = on_diagonal.get((e1 + e2, a1, a2), 0) + v
+            q = dividend.try_divide(binom * c)
+            assert (q is not None) == all(v == 0 for v in on_diagonal.values())
+            if q is not None:
+                _assert_canonical(q)
+                assert _ref_mul(params, _value(q), _value(binom * c)) == _value(dividend)
+        # equal values built along different routes are equal and hash equal
+        left, right = (a + b) * (a - b), a * a - b * b
+        assert left == right and hash(left) == hash(right)
+
+
+def test_canonical_form_moves_content_and_sign_into_scale():
+    p = Poly.scaled(GENERIC, {(1, 0, 0, 0): -6, (0, 1, 1, 0): 4, (0, 0, 0, 0): 10}, Rat(1, 3))
+    assert p.terms == {(1, 0, 0, 0): 3, (0, 1, 1, 0): -2, (0, 0, 0, 0): -5}
+    assert p.scale == Rat(-2, 3)
+    assert p.content() == Rat(2, 3)
+    same = Poly(GENERIC, {(1, 0, 0, 0): -2, (0, 1, 1, 0): Rat(4, 3), (0, 0, 0, 0): Rat(10, 3)})
+    assert same == p and hash(same) == hash(p)
+    assert Poly.scaled(GENERIC, {}, 7) == Poly.zero(GENERIC)
+    assert Poly.const(GENERIC, 0).scale == 1 and (p - p).scale == 1
 
 
 # -- probes ------------------------------------------------------------------------
