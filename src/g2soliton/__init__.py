@@ -50,7 +50,6 @@ from .identities import (
     IdentityId,
     MissingConstraint,
     VerifyReport,
-    dual_transform,
     identity_ids,
     residual,
     residuals,

@@ -255,15 +255,21 @@ def _cmd_static_transforms(args) -> int:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     rng = random.Random(args.seed)
     worst = {name: 0.0 for name in TRANSFORMATIONS}
+    checked = 0
     for _ in range(args.samples):
         x0 = rng.uniform(-2.0, 2.0)
         terms = [(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 2.0), rng.uniform(0, 6)) for _ in range(3)]
         v = trig_jet(x0, 6, terms) + Jet.constant(rng.uniform(0.8, 1.6), 6)
         if abs(v.value(1)) < 0.05:
             continue
+        checked += 1
         for name in TRANSFORMATIONS:
             lhs, rhs = static_transformation_residuals(v, name, a=args.a)
             worst[name] = max(worst[name], abs(lhs - rhs))
+    if not checked:
+        raise ValueError(
+            f"--samples {args.samples} --seed {args.seed}: no sample has |v'(x0)| >= 0.05, so nothing was checked"
+        )
     # the paired sn profiles at modulus sqrt(2), a = 3/2
     sn_worst = {"square_profile": 0.0, "inv_square_profile": 0.0, "pair_ode": 0.0, "pair_product": 0.0}
     x = 0.35

@@ -4,7 +4,8 @@ The curve is y_i^2 = f(x_i) = l6*x_i^6 + ... + l1*x_i + l0 for two independent
 points (x1, y1), (x2, y2).  Polynomials live in the quotient ring
 Q[x1, x2, y1, y2] / (y1^2 - f(x1), y2^2 - f(x2)), kept in y-reduced canonical
 form (every y exponent is 0 or 1).  `Fld` elements are quotients of such
-polynomials whose denominator is free of y1, y2; equality-to-zero of a
+polynomials by c * x1^a * x2^b * (x1 - x2)^k, the only denominators the
+function families and their flow derivatives produce; equality-to-zero of a
 numerator term map is therefore an exact decision procedure for identities
 between hyperelliptic functions.
 
@@ -304,16 +305,6 @@ class Poly:
             raise ValueError("not a constant polynomial")
         return self.scale
 
-    def has_y(self) -> bool:
-        return any(m[2] or m[3] for m in self.terms)
-
-    def leading(self) -> tuple:
-        """(monomial, coefficient) under graded lex with x1 > x2 > y1 > y2."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=_order_key)
-        return m, self.terms[m] * self.scale
-
     def _same_ring(self, other: "Poly") -> None:
         if self.params is not other.params and self.params.lambdas != other.params.lambdas:
             raise ValueError("polynomials live over different curves")
@@ -433,10 +424,6 @@ class Poly:
         """Simultaneous exchange x1<->x2, y1<->y2."""
         out = {(m[1], m[0], m[3], m[2]): c for m, c in self.terms.items()}
         return _poly(self.params, *_canonical(out, self.scale))
-
-    def content(self) -> Rat:
-        """Positive rational c with self/c integer-coefficient and primitive."""
-        return abs(self.scale)
 
     def common_monomial(self) -> tuple:
         """Componentwise minimum exponent vector over all terms."""
@@ -573,18 +560,17 @@ def _times_den(p: Poly, a: int, b: int, k: int) -> Poly:
 
 
 class Fld:
-    """Element of the curve's function field: Poly / y-free Poly, normalized.
+    """Element of the curve's function field: Poly / (x1^a * x2^b * (x1-x2)^k).
 
-    Normal form: denominator is integer-primitive with positive leading
-    coefficient; numerator and denominator share no common monomial, no
-    common rational content, and no common power of (x1 - x2).  Equality of
-    a/b and c/d holds iff a*d - c*b reduces to the zero polynomial.
-
-    The catalog's denominators are all structured, x1^a * x2^b * (x1 - x2)^k
-    with constant 1 in normal form, so `struct` keeps (a, b, k) (None for
-    other denominators).  Products, sums and powers of structured elements
-    work on the exponents and normalise only the new numerator; negation and
-    nonzero rational multiples keep any normal form as it is.
+    The constructor accepts a denominator c * x1^a * x2^b * (x1 - x2)^k with
+    c a nonzero rational and raises ValueError for any other; the catalog
+    needs no other.  Normal form: the constant moves into the numerator, and
+    numerator and denominator share no x1, x2 or (x1 - x2).  `den` is the
+    expanded denominator and `struct` its exponents (a, b, k).  Products,
+    sums and powers work on the exponents and normalise only the new
+    numerator; negation and nonzero rational multiples keep the normal form
+    as it is.  Equality of a/b and c/d holds iff a*d - c*b reduces to the
+    zero polynomial.
     """
 
     __slots__ = ("num", "den", "struct")
@@ -592,16 +578,14 @@ class Fld:
     def __init__(self, num: Poly, den: Poly | None = None):
         if den is None:
             den = Poly.const(num.params, 1)
-        if den.has_y():
-            num, den = _clear_y_denominator(num, den)
         if den.is_zero():
             raise DivisionByZero("denominator reduces to zero")
         # split den = x1^a * x2^b * (x1 - x2)^k * rest, learning k as we divide
         a, b, _, _ = den.common_monomial()
         rest, k = _divide_binom(den.shift_down((a, b, 0, 0)), math.inf)
-        if rest.is_constant():  # structured: fold the constant into num
-            num, rest = num * (1 / rest.constant_value()), None
-        self.num, self.den, self.struct = _normalise(num, a, b, k, rest)
+        if not rest.is_constant():
+            raise ValueError(f"denominator must be c * x1^a * x2^b * (x1 - x2)^k, got {den}")
+        self.num, self.den, self.struct = _normalise(num * (1 / rest.constant_value()), a, b, k)
 
     # -- constructors ------------------------------------------------------
 
@@ -664,8 +648,6 @@ class Fld:
         if other.is_zero():
             return self
         sa, sb = self.struct, other.struct
-        if sa is None or sb is None:
-            return Fld(self.num * other.den + other.num * self.den, self.den * other.den)
         a, b, k = (max(u, v) for u, v in zip(sa, sb))
         num = _times_den(self.num, a - sa[0], b - sa[1], k - sa[2])
         num = num + _times_den(other.num, a - sb[0], b - sb[1], k - sb[2])
@@ -694,8 +676,6 @@ class Fld:
         if other is None:
             return NotImplemented
         sa, sb = self.struct, other.struct
-        if sa is None or sb is None:
-            return Fld(self.num * other.num, self.den * other.den)
         return Fld.structured(self.num * other.num, sa[0] + sb[0], sa[1] + sb[1], sa[2] + sb[2])
 
     __rmul__ = __mul__
@@ -720,8 +700,6 @@ class Fld:
             raise ValueError("integer powers only")
         if n < 0:
             return self.inverse() ** (-n)
-        if self.struct is None:
-            return Fld(self.num**n, self.den**n)
         a, b, k = self.struct
         return Fld.structured(self.num**n, n * a, n * b, n * k)
 
@@ -751,12 +729,10 @@ class Fld:
     __repr__ = __str__
 
 
-def _normalise(num: Poly, a: int, b: int, k: int, rest: Poly | None = None) -> tuple:
-    """(num, den, struct) in normal form for num / (x1^a * x2^b * (x1-x2)^k * rest).
+def _normalise(num: Poly, a: int, b: int, k: int) -> tuple:
+    """(num, den, struct) in normal form for num / (x1^a * x2^b * (x1-x2)^k).
 
-    rest=None stands for 1, the structured case.  Shared monomials and powers
-    of (x1 - x2) are cancelled; a general den is then scaled to be
-    integer-primitive with positive leading coefficient.
+    Shared monomials and powers of (x1 - x2) are cancelled.
     """
     params = num.params
     if num.is_zero():
@@ -766,38 +742,7 @@ def _normalise(num: Poly, a: int, b: int, k: int, rest: Poly | None = None) -> t
     num = num.shift_down(shift)
     a, b = a - shift[0], b - shift[1]
     num, j = _divide_binom(num, k)
-    den = _den_poly(params, a, b, k - j)
-    if rest is None:
-        return num, den, (a, b, k - j)
-    den = rest * den
-    inv = 1 / den.content() if den.leading()[1] > 0 else -1 / den.content()
-    return num * inv, den * inv, None
-
-
-def _clear_y_denominator(num: Poly, den: Poly) -> tuple:
-    """Rationalize a denominator containing y via conjugation.
-
-    d = A + B*y1 -> multiply by (A - B*y1): denominator A^2 - B^2 f(x1).
-    At most one pass per y variable is needed since conjugation preserves
-    y-parity of the other variable.
-    """
-    params = num.params
-    for var, which in ((2, 1), (3, 2)):
-        if not any(m[var] for m in den.terms):
-            continue
-        a_terms = {m: c for m, c in den.terms.items() if m[var] == 0}
-        b_terms = {
-            tuple(v - 1 if i == var else v for i, v in enumerate(m)): c
-            for m, c in den.terms.items()
-            if m[var] == 1
-        }
-        a = Poly.scaled(params, a_terms, den.scale)
-        b = Poly.scaled(params, b_terms, den.scale)
-        yv = Poly.variable(params, "y1" if which == 1 else "y2")
-        conj = a - b * yv
-        num = num * conj
-        den = a * a - b * b * Poly.f_of(params, which)
-    return num, den
+    return num, _den_poly(params, a, b, k - j), (a, b, k - j)
 
 
 def eval_probe(a: Fld, x1, x2, y_signs=(1, 1), mode: str = "float", dps: int | None = None):

@@ -10,9 +10,9 @@ with d y_i = f'(x_i)/(2 y_i) * d x_i on the curve.  Both derivations map the
 coordinate ring into (1/(x1-x2)) * ring, so a flow derivative of a Poly is an
 Fld with denominator (x1 - x2).
 
-For a structured g = N / (x1^a * x2^b * B^k) with B = x1 - x2, the log
-derivative of the denominator is a*Dx1/x1 + b*Dx2/x2 + k*DB/B, which gives
-the closed form
+Every field element is g = N / (x1^a * x2^b * B^k) with B = x1 - x2 (see
+`Fld`).  The log derivative of the denominator is a*Dx1/x1 + b*Dx2/x2 +
+k*DB/B, which gives the closed form
 
     D g = (N' * x1*x2*B - N * L) / (x1^(a+1) * x2^(b+1) * B^(k+2)),
 
@@ -21,8 +21,7 @@ with N' the numerator of D N over B and, along u2 and u1,
     L2 = a*y1*x2*B - b*y2*x1*B + k*(y1 + y2)*x1*x2,
     L1 = -a*y1*x2^2*B + b*y2*x1^2*B - k*(x2*y1 + x1*y2)*x1*x2.
 
-The result is normalised like any structured product.  Other denominators
-use the quotient rule over B * den^2.
+The result is normalised like any product.
 """
 
 from __future__ import annotations
@@ -86,9 +85,6 @@ def flow_derivative(g: Fld | Poly, direction: int) -> Fld:
         g = Fld(g)
     params = g.params
     dn = flow_poly_numerator(g.num, direction)
-    if g.struct is None:
-        num = dn * g.den - g.num * flow_poly_numerator(g.den, direction)
-        return Fld(num, _den_poly(params, 0, 0, 1) * g.den * g.den)
     a, b, k = g.struct
     if not (a or b or k):
         return Fld.structured(dn, 0, 0, 1)

@@ -15,7 +15,10 @@ field element.  Each identity is stored once as a builder over an abstract
 context, which gives two independent evaluation routes: exact reduction in
 the function field, and high-precision numeric evaluation at random curve
 points (the Schwartz-Zippel style probe used both as a development oracle
-and to certify nonzero witnesses).
+and to certify nonzero witnesses).  The Jacobi-type identities are not
+written out: each is a Weierstrass builder run through the dual involution
+(`_DualContext`), which is how the paper obtains them.  Every function is a
+numerator over x1^a * x2^b * (x1-x2)^k.
 """
 
 from __future__ import annotations
@@ -283,6 +286,36 @@ class NumericContext:
         return self._fns.f_poly.eval_mp(*self._point)
 
 
+_DUAL_NAMES = {"p22": "hp11", "p21": "hp21", "q": "hq"}
+_DUAL_FLOWS = str.maketrans("12", "21")
+
+
+class _DualContext:
+    """An exact or numeric context seen through the dual involution.
+
+    x_i -> 1/x_i, y_i -> y_i/x_i^3 maps the curve with reversed coefficients
+    onto this one, its Weierstrass triple (p22, p21, q) onto (hp11, hp21, hq)
+    and its flow u1 onto -u2.  The catalog's residuals are linear in second
+    flow derivatives or in first ones, so that sign flips at most the sign of
+    the residual: a Weierstrass builder run here assembles the image of its
+    identity on the reversed curve, the matching Jacobi identity.
+    """
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+        for j in range(7):
+            setattr(self, f"l{j}", getattr(ctx, f"l{6 - j}"))
+        self.one = ctx.one
+
+    def __getattr__(self, name):
+        return self.d(name, "")
+
+    def d(self, name: str, dirs: str):
+        if name not in _DUAL_NAMES:
+            raise AttributeError(f"{name} has no image under the dual involution")
+        return self._ctx.d(_DUAL_NAMES[name], dirs.translate(_DUAL_FLOWS))
+
+
 # -- identity builders ---------------------------------------------------------
 
 
@@ -540,132 +573,35 @@ def _ws5(c):
     return c.d("q", "11") - 6 * c.q**2 - c.l1 * c.p21 - c.l2 * c.q - c.l1 * c.l3 / 8
 
 
-@_identity("J1", "l1!=0")  # dual-triple u2^3 u1 closure
-def _j1(c):
-    return (
-        c.d("hp21", "22")
-        - 6 * c.hp21 * c.hq
-        - c.l4 * c.hp21
-        + c.l5 / 2 * c.hp11
-        - 32 * c.l0 / c.l1**2 * c.hp21**3
-        + c.l1 * c.l6 / 4
-    )
+# Jacobi-type entries: each is its Weierstrass partner read through the dual
+# involution, registered here so the catalog order stays W, WS, J, JS, KUM.
+# Each locus implies the reflection l_j -> l_(6-j) of its partner's; JS3-JS5
+# also state l6=0, which that reflection does not need.
+_JACOBI_DUALS = (
+    ("J1", "W4", "l1!=0"),  # dual-triple u2^3 u1 closure
+    ("J2", "W3", "l1!=0"),  # dual-triple u2^2 u1^2 closure
+    ("J3", "W2", "l1!=0"),  # dual-triple u2 u1^3 closure
+    ("J4", "W1", "l1!=0"),  # dual-triple u1^4 closure
+    ("J5", "W7", "l1!=0"),  # dual-triple u1^2 closure for hq
+    ("J6", "W6", "l1!=0"),  # dual-triple mixed u2 u1 closure for hq
+    ("J7", "W5", "l1!=0"),  # dual-triple u2^2 closure for hq
+    ("INT-J", "INT-W", "l1!=0"),  # second integrability relation of the dual triple
+    ("INT-J2", "INT-W2", "l1!=0", "l0=0"),  # first dual integrability relation; closes only for l0=0
+    ("JS1", "WS5", "l1!=0", "l0=0", "l6=0"),  # dual triple satisfies the quintic u2^4 closure
+    ("JS2", "WS4", "l1!=0", "l0=0", "l6=0"),  # dual triple, mixed u2^3 u1 closure
+    ("JS3", "WS3", "l1!=0", "l0=0", "l6=0"),  # dual triple, (u2 u1)^2 closure
+    ("JS4", "WS2", "l1!=0", "l0=0", "l6=0"),  # dual triple, u1^3 u2 closure
+    ("JS5", "WS1", "l1!=0", "l0=0", "l6=0"),  # dual triple, u1^4 closure
+)
 
 
-@_identity("J2", "l1!=0")  # dual-triple u2^2 u1^2 closure
-def _j2(c):
-    return (
-        c.d("hp11", "22")
-        - 2 * c.hp11 * c.hq
-        - 4 * c.hp21**2
-        - c.l3 / 2 * c.hp21
-        - 32 * c.l0 / c.l1**2 * c.hp21**2 * c.hp11
-    )
+def _dual_image(partner):
+    build = _BUILDERS[partner]
+    return lambda c: build(_DualContext(c))
 
 
-@_identity("J3", "l1!=0")  # dual-triple u2 u1^3 closure
-def _j3(c):
-    return (
-        c.d("hp11", "12")
-        - 6 * c.hp21 * c.hp11
-        + c.l1 / 2 * c.hq
-        - c.l2 * c.hp21
-        - 4 * c.l0 / c.l1 * c.hp21**2
-        - 32 * c.l0 / c.l1**2 * c.hp21 * c.hp11**2
-    )
-
-
-@_identity("J4", "l1!=0")  # dual-triple u1^4 closure
-def _j4(c):
-    return (
-        c.d("hp11", "11")
-        - 6 * c.hp11**2
-        - c.l1 * c.hp21
-        - c.l2 * c.hp11
-        - 12 * c.l0 / c.l1 * c.hp21 * c.hp11
-        - 32 * c.l0 / c.l1**2 * c.hp11**3
-        - c.l1 * c.l3 / 8
-    )
-
-
-@_identity("J5", "l1!=0")  # dual-triple u1^2 closure for hq
-def _j5(c):
-    return (
-        c.d("hq", "11")
-        - 2 * c.hp11 * c.hq
-        - (4 - 16 * c.l0 * c.l2 / c.l1**2) * c.hp21**2
-        + c.l0 * c.l5 / c.l1 * c.hp11
-        - (c.l3 / 2 + 2 * c.l0 * c.l4 / c.l1) * c.hp21
-        - 20 * c.l0 / c.l1 * c.hp21 * c.hq
-        - 8 * c.l0 * c.l3 / c.l1**2 * c.hp21 * c.hp11
-        - 32 * c.l0 / c.l1**2 * c.hp11**2 * c.hq
-        + c.l0 * c.l6 / 2
-    )
-
-
-@_identity("J6", "l1!=0")  # dual-triple mixed u2 u1 closure for hq
-def _j6(c):
-    return (
-        c.d("hq", "12")
-        - 6 * c.hp21 * c.hq
-        - c.l4 * c.hp21
-        + (c.l5 / 2 + 2 * c.l0 * c.l6 / c.l1) * c.hp11
-        + 4 * c.l0 * c.l3 / c.l1**2 * c.hp21**2
-        - 8 * c.l0 * c.l4 / c.l1**2 * c.hp21 * c.hp11
-        + 4 * c.l0 * c.l5 / c.l1**2 * c.hp11**2
-        - 32 * c.l0 / c.l1**2 * c.hp21 * c.hp11 * c.hq
-        + c.l1 * c.l6 / 4
-    )
-
-
-@_identity("J7", "l1!=0")  # dual-triple u2^2 closure for hq
-def _j7(c):
-    return (
-        c.d("hq", "22")
-        - 6 * c.hq**2
-        - c.l4 * c.hq
-        + 3 * c.l6 * c.hp11
-        - (c.l5 - 2 * c.l0 * c.l6 / c.l1) * c.hp21
-        - 8 * c.l0 * c.l5 / c.l1**2 * c.hp21 * c.hp11
-        + 16 * c.l0 * c.l6 / c.l1**2 * c.hp11**2
-        - 32 * c.l0 / c.l1**2 * c.hp21**2 * c.hq
-        + (c.l2 * c.l6 / 2 - c.l3 * c.l5 / 8)
-    )
-
-
-@_identity("INT-J", "l1!=0")  # second integrability relation of the dual triple
-def _int_j(c):
-    return c.d("hp21", "1") - c.d("hp11", "2")
-
-
-@_identity("INT-J2", "l1!=0", "l0=0")  # first dual integrability relation; closes only for l0=0
-def _int_j2(c):
-    return c.d("hq", "1") - c.d("hp21", "2")
-
-
-@_identity("JS1", "l1!=0", "l0=0", "l6=0")  # dual triple satisfies the quintic u2^4 closure
-def _js1(c):
-    return c.d("hq", "22") - 6 * c.hq**2 - c.l4 * c.hq - c.l5 * c.hp21 - c.l3 * c.l5 / 8
-
-
-@_identity("JS2", "l1!=0", "l0=0", "l6=0")  # dual triple, mixed u2^3 u1 closure
-def _js2(c):
-    return c.d("hq", "12") - 6 * c.hq * c.hp21 - c.l4 * c.hp21 + c.l5 / 2 * c.hp11
-
-
-@_identity("JS3", "l1!=0", "l0=0", "l6=0")  # dual triple, (u2 u1)^2 closure
-def _js3(c):
-    return c.d("hq", "11") - 2 * c.hq * c.hp11 - 4 * c.hp21**2 - c.l3 / 2 * c.hp21
-
-
-@_identity("JS4", "l1!=0", "l0=0", "l6=0")  # dual triple, u1^3 u2 closure
-def _js4(c):
-    return c.d("hp21", "11") - 6 * c.hp21 * c.hp11 + c.l1 / 2 * c.hq - c.l2 * c.hp21
-
-
-@_identity("JS5", "l1!=0", "l0=0", "l6=0")  # dual triple, u1^4 closure
-def _js5(c):
-    return c.d("hp11", "11") - 6 * c.hp11**2 - c.l1 * c.hp21 - c.l2 * c.hp11 - c.l1 * c.l3 / 8
+for _tag, _partner, *_constraints in _JACOBI_DUALS:
+    _identity(_tag, *_constraints)(_dual_image(_partner))
 
 
 @_identity("KUM1", "l5!=0", "l6=0")  # quartic kernel determinant (quintic curves)
@@ -849,30 +785,3 @@ def verify_all(params: CurveParams, tags=None, witness_seed: int = 0) -> VerifyR
     for tag in tags:
         report.results.append(verify_identity(tag, fns, witness_seed=witness_seed))
     return report
-
-
-# -- the dual involution ---------------------------------------------------------
-
-
-def dual_transform_poly(p: Poly, target: CurveParams) -> Fld:
-    """Image of a polynomial under x_i -> 1/x_i, y_i -> y_i/x_i^3.
-
-    `target` must be the coefficient-reversed curve; the involution maps the
-    quotient relation of one curve onto the other.
-    """
-    if target.lambdas != p.params.dual().lambdas:
-        raise ValueError("target curve must have reversed coefficients")
-    d1 = max((m[0] + 3 * m[2] for m in p.terms), default=0)
-    d2 = max((m[1] + 3 * m[3] for m in p.terms), default=0)
-    num_terms = {}
-    for (e1, e2, a1, a2), coef in p.terms.items():
-        num_terms[(d1 - e1 - 3 * a1, d2 - e2 - 3 * a2, a1, a2)] = coef
-    num = Poly.scaled(target, num_terms, p.scale)
-    den = Poly.scaled(target, {(d1, d2, 0, 0): 1})
-    return Fld(num, den)
-
-
-def dual_transform(a: Fld) -> Fld:
-    """Image of a function-field element under the dual involution."""
-    target = a.params.dual()
-    return dual_transform_poly(a.num, target) / dual_transform_poly(a.den, target)

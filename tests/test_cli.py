@@ -227,6 +227,7 @@ def test_miura_pipeline_command(tmp_path):
         ("pde-run", "--t-end", "0.0004"),
         ("miura-pipeline", "--t-end", "0.001"),
         ("static-transforms", "--samples", "0"),
+        ("static-transforms", "--samples", "1", "--seed", "6"),
         ("elliptic-check", "--re", "0:1:0"),
     ],
 )

@@ -20,6 +20,7 @@ from g2soliton.curvering import (
     probe_digits,
     random_probe_point,
     rat_sqrt,
+    rat_to_mp,
 )
 from g2soliton.flows import flow_derivative, flow_poly_numerator
 from g2soliton.identities import G2Functions
@@ -145,14 +146,6 @@ def test_y_squared_collapses_to_sextic():
     assert a * a == Fld(Poly.f_of(GENERIC, 1))
 
 
-def test_reciprocal_of_y_is_conjugated():
-    one = Fld.const(GENERIC, 1)
-    inv = one / Fld.variable(GENERIC, "y1")
-    assert inv.num == poly_var(GENERIC, "y1")
-    assert inv.den == Poly.f_of(GENERIC, 1)
-    assert not inv.den.has_y()
-
-
 def test_division_of_equal_elements_is_one():
     d = Fld(poly_var(GENERIC, "x1") - poly_var(GENERIC, "x2"))
     assert d / d == Fld.const(GENERIC, 1)
@@ -173,24 +166,27 @@ def test_is_zero_examples():
     assert ((x1 + x2) ** 2 - x1**2 - 2 * x1 * x2 - x2**2).is_zero()
 
 
-def test_denominators_never_carry_y():
+def test_non_structured_denominators_are_rejected():
     rng = random.Random(5)
-    y1 = Fld.variable(GENERIC, "y1")
-    y2 = Fld.variable(GENERIC, "y2")
-    x1 = Fld.variable(GENERIC, "x1")
-    e = (x1 + y2) / (y1 + 2 * y2) + 1 / (y1 * y2)
-    assert not e.den.has_y()
+    x1, x2, y1 = (poly_var(GENERIC, n) for n in ("x1", "x2", "y1"))
+    one = Poly.const(GENERIC, 1)
+    for den in (y1, x1 - 2, y1 * (x1 - x2), x1 + x2, _random_poly(rng, GENERIC, 4) + x1**2 + 1):
+        with pytest.raises(ValueError):
+            Fld(one, den)
+    with pytest.raises(ValueError):
+        Fld.const(GENERIC, 1) / Fld.variable(GENERIC, "y1")
     for _ in range(20):
-        a = Fld(_random_poly(rng, GENERIC), _random_poly(rng, GENERIC, 2))
-        assert not a.den.has_y()
+        a, b, k = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+        c = Rat(rng.choice((-3, 1, 2)), rng.randint(1, 3))
+        f = Fld(one, x1**a * x2**b * (x1 - x2) ** k * c)
+        assert f.struct == (a, b, k) and f.num == Poly.const(GENERIC, 1 / c)
 
 
 def test_normal_form_den_primitive_positive():
     x1 = poly_var(GENERIC, "x1")
     a = Fld(Poly.const(GENERIC, Rat(3, 7)), x1 * Rat(-6, 5))
-    _, lead = a.den.leading()
-    assert lead > 0
-    assert a.den.content() == 1
+    assert a.den.terms == {(1, 0, 0, 0): 1} and a.den.scale == 1
+    assert a.num == Poly.const(GENERIC, Rat(-5, 14))
 
 
 def test_cross_multiplication_equality():
@@ -388,7 +384,7 @@ def test_canonical_form_moves_content_and_sign_into_scale():
     p = Poly.scaled(GENERIC, {(1, 0, 0, 0): -6, (0, 1, 1, 0): 4, (0, 0, 0, 0): 10}, Rat(1, 3))
     assert p.terms == {(1, 0, 0, 0): 3, (0, 1, 1, 0): -2, (0, 0, 0, 0): -5}
     assert p.scale == Rat(-2, 3)
-    assert p.content() == Rat(2, 3)
+    assert math.gcd(*p.terms.values()) == 1
     same = Poly(GENERIC, {(1, 0, 0, 0): -2, (0, 1, 1, 0): Rat(4, 3), (0, 0, 0, 0): Rat(10, 3)})
     assert same == p and hash(same) == hash(p)
     assert Poly.scaled(GENERIC, {}, 7) == Poly.zero(GENERIC)
@@ -410,23 +406,25 @@ def test_probe_offcurve_in_exact_mode():
 
 
 def test_probe_quotient_relation_is_one():
+    # y1 * y1 reduces to f(x1), and the probe's y1 is a square root of f(x1)
     y1 = Fld.variable(GENERIC, "y1")
-    a = y1 * y1 / Fld(Poly.f_of(GENERIC, 1))
-    val = eval_probe(a, 1.5, 2.5)
-    assert abs(val - 1) < 1e-25
+    with mp.workdps(probe_digits()):
+        f_value = rat_to_mp(GENERIC.f_value(Rat(3, 2)))
+        assert abs(eval_probe(y1 * y1, 1.5, 2.5) / f_value - 1) < 1e-25
+        assert abs(eval_probe(y1, 1.5, 2.5) ** 2 / f_value - 1) < 1e-25
 
 
 def test_probe_pole_detection():
     x1 = Fld.variable(GENERIC, "x1")
-    a = 1 / (x1 - 2)
+    a = 1 / x1
     with pytest.raises(PoleAtPoint):
-        eval_probe(a, 2, 3)
+        eval_probe(a, 0, 3)
 
 
 def test_probe_additivity():
     rng = random.Random(11)
-    a = Fld(_random_poly(rng, GENERIC), _random_poly(rng, GENERIC, 2))
-    b = Fld(_random_poly(rng, GENERIC), _random_poly(rng, GENERIC, 2))
+    a = _random_structured(rng, GENERIC)
+    b = _random_structured(rng, GENERIC)
     with mp.workdps(probe_digits()):
         for _ in range(5):
             x1, x2, y1, y2 = random_probe_point(GENERIC, rng)

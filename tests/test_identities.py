@@ -13,7 +13,6 @@ from g2soliton.identities import (
     G2Functions,
     IDENTITY_SETS,
     MissingConstraint,
-    dual_transform,
     find_witness,
     identity_ids,
     merge_constraints,
@@ -205,15 +204,33 @@ def test_gii_guard_for_other_normalizations():
 # -- dual involution ---------------------------------------------------------------
 
 
+def dual_transform_poly(p, target):
+    """Image of a polynomial under x_i -> 1/x_i, y_i -> y_i/x_i^3.
+
+    `target` must be the coefficient-reversed curve; the involution maps the
+    quotient relation of one curve onto the other.
+    """
+    assert target.lambdas == p.params.dual().lambdas
+    d1 = max((m[0] + 3 * m[2] for m in p.terms), default=0)
+    d2 = max((m[1] + 3 * m[3] for m in p.terms), default=0)
+    num_terms = {(d1 - e1 - 3 * a1, d2 - e2 - 3 * a2, a1, a2): c for (e1, e2, a1, a2), c in p.terms.items()}
+    return Fld(Poly.scaled(target, num_terms, p.scale), Poly.scaled(target, {(d1, d2, 0, 0): 1}))
+
+
+def dual_transform(a):
+    """Image of a function-field element under the dual involution, apart
+    from the catalog: a reference for the generated Jacobi entries."""
+    target = a.params.dual()
+    return dual_transform_poly(a.num, target) / dual_transform_poly(a.den, target)
+
+
 def test_dual_transform_sends_triple_to_hatted():
     # the Weierstrass triple on the reversed curve maps onto the dual triple
     rev = GENERIC.dual()
     fns = G2Functions(GENERIC)
     fns_rev = G2Functions(rev)
     assert (dual_transform(fns_rev.p22) - fns.hp11).is_zero()
-    assert (dual_transform(fns_rev.p21) + fns.hp21).is_zero() or (
-        dual_transform(fns_rev.p21) - fns.hp21
-    ).is_zero()
+    assert (dual_transform(fns_rev.p21) - fns.hp21).is_zero()
     assert (dual_transform(fns_rev.q) - fns.hq).is_zero()
 
 
@@ -236,6 +253,41 @@ def test_dual_pairing_polynomial_consistency():
     x2 = Fld.variable(GENERIC, "x2")
     expect = Fld(symmetric_pairing(GENERIC)) / (x1 * x2) ** 3
     assert (image - expect).is_zero()
+
+
+# each generated Jacobi entry and the Weierstrass entry it is the dual image of
+DUAL_PARTNERS = {
+    "J1": "W4", "J2": "W3", "J3": "W2", "J4": "W1", "J5": "W7", "J6": "W6", "J7": "W5",
+    "INT-J": "INT-W", "INT-J2": "INT-W2",
+    "JS1": "WS5", "JS2": "WS4", "JS3": "WS3", "JS4": "WS2", "JS5": "WS1",
+}
+DUAL_CURVES = {
+    "sextic": CurveParams((3, 2, 1, 5, 7, 4, 9)),
+    "l0=0": CurveParams((0, 2, 1, 5, 7, 4, 9)),
+    "fractional": CurveParams(("3/2", "-7/3", "5", "1/4", "-2/5", "9/7", "5/6")),
+}
+
+
+@pytest.mark.parametrize("name", list(DUAL_CURVES))
+def test_generated_jacobi_entries_are_dual_images(name):
+    # on and off their loci: J on C is the image of its partner W on the
+    # reversed curve; S o D1 = -D2 o S flips the sign of first-derivative
+    # relations only
+    params = DUAL_CURVES[name]
+    fns, fns_rev = G2Functions(params), G2Functions(params.dual())
+    for tag, partner in DUAL_PARTNERS.items():
+        sign = -1 if tag.startswith("INT") else 1
+        got = residuals_unchecked(tag, fns)
+        want = residuals_unchecked(partner, fns_rev)
+        assert len(got) == len(want) == 1
+        assert (got[0] - sign * dual_transform(want[0])).is_zero(), (tag, partner)
+
+
+def test_jacobi_loci_imply_reflected_partner_loci():
+    ids = identity_ids()
+    for tag, partner in DUAL_PARTNERS.items():
+        reflected = [Constraint(6 - c.index, c.kind, c.value) for c in ids[partner].constraints]
+        assert merge_constraints(ids[tag].constraints + tuple(reflected)) == ids[tag].constraints, tag
 
 
 # -- mutation control and witnesses ------------------------------------------------
@@ -288,8 +340,31 @@ def test_residual_accessor_rejects_multicomponent(generic_fns):
     assert len(residuals("INT-R", generic_fns)) == 2
 
 
+# the catalog in its order with its canonical loci; the skip reasons of every
+# report are printed from these
+CATALOG = {
+    **{f"W{i}": ("l5!=0",) for i in range(1, 8)},
+    "INT-R": (),
+    "INT-W": ("l5!=0",),
+    "INT-W2": ("l5!=0", "l6=0"),
+    "Y1Y2": (),
+    **{f"WS{i}": ("l5!=0", "l6=0") for i in range(1, 4)},
+    **{f"WS{i}": ("l0=0", "l5!=0", "l6=0") for i in range(4, 6)},
+    **{f"J{i}": ("l1!=0",) for i in range(1, 8)},
+    "INT-J": ("l1!=0",),
+    "INT-J2": ("l0=0", "l1!=0"),
+    **{f"JS{i}": ("l0=0", "l1!=0", "l6=0") for i in range(1, 6)},
+    "KUM1": ("l5!=0", "l6=0"),
+    "KUM2": ("l5!=0",),
+    "HP": ("l0=0", "l1!=0", "l5!=0", "l6=0"),
+    "GII": ("l0=0", "l1=4", "l5=4", "l6=0"),
+}
+
+
 def test_identity_ids_carry_constraints():
     ids = identity_ids()
+    assert list(ids) == IDENTITY_SETS["all"] == list(CATALOG)
+    assert {tag: tuple(map(str, i.constraints)) for tag, i in ids.items()} == CATALOG
     assert ids["W1"].required_constraints == frozenset({"l5!=0"})
     assert ids["HP"].required_constraints == frozenset({"l0=0", "l6=0", "l5!=0", "l1!=0"})
     assert ids["W1"].runnable_on(GENERIC)
