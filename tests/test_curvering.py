@@ -182,6 +182,24 @@ def test_non_structured_denominators_are_rejected():
         assert f.struct == (a, b, k) and f.num == Poly.const(GENERIC, 1 / c)
 
 
+def test_denominators_never_carry_y():
+    rng = random.Random(5)
+    x1, x2, y1, y2 = (Fld.variable(GENERIC, n) for n in ("x1", "x2", "y1", "y2"))
+
+    def y_free(f):
+        return all(m[2] == 0 and m[3] == 0 for m in f.den.terms)
+
+    e = (x1 + y2) / (x1 - x2) + y1 * y2 / (x1 * x2**2)
+    assert y_free(e) and y_free(e * e) and y_free(e**3)
+    for _ in range(20):
+        dens = [x1 ** rng.randint(0, 2) * x2 ** rng.randint(0, 2) * (x1 - x2) ** rng.randint(0, 2) for _ in range(2)]
+        a, b = (Fld(_random_poly(rng, GENERIC)) / d for d in dens)
+        assert all(y_free(f) for f in (a, b, a + b, a * b, a - b))
+    for d in (y1, y1 * y2, y1 + 2 * y2, x1 + y2):
+        with pytest.raises(ValueError):
+            Fld.const(GENERIC, 1) / d
+
+
 def test_normal_form_den_primitive_positive():
     x1 = poly_var(GENERIC, "x1")
     a = Fld(Poly.const(GENERIC, Rat(3, 7)), x1 * Rat(-6, 5))
