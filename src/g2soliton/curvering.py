@@ -14,9 +14,9 @@ Coefficients are fraction-free: a `Poly` is one rational scale
 so ring operations are integer arithmetic plus one rational product per
 result.  The curve coefficients are held as integers l_j * D over their
 least common denominator D, and each y_i^2 -> f(x_i) substitution moves a
-factor 1/D into the scale.  Numeric probing forms each term's rational
-coefficient and evaluates with mpmath at a configurable precision
-(PROBE_DIGITS environment variable, default 30 digits).
+factor 1/D into the scale.  Numeric probes sum the integer terms per y-sector
+against mpmath power tables of x1 and x2, at PROBE_DIGITS digits (environment
+variable, default 30).
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction as Rat
+from itertools import accumulate
+from operator import mul
 from typing import Mapping
 
 import mpmath as mp
@@ -486,19 +488,33 @@ class Poly:
         return total
 
     def eval_mp(self, x1, x2, y1, y2):
-        total = mp.mpc(0)
-        s = self.scale
-        for (e1, e2, a1, a2), c in self.terms.items():
-            total += rat_to_mp(c * s) * x1**e1 * x2**e2 * y1**a1 * y2**a2
-        return total
+        return self.eval_mp_pair(x1, x2, y1, y2)[0]
 
-    def eval_mp_scale(self, x1, x2, y1, y2):
-        """Sum of term magnitudes, for relative-error scaling of probes."""
-        total = mp.mpf(0)
-        s = self.scale
+    def eval_mp_pair(self, x1, x2, y1, y2) -> tuple:
+        """(value, sum of term magnitudes) at one point, in one pass.
+
+        The integer terms are summed per y-sector against power tables of x1
+        and x2 (real sums when x is real); each sector sum is multiplied by
+        its y-monomial once and the total by the scale once.  The magnitude
+        sum scales the relative error of a probe.
+        """
+        x1, x2, y1, y2 = (mp.mpmathify(v) for v in (x1, x2, y1, y2))
+        value, magnitude = mp.mpc(0), mp.mpf(0)
+        if not self.terms:
+            return value, magnitude
+        p1 = list(accumulate([x1] * max(m[0] for m in self.terms), mul, initial=1))
+        p2 = list(accumulate([x2] * max(m[1] for m in self.terms), mul, initial=1))
+        sectors: dict = {}
         for (e1, e2, a1, a2), c in self.terms.items():
-            total += abs(rat_to_mp(c * s) * x1**e1 * x2**e2 * y1**a1 * y2**a2)
-        return total
+            t = c * (p1[e1] * p2[e2])
+            acc = sectors.get((a1, a2))
+            sectors[(a1, a2)] = (t, abs(t)) if acc is None else (acc[0] + t, acc[1] + abs(t))
+        for (a1, a2), (v, m) in sectors.items():
+            y = (1, y1)[a1] * (1, y2)[a2]
+            value += v * y
+            magnitude += m * abs(y)
+        s = rat_to_mp(self.scale)
+        return value * s, magnitude * abs(s)
 
     # -- display -------------------------------------------------------------
 
@@ -709,8 +725,7 @@ class Fld:
     # -- evaluation ----------------------------------------------------------
 
     def eval_mp(self, x1, x2, y1, y2):
-        dv = self.den.eval_mp(x1, x2, y1, y2)
-        scale = self.den.eval_mp_scale(x1, x2, y1, y2)
+        dv, scale = self.den.eval_mp_pair(x1, x2, y1, y2)
         if abs(dv) <= mp.mpf(10) ** (-(mp.mp.dps - 5)) * (scale + 1):
             raise PoleAtPoint("denominator vanishes at the probe point")
         return self.num.eval_mp(x1, x2, y1, y2) / dv

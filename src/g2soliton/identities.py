@@ -197,6 +197,21 @@ class G2Functions:
         self.hq = Fld(self.f_poly - 2 * y1y2, 4 * x1 * x2 * binom2)
 
         self._derivs: dict = {}
+        self._probe_streams: dict = {}
+
+    def probe_point(self, seed: int, index: int):
+        """Point `index` of the probe stream for `seed` at the working precision.
+
+        The stream is the draws of random_probe_point(params, Random(seed)),
+        made once and extended lazily.
+        """
+        key = (seed, mp.mp.dps)
+        if key not in self._probe_streams:
+            self._probe_streams[key] = ([], random.Random(seed))
+        points, rng = self._probe_streams[key]
+        while len(points) <= index:
+            points.append(random_probe_point(self.params, rng, mp.mp.dps))
+        return points[index]
 
     def base(self, name: str) -> Fld:
         value = getattr(self, name)
@@ -684,7 +699,7 @@ def probe_identity(tag: str, fns: G2Functions, point) -> tuple:
 @dataclass
 class IdentityResult:
     tag: str
-    status: str  # "zero" | "nonzero" | "skipped"
+    status: str  # "zero" | "nonzero" | "unresolved" (nonzero, no witness found) | "skipped"
     millis: float = 0.0
     witness_point: list | None = None
     witness_value: str | None = None
@@ -712,7 +727,7 @@ class VerifyReport:
 
     @property
     def has_nonzero(self) -> bool:
-        return any(r.status == "nonzero" for r in self.results)
+        return any(r.status in ("nonzero", "unresolved") for r in self.results)
 
     @property
     def has_skipped(self) -> bool:
@@ -727,31 +742,33 @@ class VerifyReport:
             extra = ""
             if r.status == "nonzero" and r.witness_point:
                 extra = f"  witness x=({r.witness_point[0]:.4g},{r.witness_point[1]:.4g}) |res|={r.witness_value}"
-            elif r.status == "skipped":
+            elif r.reason:
                 extra = f"  ({r.reason})"
             lines.append(f"  {r.tag:<8} {r.status:<8} {r.millis:9.2f} ms{extra}")
         return "\n".join(lines)
 
 
 def find_witness(comps, fns: G2Functions, seed: int = 0, tries: int = 25):
-    """A probe point where some residual component is numerically nonzero."""
-    rng = random.Random(seed)
+    """A probe point where some residual component is numerically nonzero.
+
+    The points are the first `tries` of `fns`'s probe stream for `seed`, so
+    every identity witnessed on one curve walks the same draws, made once.
+    """
     with mp.workdps(probe_digits()):
-        for _ in range(tries):
-            point = random_probe_point(fns.params, rng)
+        threshold = mp.mpf(10) ** (-(mp.mp.dps // 2))
+        for i in range(tries):
+            point = fns.probe_point(seed, i)
             for comp in comps:
                 if comp.is_zero():
                     continue
                 try:
-                    num_val = comp.num.eval_mp(*point)
-                    scale = comp.num.eval_mp_scale(*point)
+                    num_val, scale = comp.num.eval_mp_pair(*point)
                     den_val = comp.den.eval_mp(*point)
                 except CurveRingError:
                     continue
                 if abs(den_val) == 0 or not mp.isfinite(num_val):
                     continue
-                rel = abs(num_val) / (scale + 1)
-                if rel > mp.mpf(10) ** (-(mp.mp.dps // 2)):
+                if abs(num_val) / (scale + 1) > threshold:
                     value = abs(num_val / den_val)
                     return (
                         [float(point[0]), float(point[1]), complex(point[2]), complex(point[3])],
@@ -761,18 +778,23 @@ def find_witness(comps, fns: G2Functions, seed: int = 0, tries: int = 25):
 
 
 def verify_identity(tag: str, fns: G2Functions, witness_seed: int = 0) -> IdentityResult:
+    """Reduce one identity exactly and witness a nonzero residual.
+
+    "unresolved" is a nonzero residual without a witness point; `millis`
+    covers assembly, the zero test and the witness search.
+    """
     bad = _IDENTITY_IDS[tag].violated(fns.params)
     if bad:
         return IdentityResult(tag, "skipped", reason=" and ".join(bad) + " required")
     start = time.perf_counter()
     comps = residuals(tag, fns)
-    millis = (time.perf_counter() - start) * 1000
     if all(comp.is_zero() for comp in comps):
-        return IdentityResult(tag, "zero", millis=millis)
+        return IdentityResult(tag, "zero", millis=(time.perf_counter() - start) * 1000)
     point, value = find_witness(comps, fns, seed=witness_seed)
-    wp = None
-    if point is not None:
-        wp = [point[0], point[1], [point[2].real, point[2].imag], [point[3].real, point[3].imag]]
+    millis = (time.perf_counter() - start) * 1000
+    if point is None:
+        return IdentityResult(tag, "unresolved", millis=millis, reason="no witness point found")
+    wp = [point[0], point[1], [point[2].real, point[2].imag], [point[3].real, point[3].imag]]
     return IdentityResult(tag, "nonzero", millis=millis, witness_point=wp, witness_value=value)
 
 

@@ -104,7 +104,8 @@ def summarize(reports) -> SweepSummary:
         for r in rep.results:
             if r.status == "zero":
                 summary.n_zero += 1
-            elif r.status == "nonzero":
+            elif r.status in ("nonzero", "unresolved"):
+                # an unresolved residual is exactly nonzero; only its witness is missing
                 summary.n_nonzero += 1
             else:
                 summary.n_skipped += 1

@@ -451,6 +451,54 @@ def test_probe_additivity():
             assert abs(lhs - rhs) <= mp.mpf("1e-12") * (1 + abs(lhs))
 
 
+def _per_term_reference(p, x1, x2, y1, y2):
+    """Value and magnitude sum term by term, each coefficient formed as c * scale."""
+    value, magnitude = mp.mpc(0), mp.mpf(0)
+    for (e1, e2, a1, a2), c in p.terms.items():
+        term = rat_to_mp(c * p.scale) * x1**e1 * x2**e2 * y1**a1 * y2**a2
+        value += term
+        magnitude += abs(term)
+    return value, magnitude
+
+
+def _point_above(params, x1, x2):
+    return x1, x2, mp.sqrt(mp.mpc(params.f_value_mp(x1))), -mp.sqrt(mp.mpc(params.f_value_mp(x2)))
+
+
+@pytest.mark.parametrize("params", [GENERIC, GII_LOCUS], ids=["sextic", "l0=l6=0"])
+def test_eval_mp_pair_matches_per_term_reference(params):
+    rng = random.Random(808)
+    polys = [Poly.zero(params), Poly.const(params, Rat(-7, 3))]
+    # products of random polynomials carry y-reduced terms of high degree
+    polys += [_random_poly(rng, params, 6) * _random_poly(rng, params, 3) for _ in range(20)]
+    with mp.workdps(50):
+        points = [random_probe_point(params, rng, dps=50) for _ in range(3)]
+        points.append(_point_above(params, mp.mpf("-1.3"), mp.mpf("0.4")))
+        # complex x, as on a flow integrated through complex values
+        points.append(_point_above(params, mp.mpc("0.7", "0.2"), mp.mpc("-1.1", "0.5")))
+        tol = mp.mpf("1e-40")
+        for p in polys:
+            for point in points:
+                value, magnitude = p.eval_mp_pair(*point)
+                want_value, want_magnitude = _per_term_reference(p, *point)
+                assert abs(value - want_value) <= tol * want_magnitude
+                assert abs(magnitude - want_magnitude) <= tol * want_magnitude
+                assert p.eval_mp(*point) == value
+    assert Poly.zero(params).eval_mp_pair(1, 2, 3, 4) == (0, 0)
+
+
+def test_eval_mp_poles_use_the_denominator_pair():
+    x1, x2 = Fld.variable(GENERIC, "x1"), Fld.variable(GENERIC, "x2")
+    with mp.workdps(probe_digits()):
+        y = mp.sqrt(mp.mpc(GENERIC.f_value_mp(mp.mpf("1.5"))))
+        with pytest.raises(PoleAtPoint):
+            (1 / (x1 - x2)).eval_mp(mp.mpf("1.5"), mp.mpf("1.5"), y, -y)
+        y2 = mp.sqrt(mp.mpc(GENERIC.f_value_mp(mp.mpf(2))))
+        with pytest.raises(PoleAtPoint):
+            (1 / x1).eval_mp(mp.mpf(0), mp.mpf(2), mp.sqrt(mp.mpc(GENERIC.f_value_mp(0))), y2)
+        assert abs((1 / x1).eval_mp(mp.mpf(4), mp.mpf(2), y, y2) - mp.mpf("0.25")) < mp.mpf("1e-25")
+
+
 def test_exact_zero_implies_probe_zero():
     y1 = Fld.variable(GENERIC, "y1")
     z = y1 * y1 - Fld(Poly.f_of(GENERIC, 1))

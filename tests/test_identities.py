@@ -1,12 +1,15 @@
 """The genus-two identity catalog: probe oracles, exact zeros, and witnesses."""
 
+import functools
 import json
 import random
 
 import mpmath as mp
 import pytest
 
-from g2soliton.curvering import CurveParams, Fld, Poly, Rat, random_probe_point
+from g2soliton import identities
+from g2soliton.cli import main
+from g2soliton.curvering import CurveParams, Fld, Poly, Rat, probe_digits, random_probe_point
 from g2soliton.flows import flow_derivative
 from g2soliton.identities import (
     Constraint,
@@ -302,6 +305,69 @@ def test_corrupted_identity_yields_witness(generic_fns):
     assert point is not None
     with mp.workdps(30):
         assert abs(corrupted.eval_mp(point[0], point[1], point[2], point[3])) > mp.mpf("1e-10")
+
+
+# witnesses found before the probe stream was shared: (tag, seed) -> (point, |residual|)
+_POINT_SEED0 = [2.17, 2.35, (-27.882167013749935 + 0j), (34.77731426631627 + 0j)]
+_POINT_SEED1 = [0.88, 3.11, (3.2575235165874092 + 0j), (76.73682170573137 + 0j)]
+PINNED_WITNESSES = {
+    ("INT-W2", 0): (_POINT_SEED0, "9961.34"),
+    ("INT-W2", 1): (_POINT_SEED1, "51.2254"),
+    ("WS4", 0): (_POINT_SEED0, "1327.12"),
+    ("WS4", 1): (_POINT_SEED1, "205.988"),
+    ("KUM1", 0): (_POINT_SEED0, "3.17531e+8"),
+    ("KUM1", 1): (_POINT_SEED1, "8396.94"),
+    ("JS3", 0): (_POINT_SEED0, "0.0340844"),
+    ("JS3", 1): (_POINT_SEED1, "0.194645"),
+}
+
+
+def test_pinned_witness_points_and_values():
+    fns = G2Functions(GENERIC)
+    for (tag, seed), (point, value) in PINNED_WITNESSES.items():
+        assert find_witness(residuals_unchecked(tag, fns), fns, seed=seed) == (point, value), (tag, seed)
+
+
+def test_probe_stream_is_drawn_once_per_seed_and_precision(monkeypatch):
+    draws = []
+
+    def counting(params, rng, dps=None):
+        draws.append(dps)
+        return random_probe_point(params, rng, dps)
+
+    monkeypatch.setattr(identities, "random_probe_point", counting)
+    fns = G2Functions(GENERIC)
+    comps = [residuals_unchecked(tag, fns) for tag in ("INT-W2", "WS4", "KUM1", "JS3")]
+    dps = probe_digits()
+    for c in comps:
+        find_witness(c, fns, seed=0)
+    assert draws == [dps]  # every identity took the first point, drawn once
+    find_witness(comps[0], fns, seed=1)
+    assert draws == [dps, dps]  # another seed walks its own stream
+    monkeypatch.setenv("PROBE_DIGITS", str(dps + 10))
+    point, _ = find_witness(comps[0], fns, seed=0)
+    assert draws == [dps, dps, dps + 10]  # and so does another precision
+    assert point[:2] == PINNED_WITNESSES[("INT-W2", 0)][0][:2]
+    for seed in (0, 1, 5):
+        for digits in (dps, dps + 10):
+            rng = random.Random(seed)
+            with mp.workdps(digits):
+                fresh = [random_probe_point(GENERIC, rng, digits) for _ in range(4)]
+                assert [fns.probe_point(seed, i) for i in range(4)] == fresh
+
+
+def test_missing_witness_is_unresolved_and_fails(monkeypatch, generic_fns):
+    corrupted = residual("W1", generic_fns) + 12 * generic_fns.p22**2
+    monkeypatch.setattr(identities, "residuals", lambda tag, fns: (corrupted,))
+    assert find_witness((corrupted,), generic_fns, tries=0) == (None, None)
+    monkeypatch.setattr(identities, "find_witness", functools.partial(find_witness, tries=0))
+    res = verify_identity("W1", generic_fns)
+    assert res.status == "unresolved" and res.witness_point is None and res.millis >= 0
+    report = verify_all(GENERIC, ["W1", "W2"])
+    assert [r.status for r in report.results] == ["unresolved", "unresolved"] and report.has_nonzero
+    summary = summarize([report])
+    assert not summary.clean and summary.n_nonzero == 2 and summary.failing_curves == [str(GENERIC)]
+    assert main(["verify-g2", "--lambda", "1,2,1,3,1,4,5", "--set", "weierstrass"]) == 1
 
 
 # -- verify driver and report shape -------------------------------------------------
