@@ -20,11 +20,9 @@ from .curvering import (
     CurveRingError,
     DivisionByZero,
     Fld,
-    OffCurve,
     Poly,
     PoleAtPoint,
     Rat,
-    eval_probe,
 )
 from .elliptic import (
     DegenerateRoots,

@@ -32,6 +32,7 @@ from .identities import (
     Constraint,
     G2Functions,
     IDENTITY_SETS,
+    IdentityResult,
     MissingConstraint,
     residuals,
     verify_all,
@@ -118,36 +119,25 @@ def _cmd_kummer(args) -> int:
 
 def _cmd_half_period(args) -> int:
     params = _parse_lambda(args.lam)
-    entries = []
-    failed = False
     fns = G2Functions(params)
     start = time.perf_counter()
     try:
         comps = residuals("HP", fns)
     except MissingConstraint as exc:
-        entries.append(
-            {"curve": params.as_strings(), "identity": "HP", "status": "skipped",
-             "witness_point": None, "millis": 0.0, "reason": str(exc)}
-        )
-        failed = True
+        results = [IdentityResult("HP", "skipped", reason=str(exc))]
     else:
-        millis = round((time.perf_counter() - start) * 1000, 3)
-        for i, comp in enumerate(comps, start=1):
-            ok = comp.is_zero()
-            failed = failed or not ok
-            entries.append(
-                {"curve": params.as_strings(), "identity": f"HP.{i}",
-                 "status": "zero" if ok else "nonzero", "witness_point": None,
-                 "millis": millis, "reason": None}
-            )
+        millis = (time.perf_counter() - start) * 1000
+        results = [
+            IdentityResult(f"HP.{i}", "zero" if comp.is_zero() else "nonzero", millis=millis)
+            for i, comp in enumerate(comps, start=1)
+        ]
     if _on_locus(params, _PROJECTIVE_MAP):
-        result = verify_identity("GII", fns)
-        failed = failed or result.status != "zero"
-        entries.append(result.to_json(params))
+        results.append(verify_identity("GII", fns))
+    entries = [r.to_json(params) for r in results]
     for entry in entries:
         print(f"  {entry['identity']:<8} {entry['status']:<8} {entry['millis']:9.2f} ms")
     _emit({"command": "half-period", "entries": entries}, args.out)
-    return 1 if failed else 0
+    return 1 if any(r.status != "zero" for r in results) else 0
 
 
 def _cmd_sweep(args) -> int:

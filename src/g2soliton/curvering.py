@@ -4,10 +4,11 @@ The curve is y_i^2 = f(x_i) = l6*x_i^6 + ... + l1*x_i + l0 for two independent
 points (x1, y1), (x2, y2).  Polynomials live in the quotient ring
 Q[x1, x2, y1, y2] / (y1^2 - f(x1), y2^2 - f(x2)), kept in y-reduced canonical
 form (every y exponent is 0 or 1).  `Fld` elements are quotients of such
-polynomials by c * x1^a * x2^b * (x1 - x2)^k, the only denominators the
-function families and their flow derivatives produce; equality-to-zero of a
-numerator term map is therefore an exact decision procedure for identities
-between hyperelliptic functions.
+polynomials by x1^a * x2^b * (x1 - x2)^k, the only denominators the
+function families and their flow derivatives produce, and are stored as the
+numerator and the exponents (a, b, k); equality-to-zero of a numerator term
+map is therefore an exact decision procedure for identities between
+hyperelliptic functions.
 
 Coefficients are fraction-free: a `Poly` is one rational scale
 (fractions.Fraction) times a polynomial with integer coefficients of gcd 1,
@@ -15,8 +16,8 @@ so ring operations are integer arithmetic plus one rational product per
 result.  The curve coefficients are held as integers l_j * D over their
 least common denominator D, and each y_i^2 -> f(x_i) substitution moves a
 factor 1/D into the scale.  Numeric probes sum the integer terms per y-sector
-against mpmath power tables of x1 and x2, at PROBE_DIGITS digits (environment
-variable, default 30).
+against mpmath power tables of x1 and x2 and take the denominator from its
+exponents, at PROBE_DIGITS digits (environment variable, default 30).
 """
 
 from __future__ import annotations
@@ -48,10 +49,6 @@ class PoleAtPoint(CurveRingError):
     """The denominator of a field element vanishes at the probe point."""
 
 
-class OffCurve(CurveRingError):
-    """Exact evaluation was requested where f(x_i) is not a rational square."""
-
-
 def probe_digits() -> int:
     """Working precision (decimal digits) for numeric probes."""
     try:
@@ -77,17 +74,6 @@ def _to_rat(value) -> Rat:
 def rat_to_mp(r) -> mp.mpf:
     """Exact rational -> mpmath float at the current working precision."""
     return mp.mpf(r.numerator) / mp.mpf(r.denominator)
-
-
-def rat_sqrt(r):
-    """Exact square root of a nonnegative rational, or None if not a square."""
-    if r < 0:
-        return None
-    num, den = r.numerator, r.denominator
-    sn, sd = math.isqrt(num), math.isqrt(den)
-    if sn * sn != num or sd * sd != den:
-        return None
-    return Rat(sn, sd)
 
 
 @dataclass(frozen=True)
@@ -129,14 +115,6 @@ class CurveParams:
     def dual(self) -> "CurveParams":
         """Coefficient reversal l_j <-> l_{6-j} (the x -> 1/x involution)."""
         return CurveParams(tuple(reversed(self.lambdas)))
-
-    def f_value(self, x) -> Rat:
-        """f(x) for an exact rational x (Horner)."""
-        x = _to_rat(x)
-        acc = Rat(0)
-        for c in reversed(self.lambdas):
-            acc = acc * x + c
-        return acc
 
     def f_value_mp(self, x):
         acc = mp.mpf(0)
@@ -479,14 +457,6 @@ class Poly:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval_exact(self, x1, x2, y1, y2) -> Rat:
-        x1, x2, y1, y2 = (_to_rat(v) for v in (x1, x2, y1, y2))
-        total = Rat(0)
-        s = self.scale
-        for (e1, e2, a1, a2), c in self.terms.items():
-            total += c * s * x1**e1 * x2**e2 * y1**a1 * y2**a2
-        return total
-
     def eval_mp(self, x1, x2, y1, y2):
         return self.eval_mp_pair(x1, x2, y1, y2)[0]
 
@@ -578,18 +548,20 @@ def _times_den(p: Poly, a: int, b: int, k: int) -> Poly:
 class Fld:
     """Element of the curve's function field: Poly / (x1^a * x2^b * (x1-x2)^k).
 
-    The constructor accepts a denominator c * x1^a * x2^b * (x1 - x2)^k with
-    c a nonzero rational and raises ValueError for any other; the catalog
-    needs no other.  Normal form: the constant moves into the numerator, and
-    numerator and denominator share no x1, x2 or (x1 - x2).  `den` is the
-    expanded denominator and `struct` its exponents (a, b, k).  Products,
-    sums and powers work on the exponents and normalise only the new
-    numerator; negation and nonzero rational multiples keep the normal form
-    as it is.  Equality of a/b and c/d holds iff a*d - c*b reduces to the
-    zero polynomial.
+    An element is its numerator `num` and the exponents `struct` = (a, b, k)
+    of its denominator.  The constructor accepts a denominator
+    c * x1^a * x2^b * (x1 - x2)^k with c a nonzero rational and raises
+    ValueError for any other; the catalog needs no other.  Normal form: the
+    constant moves into the numerator, and numerator and denominator share
+    no x1, x2 or (x1 - x2).  Arithmetic and numeric evaluation read
+    `struct`; the expanded denominator `den` is computed on demand.
+    Products, sums and powers work on the exponents and normalise only the
+    new numerator; negation, nonzero rational multiples and the point swap
+    keep the normal form as it is.  Two elements are equal iff their
+    difference has the zero numerator.
     """
 
-    __slots__ = ("num", "den", "struct")
+    __slots__ = ("num", "struct")
 
     def __init__(self, num: Poly, den: Poly | None = None):
         if den is None:
@@ -601,14 +573,14 @@ class Fld:
         rest, k = _divide_binom(den.shift_down((a, b, 0, 0)), math.inf)
         if not rest.is_constant():
             raise ValueError(f"denominator must be c * x1^a * x2^b * (x1 - x2)^k, got {den}")
-        self.num, self.den, self.struct = _normalise(num * (1 / rest.constant_value()), a, b, k)
+        self.num, self.struct = _normalise(num * (1 / rest.constant_value()), a, b, k)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _make(cls, num: Poly, den: Poly, struct) -> "Fld":
+    def _make(cls, num: Poly, struct) -> "Fld":
         out = cls.__new__(cls)
-        out.num, out.den, out.struct = num, den, struct
+        out.num, out.struct = num, struct
         return out
 
     @classmethod
@@ -628,6 +600,11 @@ class Fld:
     def params(self) -> CurveParams:
         return self.num.params
 
+    @property
+    def den(self) -> Poly:
+        """The expanded denominator x1^a * x2^b * (x1 - x2)^k."""
+        return _den_poly(self.params, *self.struct)
+
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -635,11 +612,10 @@ class Fld:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Rat)):
-            other = Fld.const(self.params, other)
-        if not isinstance(other, Fld):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        return (self.num * other.den - other.num * self.den).is_zero()
+        return (self - other).is_zero()
 
     def __hash__(self):
         raise TypeError("Fld is unhashable; compare with == or is_zero()")
@@ -672,7 +648,7 @@ class Fld:
     __radd__ = __add__
 
     def __neg__(self):
-        return Fld._make(-self.num, self.den, self.struct)
+        return Fld._make(-self.num, self.struct)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -687,7 +663,7 @@ class Fld:
         if isinstance(other, (int, Rat)):
             if other == 0:
                 return Fld.const(self.params, 0)
-            return Fld._make(self.num * other, self.den, self.struct)
+            return Fld._make(self.num * other, self.struct)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -720,24 +696,33 @@ class Fld:
         return Fld.structured(self.num**n, n * a, n * b, n * k)
 
     def swap_points(self) -> "Fld":
-        return Fld(self.num.swap_points(), self.den.swap_points())
+        # x2^a * x1^b * (x2 - x1)^k = (-1)^k * x1^b * x2^a * (x1 - x2)^k
+        a, b, k = self.struct
+        num = self.num.swap_points()
+        return Fld._make(-num if k % 2 else num, (b, a, k))
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval_mp(self, x1, x2, y1, y2):
-        dv, scale = self.den.eval_mp_pair(x1, x2, y1, y2)
-        if abs(dv) <= mp.mpf(10) ** (-(mp.mp.dps - 5)) * (scale + 1):
-            raise PoleAtPoint("denominator vanishes at the probe point")
-        return self.num.eval_mp(x1, x2, y1, y2) / dv
+    def den_mp(self, x1, x2):
+        """The denominator x1^a * x2^b * (x1 - x2)^k at one point.
 
-    def eval_exact(self, x1, x2, y1, y2) -> Rat:
-        dv = self.den.eval_exact(x1, x2, y1, y2)
-        if dv == 0:
+        Raises PoleAtPoint where its modulus is within the working precision
+        of |x1|^a * |x2|^b * (|x1| + |x2|)^k, the sum of the term magnitudes
+        of its expansion.
+        """
+        a, b, k = self.struct
+        x1, x2 = mp.mpmathify(x1), mp.mpmathify(x2)
+        value = x1**a * x2**b * (x1 - x2) ** k
+        magnitude = abs(x1) ** a * abs(x2) ** b * (abs(x1) + abs(x2)) ** k
+        if abs(value) <= mp.mpf(10) ** (-(mp.mp.dps - 5)) * (magnitude + 1):
             raise PoleAtPoint("denominator vanishes at the probe point")
-        return self.num.eval_exact(x1, x2, y1, y2) / dv
+        return value
+
+    def eval_mp(self, x1, x2, y1, y2):
+        return self.num.eval_mp(x1, x2, y1, y2) / self.den_mp(x1, x2)
 
     def __str__(self) -> str:
-        if self.den.is_constant() and self.den.constant_value() == 1:
+        if self.struct == (0, 0, 0):
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
@@ -745,49 +730,18 @@ class Fld:
 
 
 def _normalise(num: Poly, a: int, b: int, k: int) -> tuple:
-    """(num, den, struct) in normal form for num / (x1^a * x2^b * (x1-x2)^k).
+    """(num, (a, b, k)) in normal form for num / (x1^a * x2^b * (x1-x2)^k).
 
     Shared monomials and powers of (x1 - x2) are cancelled.
     """
-    params = num.params
     if num.is_zero():
-        return num, Poly.const(params, 1), (0, 0, 0)
+        return num, (0, 0, 0)
     gn = num.common_monomial()
     shift = (min(gn[0], a), min(gn[1], b), 0, 0)
     num = num.shift_down(shift)
     a, b = a - shift[0], b - shift[1]
     num, j = _divide_binom(num, k)
-    return num, _den_poly(params, a, b, k - j), (a, b, k - j)
-
-
-def eval_probe(a: Fld, x1, x2, y_signs=(1, 1), mode: str = "float", dps: int | None = None):
-    """Evaluate `a` at a curve point above (x1, x2) with chosen branch signs.
-
-    mode='float': y_i = sign * sqrt(f(x_i)) as complex mpmath values at
-    `dps` digits (default: PROBE_DIGITS env or 30).  mode='exact' demands
-    f(x_i) be squares of rationals and returns an exact Rat.
-    """
-    params = a.params
-    s1 = 1 if y_signs[0] >= 0 else -1
-    s2 = 1 if y_signs[1] >= 0 else -1
-    if mode == "exact":
-        x1r, x2r = _to_rat(x1), _to_rat(x2)
-        if x1r == x2r:
-            raise ValueError("probe points must satisfy x1 != x2")
-        r1 = rat_sqrt(params.f_value(x1r))
-        r2 = rat_sqrt(params.f_value(x2r))
-        if r1 is None or r2 is None:
-            raise OffCurve("f(x_i) is not a rational square; use float mode")
-        return a.eval_exact(x1r, x2r, s1 * r1, s2 * r2)
-    if mode != "float":
-        raise ValueError("mode must be 'float' or 'exact'")
-    with mp.workdps(dps or probe_digits()):
-        x1m, x2m = mp.mpmathify(x1), mp.mpmathify(x2)
-        if x1m == x2m:
-            raise ValueError("probe points must satisfy x1 != x2")
-        y1 = s1 * mp.sqrt(mp.mpc(params.f_value_mp(x1m)))
-        y2 = s2 * mp.sqrt(mp.mpc(params.f_value_mp(x2m)))
-        return a.eval_mp(x1m, x2m, y1, y2)
+    return num, (a, b, k - j)
 
 
 def random_probe_point(params: CurveParams, rng, dps: int | None = None):

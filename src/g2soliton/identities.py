@@ -34,6 +34,7 @@ from .curvering import (
     CurveParams,
     CurveRingError,
     Fld,
+    PoleAtPoint,
     Poly,
     Rat,
     probe_digits,
@@ -118,9 +119,6 @@ class IdentityId:
     def violated(self, params: CurveParams) -> list[str]:
         """The constraints the curve fails, as sorted canonical text."""
         return sorted(str(c) for c in self.constraints if not c.holds(params))
-
-    def runnable_on(self, params: CurveParams) -> bool:
-        return not self.violated(params)
 
 
 # -- the function families ----------------------------------------------------
@@ -762,11 +760,11 @@ def find_witness(comps, fns: G2Functions, seed: int = 0, tries: int = 25):
                 if comp.is_zero():
                     continue
                 try:
-                    num_val, scale = comp.num.eval_mp_pair(*point)
-                    den_val = comp.den.eval_mp(*point)
-                except CurveRingError:
+                    den_val = comp.den_mp(point[0], point[1])
+                except PoleAtPoint:
                     continue
-                if abs(den_val) == 0 or not mp.isfinite(num_val):
+                num_val, scale = comp.num.eval_mp_pair(*point)
+                if not mp.isfinite(num_val):
                     continue
                 if abs(num_val) / (scale + 1) > threshold:
                     value = abs(num_val / den_val)

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report files, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -95,6 +96,24 @@ def test_sweep_deterministic_reports(tmp_path):
     assert run_cli(*args, "--out", str(out1)) == 0
     assert run_cli(*args, "--out", str(out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# SHA-256 digests of two reports, millis masked; a deliberate change of
+# report output updates them
+PINNED_SWEEP_SHA256 = "f46f00348d6115722c317968c157ae11fc7b16c16e199951c3ab7501463d745d"
+PINNED_VERIFY_G2_SHA256 = "0faa4ae142d242452b98af59dcf18deeb74fcda88a927542b33832a9936dff28"
+
+
+def test_reports_match_pinned_digests(tmp_path):
+    sweep = tmp_path / "sweep.json"
+    assert run_cli("sweep", "--count", "3", "--seed", "42", "--set", "all", "--out", str(sweep)) == 0
+    assert hashlib.sha256(sweep.read_bytes()).hexdigest() == PINNED_SWEEP_SHA256
+    g2 = tmp_path / "g2.json"
+    assert run_cli("verify-g2", "--set", "all", "--lambda", "3,2,1,5,7,4,9", "--out", str(g2)) == 1
+    entries = json.loads(g2.read_text())["entries"]
+    for entry in entries:
+        entry["millis"] = None
+    assert hashlib.sha256(json.dumps(entries, indent=2).encode()).hexdigest() == PINNED_VERIFY_G2_SHA256
 
 
 def test_sweep_parallel_same_entries(tmp_path):

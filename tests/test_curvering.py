@@ -12,14 +12,11 @@ from g2soliton.curvering import (
     CurveParams,
     DivisionByZero,
     Fld,
-    OffCurve,
     Poly,
     PoleAtPoint,
     Rat,
-    eval_probe,
     probe_digits,
     random_probe_point,
-    rat_sqrt,
     rat_to_mp,
 )
 from g2soliton.flows import flow_derivative, flow_poly_numerator
@@ -27,7 +24,6 @@ from g2soliton.identities import G2Functions
 
 GENERIC = CurveParams((1, 2, 1, 3, 1, 4, 5))
 QUINTIC_X5 = CurveParams((0, 0, 0, 0, 0, 1, 0))  # f(x) = x^5
-SQUARE_CURVE = CurveParams((0, 0, 0, 0, 0, 0, 1))  # f(x) = x^6, always a square
 
 
 def poly_var(params, name):
@@ -256,6 +252,8 @@ def test_structured_arithmetic_matches_general_constructor(params):
         _same_form(-f, Fld(-f.num, f.den))
         _same_form(f * Rat(-5, 7), Fld(f.num * Rat(-5, 7), f.den))
         _same_form(f**2, Fld(f.num**2, f.den**2))
+        # odd k flips the sign of the swapped denominator
+        _same_form(f.swap_points(), Fld(f.num.swap_points(), f.den.swap_points()))
         for direction in (1, 2):
             # quotient rule over (x1 - x2) * den^2
             dn = flow_poly_numerator(f.num, direction)
@@ -412,31 +410,21 @@ def test_canonical_form_moves_content_and_sign_into_scale():
 # -- probes ------------------------------------------------------------------------
 
 
-def test_probe_sum_exact_mode():
-    a = Fld.variable(SQUARE_CURVE, "x1") + Fld.variable(SQUARE_CURVE, "x2")
-    assert eval_probe(a, 2, 3, mode="exact") == Rat(5)
-
-
-def test_probe_offcurve_in_exact_mode():
-    a = Fld.variable(GENERIC, "x1")
-    with pytest.raises(OffCurve):
-        eval_probe(a, 2, 3, mode="exact")
-
-
 def test_probe_quotient_relation_is_one():
     # y1 * y1 reduces to f(x1), and the probe's y1 is a square root of f(x1)
     y1 = Fld.variable(GENERIC, "y1")
     with mp.workdps(probe_digits()):
-        f_value = rat_to_mp(GENERIC.f_value(Rat(3, 2)))
-        assert abs(eval_probe(y1 * y1, 1.5, 2.5) / f_value - 1) < 1e-25
-        assert abs(eval_probe(y1, 1.5, 2.5) ** 2 / f_value - 1) < 1e-25
+        point = _point_above(GENERIC, mp.mpf("1.5"), mp.mpf("2.5"))
+        f_value = GENERIC.f_value_mp(mp.mpf("1.5"))
+        assert abs((y1 * y1).eval_mp(*point) / f_value - 1) < 1e-25
+        assert abs(y1.eval_mp(*point) ** 2 / f_value - 1) < 1e-25
 
 
 def test_probe_pole_detection():
     x1 = Fld.variable(GENERIC, "x1")
     a = 1 / x1
-    with pytest.raises(PoleAtPoint):
-        eval_probe(a, 0, 3)
+    with mp.workdps(probe_digits()), pytest.raises(PoleAtPoint):
+        a.eval_mp(*_point_above(GENERIC, mp.mpf(0), mp.mpf(3)))
 
 
 def test_probe_additivity():
@@ -496,7 +484,20 @@ def test_eval_mp_poles_use_the_denominator_pair():
         y2 = mp.sqrt(mp.mpc(GENERIC.f_value_mp(mp.mpf(2))))
         with pytest.raises(PoleAtPoint):
             (1 / x1).eval_mp(mp.mpf(0), mp.mpf(2), mp.sqrt(mp.mpc(GENERIC.f_value_mp(0))), y2)
+        with pytest.raises(PoleAtPoint):
+            (1 / x2).eval_mp(mp.mpf(2), mp.mpf(0), y2, mp.sqrt(mp.mpc(GENERIC.f_value_mp(0))))
         assert abs((1 / x1).eval_mp(mp.mpf(4), mp.mpf(2), y, y2) - mp.mpf("0.25")) < mp.mpf("1e-25")
+    # the denominator is evaluated from its exponents; its expansion is the reference
+    rng = random.Random(909)
+    with mp.workdps(50):
+        points = [random_probe_point(GENERIC, rng, dps=50) for _ in range(3)]
+        points.append(_point_above(GENERIC, mp.mpf("-1.3"), mp.mpf("0.4")))
+        points.append(_point_above(GENERIC, mp.mpc("0.7", "0.2"), mp.mpc("-1.1", "0.5")))
+        for _ in range(20):
+            f = _random_structured(rng, GENERIC)
+            for point in points:
+                want = f.num.eval_mp(*point) / f.den.eval_mp(*point)
+                assert abs(f.eval_mp(*point) - want) <= mp.mpf("1e-40") * abs(want)
 
 
 def test_exact_zero_implies_probe_zero():
@@ -515,12 +516,6 @@ def test_probe_digits_env(monkeypatch):
     assert probe_digits() == 45
     monkeypatch.setenv("PROBE_DIGITS", "junk")
     assert probe_digits() == 30
-
-
-def test_rat_sqrt():
-    assert rat_sqrt(Rat(9, 4)) == Rat(3, 2)
-    assert rat_sqrt(Rat(2)) is None
-    assert rat_sqrt(Rat(-1)) is None
 
 
 @given(st.integers(-40, 40), st.integers(1, 12), st.integers(-40, 40), st.integers(1, 12))

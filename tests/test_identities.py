@@ -433,8 +433,8 @@ def test_identity_ids_carry_constraints():
     assert {tag: tuple(map(str, i.constraints)) for tag, i in ids.items()} == CATALOG
     assert ids["W1"].required_constraints == frozenset({"l5!=0"})
     assert ids["HP"].required_constraints == frozenset({"l0=0", "l6=0", "l5!=0", "l1!=0"})
-    assert ids["W1"].runnable_on(GENERIC)
-    assert not ids["HP"].runnable_on(GENERIC)
+    assert not ids["W1"].violated(GENERIC)
+    assert ids["HP"].violated(GENERIC)
 
 
 def test_constraint_text_round_trip():
