@@ -342,10 +342,11 @@ def _initial_field(spec: str, grid: Grid1D) -> tuple:
         return field, {"kind": "cnoidal", "k": k, "speed": speed}
     if kind == "file":
         data = np.loadtxt(rest, delimiter=",", ndmin=2)
-        values = data[:, 0] + (1j * data[:, 1] if data.shape[1] > 1 else 0)
-        if len(values) != grid.n:
-            raise CheckFailed(f"file has {len(values)} samples, grid needs {grid.n}")
-        return Field1D(grid, values), {"kind": "file", "path": rest}
+        if data.shape[1] > 1 and np.any(data[:, 1]):
+            raise ValueError("file column 2 (imaginary part) must be zero: fields are real")
+        if len(data) != grid.n:
+            raise CheckFailed(f"file has {len(data)} samples, grid needs {grid.n}")
+        return Field1D(grid, data[:, 0]), {"kind": "file", "path": rest}
     raise CheckFailed(f"unknown --init kind {kind!r}")
 
 
@@ -379,8 +380,8 @@ def _cmd_pde_run(args) -> int:
         residual = kdv_residual(window, args.dt)
     else:
         residual = gmkdv_residual(window, args.dt, args.a)
-    q0 = conserved_quantities(traj[0])
-    q1 = conserved_quantities(traj[-1])
+    q0 = conserved_quantities(traj[0], args.eq)
+    q1 = conserved_quantities(traj[-1], args.eq)
     drifts = [abs(b - a) / max(1e-30, abs(a)) for a, b in zip(q0, q1)]
     if args.csv:
         times = [i * save_every * args.dt for i in range(len(traj))]

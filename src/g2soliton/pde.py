@@ -41,7 +41,7 @@ BLOWUP_NORM = 1e8
 
 @dataclass
 class Grid1D:
-    """Periodic grid with n (power of two, >= 32) points on [0, length)."""
+    """Periodic grid of n (power of two, >= 32) points on [0, length); spectra are the n/2 + 1 rfft modes."""
 
     n: int
     length: float
@@ -55,40 +55,35 @@ class Grid1D:
         if self.length <= 0:
             raise ValueError("domain length must be positive")
         self.x = np.arange(self.n) * (self.length / self.n)
-        self.wavenumbers = 2 * np.pi * np.fft.fftfreq(self.n, d=self.length / self.n)
-        self.dealias_mask = np.abs(np.fft.fftfreq(self.n, d=1.0 / self.n)) <= self.n / 3
+        self.wavenumbers = 2 * np.pi * np.fft.rfftfreq(self.n, d=self.length / self.n)
+        self.dealias_mask = np.fft.rfftfreq(self.n, d=1.0 / self.n) <= self.n / 3
 
 
 @dataclass
 class Field1D:
-    """Complex samples on a periodic grid."""
+    """Real samples on a periodic grid."""
 
     grid: Grid1D
     values: np.ndarray
     role: str = "u"
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
+        if np.iscomplexobj(self.values):
+            raise ValueError("field samples must be real")
+        self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.n,):
             raise ValueError("sample count does not match the grid")
 
     def spectrum(self) -> np.ndarray:
-        return np.fft.fft(self.values)
+        return np.fft.rfft(self.values)
 
     def deriv(self, order: int = 1) -> np.ndarray:
-        """Spectral x-derivative samples (Nyquist zeroed for odd orders)."""
-        k = self.grid.wavenumbers
-        sym = (1j * k) ** order
-        if order % 2 == 1:
-            sym = sym.copy()
-            sym[self.grid.n // 2] = 0.0
-        return np.fft.ifft(sym * self.spectrum())
+        """Spectral x-derivative samples; irfft keeps only the real part of the
+        Nyquist bin, so odd orders (imaginary symbol there) drop that mode."""
+        return np.fft.irfft((1j * self.grid.wavenumbers) ** order * self.spectrum())
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def copy(self) -> "Field1D":
-        return Field1D(self.grid, self.values.copy(), self.role)
 
 
 def _dealias(grid: Grid1D, hat: np.ndarray) -> np.ndarray:
@@ -99,7 +94,7 @@ def _linear_symbol(grid: Grid1D, eq: str, a: float) -> np.ndarray:
     k = grid.wavenumbers
     sym = 1j * k**3  # from -u_xxx
     if eq == "gmkdv":
-        sym = sym - 1j * complex(a) * k
+        sym = sym - 1j * a * k
     return sym
 
 
@@ -125,8 +120,8 @@ class _Etdrk4:
         self.f3 = dt * np.mean((-4 - 3 * lr - lr**2 + elr * (4 - lr)) / lr**3, axis=1)
 
     def _nonlinear(self, hat: np.ndarray) -> np.ndarray:
-        u = np.fft.ifft(hat)
-        return self.nl_symbol * np.fft.fft(u * u if self.eq == "kdv" else u * u * u)
+        u = np.fft.irfft(hat)
+        return self.nl_symbol * np.fft.rfft(u * u if self.eq == "kdv" else u * u * u)
 
     def step(self, hat: np.ndarray) -> np.ndarray:
         half = self.exp_half * hat
@@ -141,7 +136,7 @@ class _Etdrk4:
 
 
 def _check_state(u: np.ndarray) -> None:
-    if not np.all(np.isfinite(u.view(float))):
+    if not np.all(np.isfinite(u)):
         raise UnstableStep("non-finite values in the evolved field")
     if np.max(np.abs(u)) > BLOWUP_NORM:
         raise BlowUp("field norm exceeded 1e8")
@@ -169,12 +164,12 @@ def evolve_trajectory(
     steps = int(round(t_end / dt))
     stepper = _Etdrk4(u0.grid, eq, a, dt / substeps)
     hat = _dealias(u0.grid, u0.spectrum())
-    snapshots = [Field1D(u0.grid, np.fft.ifft(hat), u0.role)]
+    snapshots = [Field1D(u0.grid, np.fft.irfft(hat), u0.role)]
     for i in range(1, steps + 1):
         for _ in range(substeps):
             hat = stepper.step(hat)
         if i % save_every == 0 or i == steps:
-            u = np.fft.ifft(hat)
+            u = np.fft.irfft(hat)
             _check_state(u)
             snapshots.append(Field1D(u0.grid, u, u0.role))
     return snapshots
@@ -182,8 +177,8 @@ def evolve_trajectory(
 
 def miura_map(v: Field1D, a: float) -> Field1D:
     """u = v^2 + v_x - a/6 with spectral v_x; the product is dealiased."""
-    sq_hat = _dealias(v.grid, np.fft.fft(v.values * v.values))
-    u = np.fft.ifft(sq_hat) + v.deriv(1) - complex(a) / 6
+    sq_hat = _dealias(v.grid, np.fft.rfft(v.values * v.values))
+    u = np.fft.irfft(sq_hat) + v.deriv(1) - a / 6
     return Field1D(v.grid, u, "u")
 
 
@@ -213,7 +208,7 @@ def kdv_residual(u_traj, dt: float) -> float:
     """
 
     def residual(u_t, u):
-        prod = np.fft.ifft(_dealias(u.grid, np.fft.fft(u.values * u.deriv(1))))
+        prod = np.fft.irfft(_dealias(u.grid, np.fft.rfft(u.values * u.deriv(1))))
         return u_t + u.deriv(3) - 6 * prod
 
     return _stencil_residual(u_traj, dt, residual)
@@ -223,19 +218,20 @@ def gmkdv_residual(v_traj, dt: float, a: float) -> float:
     """Max norm of v_t + v_xxx - 6 v^2 v_x + a v_x along a snapshot sequence."""
 
     def residual(v_t, v):
-        prod = np.fft.ifft(_dealias(v.grid, np.fft.fft(v.values**2 * v.deriv(1))))
-        return v_t + v.deriv(3) - 6 * prod + complex(a) * v.deriv(1)
+        prod = np.fft.irfft(_dealias(v.grid, np.fft.rfft(v.values**2 * v.deriv(1))))
+        return v_t + v.deriv(3) - 6 * prod + a * v.deriv(1)
 
     return _stencil_residual(v_traj, dt, residual)
 
 
-def conserved_quantities(u: Field1D) -> tuple:
-    """(mass, momentum, energy) = (int u, int u^2, int (u_x^2/2 + u^3)) dx."""
+def conserved_quantities(u: Field1D, eq: str = "kdv") -> tuple:
+    """(int u, int u^2, int (u_x^2/2 + u^3)) dx, with u^4/2 for u^3 in the gmkdv energy."""
     dx = u.grid.length / u.grid.n
     ux = u.deriv(1)
-    mass = complex(np.sum(u.values) * dx)
-    momentum = complex(np.sum(u.values**2) * dx)
-    energy = complex(np.sum(0.5 * ux**2 + u.values**3) * dx)
+    mass = float(np.sum(u.values) * dx)
+    momentum = float(np.sum(u.values**2) * dx)
+    potential = u.values**3 if eq == "kdv" else 0.5 * u.values**4
+    energy = float(np.sum(0.5 * ux**2 + potential) * dx)
     return mass, momentum, energy
 
 
@@ -251,7 +247,7 @@ def exact_soliton(grid: Grid1D, c: float, x0: float, t: float) -> np.ndarray:
     """Closed-form soliton samples at time t with periodic wrapping."""
     half_l = grid.length / 2
     dxs = np.mod(grid.x - x0 - c * t + half_l, grid.length) - half_l
-    return (-(c / 2) / np.cosh(math.sqrt(c) * dxs / 2) ** 2).astype(complex)
+    return -(c / 2) / np.cosh(math.sqrt(c) * dxs / 2) ** 2
 
 
 def cnoidal_wave(grid: Grid1D, k: float, n_periods: int = 1) -> tuple:
@@ -263,17 +259,17 @@ def cnoidal_wave(grid: Grid1D, k: float, n_periods: int = 1) -> tuple:
     """
     big_k = quarter_period(k).real
     beta = 2 * big_k * n_periods / grid.length
-    vals = np.empty(grid.n, dtype=complex)
+    vals = np.empty(grid.n)
     for i, xv in enumerate(grid.x):
         s, _, _ = sncndn(beta * xv, k)
-        vals[i] = 2 * beta**2 * k**2 * s * s
+        vals[i] = (2 * beta**2 * k**2 * s * s).real
     speed = -4 * beta**2 * (1 + k**2)
     return Field1D(grid, vals, "u"), speed
 
 
 def soliton_peak_travel(u: Field1D, x0: float) -> float:
     """Distance traveled by the soliton trough, with parabolic refinement."""
-    vals = u.values.real
+    vals = u.values
     i = int(np.argmin(vals))
     n = u.grid.n
     y0, y1, y2 = vals[(i - 1) % n], vals[i], vals[(i + 1) % n]

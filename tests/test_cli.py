@@ -228,6 +228,42 @@ def test_pde_run_file_init(tmp_path):
     assert code == 0
 
 
+def test_pde_run_complex_file_init_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "init.csv"
+    data.write_text("\n".join(f"{0.1},{0.0 if i else 1e-3}" for i in range(64)))
+    code = run_cli(
+        "pde-run", "--eq", "gmkdv", "--a", "1.5", "--n", "64", "--L", "20",
+        "--t-end", "0.02", "--init", f"file:{data}",
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "imaginary part" in captured.err
+
+
+def test_pde_run_csv_imaginary_column_is_zero(tmp_path):
+    csv_path = tmp_path / "traj.csv"
+    code = run_cli(
+        "pde-run", "--n", "64", "--L", "20", "--t-end", "0.01", "--init", "soliton:c=4,x0=5",
+        "--snapshots", "3", "--csv", str(csv_path), "--out", str(tmp_path / "run.json"),
+    )
+    assert code == 0
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "t,x,re_u,im_u"
+    assert len(lines) == 1 + 3 * 64
+    assert all(float(line.split(",")[3]) == 0.0 for line in lines[1:])
+
+
+def test_pde_run_gmkdv_conserves_its_invariants(tmp_path):
+    # README settings; the KdV energy int (u_x^2/2 + u^3) drifts 8e-4 here
+    out = tmp_path / "run.json"
+    code = run_cli("pde-run", "--eq", "gmkdv", "--a", "1.5", "--init", "cnoidal:k=0.9,m=2", "--out", str(out))
+    assert code == 0
+    drifts = json.loads(out.read_text())["invariant_drifts"]
+    assert set(drifts) == {"mass", "momentum", "energy"}
+    assert all(v < 1e-7 for v in drifts.values())
+
+
 def test_miura_pipeline_command(tmp_path):
     out = tmp_path / "m.json"
     assert run_cli("miura-pipeline", "--t-end", "0.02", "--out", str(out)) == 0

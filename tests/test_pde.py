@@ -17,7 +17,46 @@ from g2soliton.pde import (
     miura_map,
     one_soliton,
     soliton_peak_travel,
+    _Etdrk4,
 )
+
+
+class _ComplexEtdrk4:
+    """The ETDRK4 stepper on the full complex spectrum (fft/ifft), the form it
+    had while fields were complex: the reference for the half-spectrum stepper."""
+
+    def __init__(self, grid, eq, a, dt, n_contour=32):
+        k = 2 * np.pi * np.fft.fftfreq(grid.n, d=grid.length / grid.n)
+        self.mask = np.abs(np.fft.fftfreq(grid.n, d=1.0 / grid.n)) <= grid.n / 3
+        self.eq = eq
+        self.nl_symbol = np.where(self.mask, (3j if eq == "kdv" else 2j) * k, 0.0)
+        lin = 1j * k**3
+        if eq == "gmkdv":
+            lin = lin - 1j * complex(a) * k
+        self.exp_full = np.exp(dt * lin)
+        self.exp_half = np.exp(0.5 * dt * lin)
+        roots = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
+        lr = dt * lin[:, None] + roots[None, :]
+        elr = np.exp(lr)
+        self.q = dt * np.mean((np.exp(lr / 2) - 1) / lr, axis=1)
+        self.f1 = dt * np.mean((-4 - lr + elr * (4 - 3 * lr + lr**2)) / lr**3, axis=1)
+        self.f2_twice = 2 * (dt * np.mean((2 + lr + elr * (lr - 2)) / lr**3, axis=1))
+        self.f3 = dt * np.mean((-4 - 3 * lr - lr**2 + elr * (4 - lr)) / lr**3, axis=1)
+
+    def _nonlinear(self, hat):
+        u = np.fft.ifft(hat)
+        return self.nl_symbol * np.fft.fft(u * u if self.eq == "kdv" else u * u * u)
+
+    def step(self, hat):
+        half = self.exp_half * hat
+        n0 = self._nonlinear(hat)
+        a1 = half + self.q * n0
+        n1 = self._nonlinear(a1)
+        b1 = half + self.q * n1
+        n2 = self._nonlinear(b1)
+        c1 = self.exp_half * a1 + self.q * (2 * n2 - n0)
+        n3 = self._nonlinear(c1)
+        return self.exp_full * hat + self.f1 * n0 + self.f2_twice * (n1 + n2) + self.f3 * n3
 
 
 @pytest.fixture(scope="module")
@@ -41,9 +80,49 @@ def test_spectral_derivative_exact_for_resolved_modes(grid):
         assert np.max(np.abs(u.deriv(1) - expect)) < 1e-12 * (2 * np.pi * m / grid.length)
 
 
+def test_odd_derivatives_drop_the_nyquist_mode(grid):
+    nyquist = Field1D(grid, (-1.0) ** np.arange(grid.n))
+    k = grid.wavenumbers[-1]
+    assert np.array_equal(nyquist.deriv(1), np.zeros(grid.n))
+    assert np.array_equal(nyquist.deriv(3), np.zeros(grid.n))
+    assert np.max(np.abs(nyquist.deriv(2) + k**2 * nyquist.values)) < 1e-12 * k**2
+
+
 def test_field_shape_guard(grid):
     with pytest.raises(ValueError):
         Field1D(grid, np.zeros(128))
+
+
+def test_field_rejects_complex_samples(grid):
+    with pytest.raises(ValueError):
+        Field1D(grid, np.exp(1j * grid.x))
+    with pytest.raises(ValueError):
+        Field1D(grid, np.zeros(grid.n, dtype=complex))
+
+
+def test_dealias_mask_is_the_two_thirds_band_of_the_half_spectrum(grid):
+    n = grid.n
+    assert grid.dealias_mask.shape == grid.wavenumbers.shape == (n // 2 + 1,)
+    assert not grid.dealias_mask[n // 2]
+    assert np.array_equal(np.flatnonzero(grid.dealias_mask), np.arange(n // 3 + 1))
+
+
+@pytest.mark.parametrize("eq, n, a", [("kdv", 256, 0.0), ("gmkdv", 1024, 1.5)])
+def test_half_spectrum_stepper_matches_complex_reference(eq, n, a):
+    grid = Grid1D(n, 40.0)
+    if eq == "kdv":
+        u0 = one_soliton(grid, 4.0, 10.0).values
+    else:
+        phase = 2 * np.pi * grid.x / grid.length
+        u0 = 0.4 * np.sin(phase) + 0.1 * np.cos(2 * phase)
+    dt = 5e-4  # one substep at the pde-run settings
+    real, ref = _Etdrk4(grid, eq, a, dt), _ComplexEtdrk4(grid, eq, a, dt)
+    hat = np.where(grid.dealias_mask, np.fft.rfft(u0), 0.0)
+    ref_hat = np.where(ref.mask, np.fft.fft(u0), 0.0)
+    for _ in range(400):
+        hat, ref_hat = real.step(hat), ref.step(ref_hat)
+    u, u_ref = np.fft.irfft(hat), np.fft.ifft(ref_hat)
+    assert np.max(np.abs(u - u_ref)) < 1e-13 * np.max(np.abs(u_ref))
 
 
 def test_soliton_travel_and_shape(grid):
@@ -96,6 +175,8 @@ def test_conserved_quantities_constant_field(grid):
     assert abs(mass - c * grid.length) < 1e-12
     assert abs(momentum - c * c * grid.length) < 1e-12
     assert abs(energy - c**3 * grid.length) < 1e-12
+    energy = conserved_quantities(Field1D(grid, c * np.ones(grid.n)), "gmkdv")[2]
+    assert abs(energy - c**4 / 2 * grid.length) < 1e-12
 
 
 def test_conserved_quantities_translation_invariant(grid):
@@ -167,7 +248,7 @@ def test_static_miura_factorization_spectral_route(grid):
 
 def test_dealias_band_stays_empty(grid):
     # the integrator state is exactly zero above the cutoff; the snapshot
-    # round-trips through ifft/fft, which injects only ~1e-16 noise
+    # round-trips through irfft/rfft, which injects only ~1e-16 noise
     u0 = one_soliton(grid, 4.0, 10.0)
     u1 = evolve_trajectory("kdv", u0, 0.05, 1e-3, save_every=50)[-1]
     hat = u1.spectrum()
