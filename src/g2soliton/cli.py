@@ -1,8 +1,9 @@
 """Command-line entry point for verification sweeps, elliptic checks, PDE runs.
 
-Exit codes: 0 all requested checks passed, 1 a check failed (nonzero residual,
-tolerance violation, or an identity skipped because the supplied curve does
-not meet its constraints), 2 usage error.
+Exit codes: 0 all requested checks passed, 1 a check failed (nonzero or
+unresolved residual, tolerance violation), 2 usage error.  An identity whose
+locus the curve misses is reported as skipped and fails nothing; an exact run
+that checks no identity at all is a usage error.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import json
 import math
 import random
 import sys
-import time
 
 import numpy as np
 
@@ -28,16 +28,7 @@ from .elliptic import (
     sncndn,
     weierstrass_ode_residual,
 )
-from .identities import (
-    Constraint,
-    G2Functions,
-    IDENTITY_SETS,
-    IdentityResult,
-    MissingConstraint,
-    residuals,
-    verify_all,
-    verify_identity,
-)
+from .identities import IDENTITY_SETS, verify_all
 from .jets import Jet, trig_jet
 from .pde import (
     Field1D,
@@ -51,7 +42,7 @@ from .pde import (
     miura_map,
     one_soliton,
 )
-from .sweep import SweepConfig, run_sweep, summarize
+from .sweep import SweepConfig, locus_groups, run_sweep, summarize
 from .transforms import (
     TRANSFORMATIONS,
     paired_profile_jet,
@@ -59,10 +50,6 @@ from .transforms import (
     sn_profile_jet,
     static_transformation_residuals,
 )
-
-
-class CheckFailed(Exception):
-    pass
 
 
 def _parse_lambda(text: str) -> CurveParams:
@@ -85,13 +72,22 @@ def _range_spec(text: str) -> tuple:
     return float(lo), float(hi), int(n)
 
 
-# the curve loci on which kummer adds KUM1 and half-period adds GII
-_QUINTIC = (Constraint.parse("l6=0"),)
-_PROJECTIVE_MAP = (Constraint.parse("l1=4"), Constraint.parse("l5=4"))
+def _identity_set(name: str) -> list:
+    tags = IDENTITY_SETS.get(name)
+    if tags is None:
+        raise ValueError(f"unknown identity set {name!r}; choose from {sorted(IDENTITY_SETS)}")
+    return tags
 
 
-def _on_locus(params: CurveParams, locus: tuple) -> bool:
-    return all(c.holds(params) for c in locus)
+def _exact_exit_code(results, what: str) -> int:
+    """1 if an identity is nonzero or unresolved, else 0; skips fail nothing.
+
+    ValueError (exit 2) when no identity was on its locus: nothing was checked.
+    """
+    statuses = {r.status for r in results}
+    if statuses <= {"skipped"}:
+        raise ValueError(f"{what}: no identity is on its locus, so nothing was checked")
+    return 1 if statuses & {"nonzero", "unresolved"} else 0
 
 
 # -- subcommand runners ---------------------------------------------------------
@@ -99,55 +95,22 @@ def _on_locus(params: CurveParams, locus: tuple) -> bool:
 
 def _cmd_verify_g2(args) -> int:
     params = _parse_lambda(args.lam)
-    tags = IDENTITY_SETS.get(args.set)
-    if tags is None:
-        raise CheckFailed(f"unknown identity set {args.set!r}; choose from {sorted(IDENTITY_SETS)}")
-    report = verify_all(params, tags, witness_seed=args.witness_seed)
+    report = verify_all(params, _identity_set(args.set), witness_seed=args.witness_seed)
+    code = _exact_exit_code(report.results, f"set {args.set!r} on curve {params}")
     print(report.table())
     _emit({"command": "verify-g2", "entries": report.to_json_entries()}, args.out)
-    return 0 if not (report.has_nonzero or report.has_skipped) else 1
-
-
-def _cmd_kummer(args) -> int:
-    params = _parse_lambda(args.lam)
-    tags = ["KUM2"] + (["KUM1"] if _on_locus(params, _QUINTIC) else [])
-    report = verify_all(params, tags)
-    print(report.table())
-    _emit({"command": "kummer", "entries": report.to_json_entries()}, args.out)
-    return 0 if not (report.has_nonzero or report.has_skipped) else 1
-
-
-def _cmd_half_period(args) -> int:
-    params = _parse_lambda(args.lam)
-    fns = G2Functions(params)
-    start = time.perf_counter()
-    try:
-        comps = residuals("HP", fns)
-    except MissingConstraint as exc:
-        results = [IdentityResult("HP", "skipped", reason=str(exc))]
-    else:
-        millis = (time.perf_counter() - start) * 1000
-        results = [
-            IdentityResult(f"HP.{i}", "zero" if comp.is_zero() else "nonzero", millis=millis)
-            for i, comp in enumerate(comps, start=1)
-        ]
-    if _on_locus(params, _PROJECTIVE_MAP):
-        results.append(verify_identity("GII", fns))
-    entries = [r.to_json(params) for r in results]
-    for entry in entries:
-        print(f"  {entry['identity']:<8} {entry['status']:<8} {entry['millis']:9.2f} ms")
-    _emit({"command": "half-period", "entries": entries}, args.out)
-    return 1 if any(r.status != "zero" for r in results) else 0
+    return code
 
 
 def _cmd_sweep(args) -> int:
     constraints = [c for c in args.constraints.split(",") if c.strip()]
     config = SweepConfig(count=args.count, seed=args.seed, constraints=constraints)
-    tags = IDENTITY_SETS.get(args.set)
-    if tags is None:
-        raise CheckFailed(f"unknown identity set {args.set!r}; choose from {sorted(IDENTITY_SETS)}")
+    tags = _identity_set(args.set)
+    _, excluded = locus_groups(config, tags)
     reports = run_sweep(config, tags, jobs=args.jobs, witness_seed=args.witness_seed)
-    summary = summarize(reports)
+    results = [r for rep in reports for r in rep.results]
+    code = _exact_exit_code(results, f"set {args.set!r} under --constraints {args.constraints!r}")
+    summary = summarize(reports, excluded)
     entries = []
     for rep in reports:
         print(rep.table())
@@ -169,6 +132,7 @@ def _cmd_sweep(args) -> int:
             "constraints": [str(c) for c in config.constraints],
             "set": args.set,
             "entries": entries,
+            "excluded": [{"identity": tag, "reason": reason} for tag, reason in excluded],
             "summary": {
                 "zero": summary.n_zero,
                 "nonzero": summary.n_nonzero,
@@ -178,7 +142,7 @@ def _cmd_sweep(args) -> int:
         },
         args.out,
     )
-    return 0 if summary.clean else 1
+    return code
 
 
 def _cmd_elliptic_check(args) -> int:
@@ -345,9 +309,9 @@ def _initial_field(spec: str, grid: Grid1D) -> tuple:
         if data.shape[1] > 1 and np.any(data[:, 1]):
             raise ValueError("file column 2 (imaginary part) must be zero: fields are real")
         if len(data) != grid.n:
-            raise CheckFailed(f"file has {len(data)} samples, grid needs {grid.n}")
+            raise ValueError(f"file has {len(data)} samples, grid needs {grid.n}")
         return Field1D(grid, data[:, 0]), {"kind": "file", "path": rest}
-    raise CheckFailed(f"unknown --init kind {kind!r}")
+    raise ValueError(f"unknown --init kind {kind!r}")
 
 
 def _time_steps(args, min_steps: int) -> int:
@@ -446,16 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify_g2)
 
-    p = sub.add_parser("kummer", help="generalized quartic relation on one curve")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_kummer)
-
-    p = sub.add_parser("half-period", help="half-period transformation residuals")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_half_period)
-
     p = sub.add_parser("sweep", help="verify identity sets on seeded random curves")
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--seed", type=int, default=42)
@@ -520,9 +474,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CheckFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError, EllipticError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

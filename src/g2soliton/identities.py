@@ -588,8 +588,8 @@ def _ws5(c):
 
 # Jacobi-type entries: each is its Weierstrass partner read through the dual
 # involution, registered here so the catalog order stays W, WS, J, JS, KUM.
-# Each locus implies the reflection l_j -> l_(6-j) of its partner's; JS3-JS5
-# also state l6=0, which that reflection does not need.
+# Each locus is the reflection l_j -> l_(6-j) of its partner's: WS1-WS3 need
+# l5!=0 and l6=0, so JS3-JS5 need l1!=0 and l0=0.
 _JACOBI_DUALS = (
     ("J1", "W4", "l1!=0"),  # dual-triple u2^3 u1 closure
     ("J2", "W3", "l1!=0"),  # dual-triple u2^2 u1^2 closure
@@ -602,9 +602,9 @@ _JACOBI_DUALS = (
     ("INT-J2", "INT-W2", "l1!=0", "l0=0"),  # first dual integrability relation; closes only for l0=0
     ("JS1", "WS5", "l1!=0", "l0=0", "l6=0"),  # dual triple satisfies the quintic u2^4 closure
     ("JS2", "WS4", "l1!=0", "l0=0", "l6=0"),  # dual triple, mixed u2^3 u1 closure
-    ("JS3", "WS3", "l1!=0", "l0=0", "l6=0"),  # dual triple, (u2 u1)^2 closure
-    ("JS4", "WS2", "l1!=0", "l0=0", "l6=0"),  # dual triple, u1^3 u2 closure
-    ("JS5", "WS1", "l1!=0", "l0=0", "l6=0"),  # dual triple, u1^4 closure
+    ("JS3", "WS3", "l1!=0", "l0=0"),  # dual triple, (u2 u1)^2 closure
+    ("JS4", "WS2", "l1!=0", "l0=0"),  # dual triple, u1^3 u2 closure
+    ("JS5", "WS1", "l1!=0", "l0=0"),  # dual triple, u1^4 closure
 )
 
 
@@ -650,8 +650,7 @@ IDENTITY_SETS = {
     "jacobi-special": ["JS1", "JS2", "JS3", "JS4", "JS5", "INT-J2"],
     "kummer": ["KUM2", "KUM1"],
     "integrability": ["INT-R", "INT-W", "INT-J", "Y1Y2"],
-    "half-period": ["HP"],
-    "gii": ["GII"],
+    "half-period": ["HP", "GII"],
 }
 IDENTITY_SETS["all"] = list(_BUILDERS)
 
@@ -726,10 +725,6 @@ class VerifyReport:
     @property
     def has_nonzero(self) -> bool:
         return any(r.status in ("nonzero", "unresolved") for r in self.results)
-
-    @property
-    def has_skipped(self) -> bool:
-        return any(r.status == "skipped" for r in self.results)
 
     def to_json_entries(self) -> list:
         return [r.to_json(self.curve) for r in self.results]

@@ -3,18 +3,20 @@
 Identities are polynomial relations once the curve coefficients are fixed, so
 sweeping many random small-height rational coefficient vectors and reducing
 each identity exactly gives the same confidence as symbolic arithmetic in the
-lambdas at a fraction of the cost.  A sweep is reproducible: the same seed
-yields byte-identical curve sequences and reports.
+lambdas at a fraction of the cost.  Each identity is sampled on its own locus,
+its catalog constraints merged with the sweep's, so every identity is checked.
+A sweep is reproducible: the same seed yields byte-identical curve sequences
+and reports.
 """
 
 from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .curvering import CurveParams, Rat
-from .identities import IDENTITY_SETS, VerifyReport, merge_constraints, verify_all
+from .identities import IDENTITY_SETS, VerifyReport, identity_ids, merge_constraints, verify_all
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,29 @@ def sample_curve(rng: random.Random, config: SweepConfig) -> CurveParams:
 
 
 def sample_curves(config: SweepConfig) -> list[CurveParams]:
-    rng = random.Random(config.seed)
+    # a string seed goes through SHA-512, so the draws ignore PYTHONHASHSEED
+    rng = random.Random(f"{config.seed}|{','.join(map(str, config.constraints))}")
     return [sample_curve(rng, config) for _ in range(config.count)]
+
+
+def locus_groups(config: SweepConfig, tags) -> tuple[list, list]:
+    """The tags grouped by locus, and the tags the sweep's constraints exclude.
+
+    A tag's locus is its catalog constraints merged with the sweep's; tags
+    with equal loci share one group config (and so one set of curves).
+    Returns ([(group config, tags)], [(tag, reason)]), both in tag order.
+    """
+    catalog = identity_ids()
+    groups: dict = {}
+    excluded = []
+    for tag in tags:
+        try:
+            group = replace(config, constraints=catalog[tag].constraints + config.constraints)
+        except ValueError as exc:  # the locus contradicts the sweep's constraints
+            excluded.append((tag, str(exc)))
+            continue
+        groups.setdefault(group, []).append(tag)
+    return list(groups.items()), excluded
 
 
 def _sweep_worker(args) -> VerifyReport:
@@ -74,12 +97,16 @@ def _sweep_worker(args) -> VerifyReport:
 
 
 def run_sweep(config: SweepConfig, tags=None, jobs: int = 1, witness_seed: int = 0) -> list[VerifyReport]:
-    """Verify the identity set on every sampled curve; order is by curve index."""
+    """Verify each locus group of the tags on its own sampled curves.
+
+    Reports are ordered by group, then by curve index; excluded tags are
+    left out (see `locus_groups`).
+    """
     if tags is None:
         tags = IDENTITY_SETS["all"]
-    curves = sample_curves(config)
-    work = [(c.as_strings(), list(tags), witness_seed) for c in curves]
-    if jobs <= 1 or len(curves) <= 1:
+    groups, _ = locus_groups(config, tags)
+    work = [(c.as_strings(), group_tags, witness_seed) for group, group_tags in groups for c in sample_curves(group)]
+    if jobs <= 1 or len(work) <= 1:
         return [_sweep_worker(w) for w in work]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_sweep_worker, work))
@@ -98,8 +125,9 @@ class SweepSummary:
         return self.n_nonzero == 0
 
 
-def summarize(reports) -> SweepSummary:
-    summary = SweepSummary(n_curves=len(reports))
+def summarize(reports, excluded=()) -> SweepSummary:
+    """Status counts of the reports; `excluded` tags count as skipped."""
+    summary = SweepSummary(n_curves=len(reports), n_skipped=len(excluded))
     for rep in reports:
         for r in rep.results:
             if r.status == "zero":

@@ -41,12 +41,12 @@ def test_verify_g2_rational_lambda_text(tmp_path):
 
 def test_verify_g2_skipped_set_fails():
     code = run_cli("verify-g2", "--lambda", "1,2,1,3,1,4,5", "--set", "jacobi-special")
-    assert code == 1
+    assert code == 2
 
 
 def test_verify_g2_unknown_set():
     code = run_cli("verify-g2", "--lambda", "1,2,1,3,1,4,5", "--set", "nonsense")
-    assert code == 1
+    assert code == 2
 
 
 def test_bad_lambda_is_usage_error(capsys):
@@ -55,39 +55,69 @@ def test_bad_lambda_is_usage_error(capsys):
     assert capsys.readouterr().err.count("\n") == 2
 
 
+def _statuses(path):
+    return {e["identity"]: e["status"] for e in json.loads(path.read_text())["entries"]}
+
+
 def test_half_period_with_projective_match(tmp_path):
     out = tmp_path / "hp.json"
-    code = run_cli("half-period", "--lambda", "0,4,1,1,1,4,0", "--out", str(out))
+    code = run_cli("verify-g2", "--set", "half-period", "--lambda", "0,4,1,1,1,4,0", "--out", str(out))
     assert code == 0
-    entries = json.loads(out.read_text())["entries"]
-    assert [e["identity"] for e in entries] == ["HP.1", "HP.2", "HP.3", "GII"]
-    assert all(e["status"] == "zero" for e in entries)
+    assert _statuses(out) == {"HP": "zero", "GII": "zero"}
 
 
 def test_half_period_without_normalization(tmp_path):
     out = tmp_path / "hp.json"
-    code = run_cli("half-period", "--lambda", "0,2,1,1,1,4,0", "--out", str(out))
+    code = run_cli("verify-g2", "--set", "half-period", "--lambda", "0,2,1,1,1,4,0", "--out", str(out))
     assert code == 0
-    entries = json.loads(out.read_text())["entries"]
-    assert [e["identity"] for e in entries] == ["HP.1", "HP.2", "HP.3"]
+    assert _statuses(out) == {"HP": "zero", "GII": "skipped"}
 
 
-def test_half_period_guard_exits_nonzero(tmp_path):
+def test_half_period_guard_exits_nonzero(tmp_path, capsys):
     out = tmp_path / "hp.json"
-    code = run_cli("half-period", "--lambda", "1,2,1,3,1,4,5", "--out", str(out))
-    assert code == 1
-    entries = json.loads(out.read_text())["entries"]
-    assert entries[0]["status"] == "skipped"
+    code = run_cli("verify-g2", "--set", "half-period", "--lambda", "1,2,1,3,1,4,5", "--out", str(out))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_kummer_command(tmp_path):
     out = tmp_path / "k.json"
-    assert run_cli("kummer", "--lambda", "2,3,1,5,1,4,0", "--out", str(out)) == 0
-    tags = [e["identity"] for e in json.loads(out.read_text())["entries"]]
-    assert tags == ["KUM2", "KUM1"]
-    assert run_cli("kummer", "--lambda", "1,2,1,3,1,4,5", "--out", str(out)) == 0
-    tags = [e["identity"] for e in json.loads(out.read_text())["entries"]]
-    assert tags == ["KUM2"]
+    assert run_cli("verify-g2", "--set", "kummer", "--lambda", "2,3,1,5,1,4,0", "--out", str(out)) == 0
+    assert _statuses(out) == {"KUM2": "zero", "KUM1": "zero"}
+    assert run_cli("verify-g2", "--set", "kummer", "--lambda", "1,2,1,3,1,4,5", "--out", str(out)) == 0
+    assert _statuses(out) == {"KUM2": "zero", "KUM1": "skipped"}
+
+
+@pytest.mark.parametrize("command", ["kummer", "half-period"])
+def test_removed_subcommands_are_usage_errors(command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--lambda", "0,4,1,1,1,4,0")
+    assert exc.value.code == 2
+
+
+def test_sweep_all_checks_every_identity_on_its_locus(tmp_path):
+    out = tmp_path / "s.json"
+    assert run_cli("sweep", "--count", "2", "--seed", "42", "--set", "all", "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert {e["identity"] for e in report["entries"]} == set(g2soliton.IDENTITY_SETS["all"])
+    assert len(report["entries"]) == 2 * 34 and report["excluded"] == []
+    assert report["summary"]["zero"] == 68
+    assert report["summary"]["nonzero"] == report["summary"]["skipped"] == 0
+
+
+def test_sweep_excludes_identities_off_the_user_locus(tmp_path):
+    out = tmp_path / "s.json"
+    code = run_cli("sweep", "--count", "2", "--set", "all", "--constraints", "l6=3", "--out", str(out))
+    assert code == 0
+    report = json.loads(out.read_text())
+    excluded = ["INT-W2", "WS1", "WS2", "WS3", "WS4", "WS5", "JS1", "JS2", "KUM1", "HP", "GII"]
+    assert [x["identity"] for x in report["excluded"]] == excluded
+    assert all("l6=0" in x["reason"] for x in report["excluded"])
+    assert report["summary"]["skipped"] == len(excluded) and report["summary"]["nonzero"] == 0
+    assert report["summary"]["zero"] == 2 * (34 - len(excluded))
+    assert all(e["curve"][6] == "3" for e in report["entries"])
 
 
 def test_sweep_deterministic_reports(tmp_path):
@@ -100,8 +130,8 @@ def test_sweep_deterministic_reports(tmp_path):
 
 # SHA-256 digests of two reports, millis masked; a deliberate change of
 # report output updates them
-PINNED_SWEEP_SHA256 = "f46f00348d6115722c317968c157ae11fc7b16c16e199951c3ab7501463d745d"
-PINNED_VERIFY_G2_SHA256 = "0faa4ae142d242452b98af59dcf18deeb74fcda88a927542b33832a9936dff28"
+PINNED_SWEEP_SHA256 = "dc39a6d0e97af1bae595379782518352f99a6a3d2263216c0d352337be17157c"
+PINNED_VERIFY_G2_SHA256 = "b4cc3433539a0397b6190afd75a5337d1779a2c07c2dde30b1e1de51151fc77e"
 
 
 def test_reports_match_pinned_digests(tmp_path):
@@ -109,7 +139,7 @@ def test_reports_match_pinned_digests(tmp_path):
     assert run_cli("sweep", "--count", "3", "--seed", "42", "--set", "all", "--out", str(sweep)) == 0
     assert hashlib.sha256(sweep.read_bytes()).hexdigest() == PINNED_SWEEP_SHA256
     g2 = tmp_path / "g2.json"
-    assert run_cli("verify-g2", "--set", "all", "--lambda", "3,2,1,5,7,4,9", "--out", str(g2)) == 1
+    assert run_cli("verify-g2", "--set", "all", "--lambda", "3,2,1,5,7,4,9", "--out", str(g2)) == 0
     entries = json.loads(g2.read_text())["entries"]
     for entry in entries:
         entry["millis"] = None
@@ -118,10 +148,11 @@ def test_reports_match_pinned_digests(tmp_path):
 
 def test_sweep_parallel_same_entries(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    args = ("sweep", "--count", "4", "--seed", "5", "--set", "integrability")
-    assert run_cli(*args, "--jobs", "1", "--out", str(out1)) == 0
-    assert run_cli(*args, "--jobs", "2", "--out", str(out2)) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    for identity_set in ("integrability", "all"):
+        args = ("sweep", "--count", "4", "--seed", "5", "--set", identity_set)
+        assert run_cli(*args, "--jobs", "1", "--out", str(out1)) == 0
+        assert run_cli(*args, "--jobs", "2", "--out", str(out2)) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_sweep_special_sets_with_constraints(tmp_path):
@@ -147,20 +178,22 @@ def test_sweep_bad_constraints_are_usage_errors(constraints, capsys):
 
 def test_sweep_redundant_constraints_ignore_hash_seed(tmp_path):
     # l5=4 absorbs l5!=0, whatever order a set of strings iterates in
+    # and every locus group of --set all draws its curves from the same seed
     src = str(Path(g2soliton.__file__).resolve().parent.parent)
-    outputs = []
-    for hash_seed in ("1", "2", "3"):
-        out = tmp_path / f"s{hash_seed}.json"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        subprocess.run(
-            [sys.executable, "-m", "g2soliton.cli", "sweep", "--count", "2", "--seed", "3",
-             "--set", "kummer", "--constraints", "l5=4,l5!=0", "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=120,
-        )
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
-    report = json.loads(outputs[0])
+    outputs = {}
+    for identity_set, constraints in (("kummer", "l5=4,l5!=0"), ("all", "")):
+        for hash_seed in ("1", "2", "3"):
+            out = tmp_path / f"{identity_set}{hash_seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            subprocess.run(
+                [sys.executable, "-m", "g2soliton.cli", "sweep", "--count", "2", "--seed", "3",
+                 "--set", identity_set, "--constraints", constraints, "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            outputs.setdefault(identity_set, []).append(out.read_bytes())
+        assert len(set(outputs[identity_set])) == 1
+    report = json.loads(outputs["kummer"][0])
     assert report["constraints"] == ["l5=4"]
     assert all(e["curve"][5] == "4" for e in report["entries"])
 
@@ -241,6 +274,22 @@ def test_pde_run_complex_file_init_is_usage_error(tmp_path, capsys):
     assert "imaginary part" in captured.err
 
 
+def test_pde_run_short_file_init_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "init.csv"
+    data.write_text("\n".join(f"{0.1},{0.0}" for _ in range(63)))
+    code = run_cli("pde-run", "--n", "64", "--L", "20", "--t-end", "0.02", "--init", f"file:{data}")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "file has 63 samples, grid needs 64" in captured.err
+
+
+def test_pde_run_unknown_init_kind_is_usage_error(capsys):
+    assert run_cli("pde-run", "--n", "64", "--t-end", "0.02", "--init", "bogus") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown --init kind 'bogus'" in captured.err
+
+
 def test_pde_run_csv_imaginary_column_is_zero(tmp_path):
     csv_path = tmp_path / "traj.csv"
     code = run_cli(
@@ -284,6 +333,9 @@ def test_miura_pipeline_command(tmp_path):
         ("static-transforms", "--samples", "0"),
         ("static-transforms", "--samples", "1", "--seed", "6"),
         ("elliptic-check", "--re", "0:1:0"),
+        ("verify-g2", "--lambda", "1,2,1,3,1,4,5", "--set", "nonsense"),
+        ("sweep", "--count", "1", "--set", "nonsense"),
+        ("sweep", "--count", "2", "--set", "jacobi-special", "--constraints", "l1=0"),
     ],
 )
 def test_vacuous_or_degenerate_runs_are_usage_errors(argv, capsys):

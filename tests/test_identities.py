@@ -27,7 +27,7 @@ from g2soliton.identities import (
     verify_all,
     verify_identity,
 )
-from g2soliton.sweep import SweepConfig, run_sweep, sample_curves, summarize
+from g2soliton.sweep import SweepConfig, locus_groups, run_sweep, sample_curve, sample_curves, summarize
 
 GENERIC = CurveParams((1, 2, 1, 3, 1, 4, 5))
 QUINTIC = CurveParams((2, 3, 1, 5, 1, 4, 0))  # l6 = 0
@@ -376,7 +376,7 @@ def test_missing_witness_is_unresolved_and_fails(monkeypatch, generic_fns):
 def test_verify_all_weierstrass_report(generic_fns):
     report = verify_all(GENERIC, IDENTITY_SETS["weierstrass"])
     assert report.n_zero == 7
-    assert not report.has_nonzero and not report.has_skipped
+    assert not report.has_nonzero and not any(r.status == "skipped" for r in report.results)
     entries = report.to_json_entries()
     assert len(entries) == 7
     for entry in entries:
@@ -387,7 +387,7 @@ def test_verify_all_weierstrass_report(generic_fns):
 
 def test_verify_all_skips_with_reason():
     report = verify_all(GENERIC, IDENTITY_SETS["jacobi-special"])
-    assert report.has_skipped
+    assert any(r.status == "skipped" for r in report.results)
     reasons = [r.reason for r in report.results]
     assert any("l0=0" in (reason or "") for reason in reasons)
 
@@ -419,7 +419,8 @@ CATALOG = {
     **{f"J{i}": ("l1!=0",) for i in range(1, 8)},
     "INT-J": ("l1!=0",),
     "INT-J2": ("l0=0", "l1!=0"),
-    **{f"JS{i}": ("l0=0", "l1!=0", "l6=0") for i in range(1, 6)},
+    **{f"JS{i}": ("l0=0", "l1!=0", "l6=0") for i in range(1, 3)},
+    **{f"JS{i}": ("l0=0", "l1!=0") for i in range(3, 6)},
     "KUM1": ("l5!=0", "l6=0"),
     "KUM2": ("l5!=0",),
     "HP": ("l0=0", "l1!=0", "l5!=0", "l6=0"),
@@ -483,6 +484,48 @@ def test_sweep_parallel_matches_serial():
         (str(r.curve), e.tag, e.status) for r in reps for e in r.results
     ]
     assert flat(serial) == flat(parallel)
+
+
+def test_js3_to_js5_need_only_l0_zero():
+    # their partners WS3-WS1 need l6=0 but not l0=0, so the duals need l0=0 only
+    cfg = SweepConfig(count=8, seed=5, constraints=("l0=0", "l1!=0", "l6!=0"))
+    for params in sample_curves(cfg):
+        fns = G2Functions(params)
+        for tag in ("JS3", "JS4", "JS5"):
+            assert all(comp.is_zero() for comp in residuals_unchecked(tag, fns)), (tag, params)
+        for tag in ("JS1", "JS2"):
+            assert not all(comp.is_zero() for comp in residuals_unchecked(tag, fns)), (tag, params)
+
+
+def test_sweep_samples_each_identity_on_its_locus():
+    cfg = SweepConfig(count=2, seed=8, constraints=("l2=1",))
+    groups, excluded = locus_groups(cfg, ["W1", "JS3", "KUM2", "INT-J2", "INT-R"])
+    assert excluded == []
+    assert [(list(map(str, g.constraints)), tags) for g, tags in groups] == [
+        (["l2=1", "l5!=0"], ["W1", "KUM2"]),
+        (["l0=0", "l1!=0", "l2=1"], ["JS3", "INT-J2"]),
+        (["l2=1"], ["INT-R"]),
+    ]
+    # every group draws from a string seed of (seed, locus text)
+    rng = random.Random("8|l0=0,l1!=0,l2=1")
+    assert sample_curves(groups[1][0]) == [sample_curve(rng, groups[1][0]) for _ in range(2)]
+    reports = run_sweep(cfg, ["W1", "JS3", "KUM2", "INT-J2", "INT-R"])
+    assert [r.curve for r in reports] == [c for g, _ in groups for c in sample_curves(g)]
+    tags = [[e.tag for e in r.results] for r in reports]
+    assert tags == [["W1", "KUM2"]] * 2 + [["JS3", "INT-J2"]] * 2 + [["INT-R"]] * 2
+    summary = summarize(reports)
+    assert summary.n_zero == 10 and summary.n_skipped == 0 and summary.clean
+
+
+def test_sweep_excludes_identities_whose_locus_contradicts_the_constraints():
+    cfg = SweepConfig(count=2, seed=8, constraints=("l0=1",))
+    groups, excluded = locus_groups(cfg, ["W1", "JS3", "WS4"])
+    assert [tags for _, tags in groups] == [["W1"]]
+    reason = "contradictory constraints l0=0 and l0=1"
+    assert excluded == [("JS3", reason), ("WS4", reason)]
+    reports = run_sweep(cfg, ["W1", "JS3", "WS4"])
+    assert [[e.tag for e in r.results] for r in reports] == [["W1"], ["W1"]]
+    assert summarize(reports, excluded).n_skipped == 2
 
 
 def test_sweep_config_rejects_bad_directives():
