@@ -27,7 +27,6 @@ from .curvering import (
 from .elliptic import (
     DegenerateRoots,
     EllipticError,
-    JacobiParams,
     PoleArgument,
     SingularDenominator,
     WeierstrassRoots,
@@ -49,7 +48,6 @@ from .identities import (
     MissingConstraint,
     VerifyReport,
     identity_ids,
-    residual,
     residuals,
     verify_all,
 )

@@ -64,21 +64,6 @@ def quarter_period(k) -> complex:
     return math.pi / (2 * agm(1, kp))
 
 
-@dataclass(frozen=True)
-class JacobiParams:
-    """Modulus with both quarter periods K(k) and K(k')."""
-
-    k: complex
-    Kq: complex
-    Kq_prime: complex
-
-    @classmethod
-    def from_modulus(cls, k) -> "JacobiParams":
-        k = complex(k)
-        kp = cmath.sqrt(1 - k * k)
-        return cls(k=k, Kq=quarter_period(k), Kq_prime=quarter_period(kp))
-
-
 def _sncndn_base(z: complex, k: complex):
     # |k| < 1e-8: trig closed form with first-order correction, error O(k^4)
     s, c = cmath.sin(z), cmath.cos(z)
@@ -172,15 +157,15 @@ def sn_second_derivative_residual(z, k) -> complex:
 def halfperiod_residual_g1(z, k, shift_multiple: int = 3) -> complex:
     """Residual of sn(z + m*i*K') * k * sn(z) - 1 for odd m (default 3).
 
-    Any odd multiple works since 2iK' is a period of sn; the default follows
-    the genus-two analogy checked by the main verifier.
+    Any odd multiple works since 2iK' is a period of sn.
     """
-    params = JacobiParams.from_modulus(k)
+    k = complex(k)
+    kq_prime = quarter_period(cmath.sqrt(1 - k * k))
     sz = sn(z, k)
     if abs(sz) < 1e-6 or abs(sz) > 1e6:
         raise PoleArgument("z is within 1e-6 of a zero or pole of sn")
-    shifted = sn(complex(z) + shift_multiple * 1j * params.Kq_prime, k)
-    return shifted * complex(k) * sz - 1
+    shifted = sn(complex(z) + shift_multiple * 1j * kq_prime, k)
+    return shifted * k * sz - 1
 
 
 @dataclass(frozen=True)
@@ -208,24 +193,12 @@ class WeierstrassRoots:
         return (self.e2 - self.e3) / (self.e1 - self.e3)
 
 
-def weierstrass_p(u, roots: WeierstrassRoots) -> complex:
-    """P(u) through the inverse-square bridge to sn.
+def _p_pair(u, roots: WeierstrassRoots) -> tuple:
+    """(P(u), P'(u)) through the inverse-square bridge to sn.
 
-    P(u) = e3 + (e1-e3)/sn^2(u*sqrt(e1-e3), k) with k^2 = (e2-e3)/(e1-e3).
+    P(u) = e3 + (e1-e3)/sn^2(w, k) and P'(u) = -2 (e1-e3)^(3/2) cn dn / sn^3
+    at w = u*sqrt(e1-e3), with k^2 = (e2-e3)/(e1-e3).
     """
-    delta = roots.e1 - roots.e3
-    scale = max(abs(roots.e1), abs(roots.e3), 1.0)
-    if abs(delta) < 1e-12 * scale:
-        raise DegenerateRoots("e1 == e3 leaves the modulus undefined")
-    root_delta = cmath.sqrt(delta)
-    s = sn(complex(u) * root_delta, cmath.sqrt(roots.modulus_sq))
-    if abs(s) < 1e-10:
-        raise PoleArgument("u lies on the pole lattice of P")
-    return roots.e3 + delta / (s * s)
-
-
-def weierstrass_p_prime(u, roots: WeierstrassRoots) -> complex:
-    """dP/du from the same bridge: -2 (e1-e3)^(3/2) cn dn / sn^3."""
     delta = roots.e1 - roots.e3
     scale = max(abs(roots.e1), abs(roots.e3), 1.0)
     if abs(delta) < 1e-12 * scale:
@@ -234,11 +207,20 @@ def weierstrass_p_prime(u, roots: WeierstrassRoots) -> complex:
     s, c, d = sncndn(complex(u) * root_delta, cmath.sqrt(roots.modulus_sq))
     if abs(s) < 1e-10:
         raise PoleArgument("u lies on the pole lattice of P")
-    return -2 * delta * root_delta * c * d / s**3
+    return roots.e3 + delta / (s * s), -2 * delta * root_delta * c * d / s**3
+
+
+def weierstrass_p(u, roots: WeierstrassRoots) -> complex:
+    """P(u) through the inverse-square bridge to sn (see `_p_pair`)."""
+    return _p_pair(u, roots)[0]
+
+
+def weierstrass_p_prime(u, roots: WeierstrassRoots) -> complex:
+    """dP/du from the same bridge: -2 (e1-e3)^(3/2) cn dn / sn^3."""
+    return _p_pair(u, roots)[1]
 
 
 def weierstrass_ode_residual(u, roots: WeierstrassRoots) -> complex:
     """(P')^2 - 4 (P-e1)(P-e2)(P-e3): the defining cubic, used as the oracle."""
-    p = weierstrass_p(u, roots)
-    dp = weierstrass_p_prime(u, roots)
+    p, dp = _p_pair(u, roots)
     return dp * dp - 4 * (p - roots.e1) * (p - roots.e2) * (p - roots.e3)

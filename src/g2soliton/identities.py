@@ -142,24 +142,15 @@ def symmetric_pairing(params: CurveParams) -> Poly:
     return Poly.scaled(params, {m: c for m, c in terms.items() if c}, Rat(1, params.lambda_den))
 
 
-# identities on the Weierstrass triple divide by l5, those on the Jacobi triple by l1
-_TRIPLE_GUARDS = {
-    "p22": Constraint.parse("l5!=0"),
-    "p21": Constraint.parse("l5!=0"),
-    "hp11": Constraint.parse("l1!=0"),
-    "hp21": Constraint.parse("l1!=0"),
-}
-
-
 class G2Functions:
     """The exact function families over one curve, with memoized derivatives.
 
-    The Weierstrass triple is populated only when l5 != 0 and the Jacobi
-    triple only when l1 != 0; accessing an absent family raises
-    MissingConstraint.  The derivative table memoizes lazily under
-    single-assignment semantics (entries are pure values, recomputation is
-    harmless), and curve sweeps parallelize across processes, one instance
-    per worker.
+    Every family is built on every curve: p22 and p21 vanish when l5 = 0,
+    hp11 and hp21 when l1 = 0, and the catalog loci keep the identities
+    that divide by those coefficients off such curves.  The derivative
+    table memoizes lazily under single-assignment semantics (entries are
+    pure values, recomputation is harmless), and curve sweeps parallelize
+    across processes, one instance per worker.
     """
 
     def __init__(self, params: CurveParams):
@@ -173,12 +164,8 @@ class G2Functions:
 
         quarter5 = l[5] / 4
         self.q = Fld(self.f_poly - 2 * y1y2, 4 * binom2)
-        if _TRIPLE_GUARDS["p22"].holds(params):
-            self.p22 = Fld((x1 + x2) * quarter5)
-            self.p21 = Fld(x1 * x2 * (-quarter5))
-        else:
-            self.p22 = None
-            self.p21 = None
+        self.p22 = Fld((x1 + x2) * quarter5)
+        self.p21 = Fld(x1 * x2 * (-quarter5))
 
         half6 = l[6] / 2
         self.r22 = Fld((x1 + x2) * quarter5 + (x1 * x1 + x1 * x2 + x2 * x2) * half6)
@@ -186,12 +173,8 @@ class G2Functions:
         self.r11 = self.q + Fld((x1 * x2) ** 2 * half6)
 
         quarter1 = l[1] / 4
-        if _TRIPLE_GUARDS["hp11"].holds(params):
-            self.hp11 = Fld((x1 + x2) * quarter1, x1 * x2)
-            self.hp21 = Fld(Poly.const(params, -quarter1), x1 * x2)
-        else:
-            self.hp11 = None
-            self.hp21 = None
+        self.hp11 = Fld((x1 + x2) * quarter1, x1 * x2)
+        self.hp21 = Fld(Poly.const(params, -quarter1), x1 * x2)
         self.hq = Fld(self.f_poly - 2 * y1y2, 4 * x1 * x2 * binom2)
 
         self._derivs: dict = {}
@@ -212,10 +195,7 @@ class G2Functions:
         return points[index]
 
     def base(self, name: str) -> Fld:
-        value = getattr(self, name)
-        if value is None:
-            raise MissingConstraint(f"{name} requires {_TRIPLE_GUARDS[name]} (curve {self.params})")
-        return value
+        return getattr(self, name)
 
     def deriv(self, name: str, dirs: str = "") -> Fld:
         """Flow derivative of a named base function; dirs like '1', '22', '12'.
@@ -390,45 +370,6 @@ def _kummer_correction(c):
         )
     )
     return 4 * c.l6 / c.l5**2 * inner
-
-
-# Entries of the projective type-II transformation; rows act on
-# (p22, p21, p11, 1) and the last row is the common denominator.
-_GII_MATRIX = (
-    (0, 0, 1, 0),
-    (0, 0, 0, -1),
-    (1, 0, 0, 0),
-    (0, -1, 0, 0),
-)
-
-
-def _gii_components(c):
-    vec = (c.p22, c.p21, c.q, c.one)
-    rows = []
-    for coeffs in _GII_MATRIX:
-        acc = None
-        for w, entry in zip(coeffs, vec):
-            if w == 0:
-                continue
-            term = entry if w == 1 else (-entry if w == -1 else w * entry)
-            acc = term if acc is None else acc + term
-        rows.append(acc if acc is not None else 0 * c.one)
-    num_a, num_b, num_c, den = rows
-    return (
-        c.hq - num_a / den,
-        c.hp21 - num_b / den,
-        c.hp11 - num_c / den,
-    )
-
-
-def _halfperiod_components(c):
-    # with l6=0 the q function plays the role of p11, and with l0=0 the
-    # hatted q plays the role of hp22; the shift then maps triple to triple
-    return (
-        c.hq + c.l5 / 4 * (c.q / c.p21),
-        c.hp21 - c.l1 * c.l5 / 16 * (c.one / c.p21),
-        c.hp11 + c.l1 / 4 * (c.p22 / c.p21),
-    )
 
 
 _BUILDERS = {}
@@ -627,18 +568,6 @@ def _kum2(c):
     return _kummer_quartic(c) + _kummer_correction(c)
 
 
-# half-period shift sending the Weierstrass triple to the dual triple
-@_identity("HP", "l0=0", "l6=0", "l5!=0", "l1!=0")
-def _hp(c):
-    return _halfperiod_components(c)
-
-
-# projective type-II transformation realizes the half-period shift
-@_identity("GII", "l0=0", "l6=0", "l5=4", "l1=4")
-def _gii(c):
-    return _gii_components(c)
-
-
 def identity_ids() -> dict:
     return dict(_IDENTITY_IDS)
 
@@ -650,7 +579,6 @@ IDENTITY_SETS = {
     "jacobi-special": ["JS1", "JS2", "JS3", "JS4", "JS5", "INT-J2"],
     "kummer": ["KUM2", "KUM1"],
     "integrability": ["INT-R", "INT-W", "INT-J", "Y1Y2"],
-    "half-period": ["HP", "GII"],
 }
 IDENTITY_SETS["all"] = list(_BUILDERS)
 
@@ -666,14 +594,6 @@ def residuals(tag_or_id, fns: G2Functions) -> tuple:
     if bad:
         raise MissingConstraint(f"{tag} needs {', '.join(bad)} on curve {fns.params}")
     return _as_tuple(_BUILDERS[tag](ExactContext(fns)))
-
-
-def residual(tag_or_id, fns: G2Functions) -> Fld:
-    """Single-component residual accessor (most identities)."""
-    comps = residuals(tag_or_id, fns)
-    if len(comps) != 1:
-        raise ValueError("identity has several components; use residuals()")
-    return comps[0]
 
 
 def residuals_unchecked(tag: str, fns: G2Functions) -> tuple:

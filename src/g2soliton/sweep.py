@@ -18,6 +18,10 @@ from dataclasses import dataclass, field, replace
 from .curvering import CurveParams, Rat
 from .identities import IDENTITY_SETS, VerifyReport, identity_ids, merge_constraints, verify_all
 
+# coefficients are drawn as p/q with |p| <= NUM_BOUND and 1 <= q <= DEN_BOUND
+NUM_BOUND = 100
+DEN_BOUND = 10
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -30,8 +34,6 @@ class SweepConfig:
     count: int = 20
     seed: int = 42
     constraints: tuple = ()
-    num_bound: int = 100
-    den_bound: int = 10
 
     def __post_init__(self):
         if self.count < 1:
@@ -42,8 +44,8 @@ class SweepConfig:
         object.__setattr__(self, "constraints", merged)
 
 
-def _draw(rng: random.Random, config: SweepConfig) -> Rat:
-    return Rat(rng.randint(-config.num_bound, config.num_bound), rng.randint(1, config.den_bound))
+def _draw(rng: random.Random) -> Rat:
+    return Rat(rng.randint(-NUM_BOUND, NUM_BOUND), rng.randint(1, DEN_BOUND))
 
 
 def sample_curve(rng: random.Random, config: SweepConfig) -> CurveParams:
@@ -56,9 +58,9 @@ def sample_curve(rng: random.Random, config: SweepConfig) -> CurveParams:
             if c is not None and c.kind == "=":
                 lams.append(c.value)
                 continue
-            v = _draw(rng, config)
+            v = _draw(rng)
             while c is not None and v == 0:  # the directive is l<j>!=0
-                v = _draw(rng, config)
+                v = _draw(rng)
             lams.append(v)
         if any(v != 0 for v in lams):
             return CurveParams(tuple(lams))
@@ -119,10 +121,6 @@ class SweepSummary:
     n_nonzero: int = 0
     n_skipped: int = 0
     failing_curves: list = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return self.n_nonzero == 0
 
 
 def summarize(reports, excluded=()) -> SweepSummary:

@@ -59,23 +59,10 @@ def _statuses(path):
     return {e["identity"]: e["status"] for e in json.loads(path.read_text())["entries"]}
 
 
-def test_half_period_with_projective_match(tmp_path):
+def test_half_period_guard_exits_nonzero(tmp_path, capsys):
+    # the half-period set is gone, also on the curve where HP and GII held
     out = tmp_path / "hp.json"
     code = run_cli("verify-g2", "--set", "half-period", "--lambda", "0,4,1,1,1,4,0", "--out", str(out))
-    assert code == 0
-    assert _statuses(out) == {"HP": "zero", "GII": "zero"}
-
-
-def test_half_period_without_normalization(tmp_path):
-    out = tmp_path / "hp.json"
-    code = run_cli("verify-g2", "--set", "half-period", "--lambda", "0,2,1,1,1,4,0", "--out", str(out))
-    assert code == 0
-    assert _statuses(out) == {"HP": "zero", "GII": "skipped"}
-
-
-def test_half_period_guard_exits_nonzero(tmp_path, capsys):
-    out = tmp_path / "hp.json"
-    code = run_cli("verify-g2", "--set", "half-period", "--lambda", "1,2,1,3,1,4,5", "--out", str(out))
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
@@ -102,8 +89,8 @@ def test_sweep_all_checks_every_identity_on_its_locus(tmp_path):
     assert run_cli("sweep", "--count", "2", "--seed", "42", "--set", "all", "--out", str(out)) == 0
     report = json.loads(out.read_text())
     assert {e["identity"] for e in report["entries"]} == set(g2soliton.IDENTITY_SETS["all"])
-    assert len(report["entries"]) == 2 * 34 and report["excluded"] == []
-    assert report["summary"]["zero"] == 68
+    assert len(report["entries"]) == 2 * 32 and report["excluded"] == []
+    assert report["summary"]["zero"] == 64
     assert report["summary"]["nonzero"] == report["summary"]["skipped"] == 0
 
 
@@ -112,11 +99,11 @@ def test_sweep_excludes_identities_off_the_user_locus(tmp_path):
     code = run_cli("sweep", "--count", "2", "--set", "all", "--constraints", "l6=3", "--out", str(out))
     assert code == 0
     report = json.loads(out.read_text())
-    excluded = ["INT-W2", "WS1", "WS2", "WS3", "WS4", "WS5", "JS1", "JS2", "KUM1", "HP", "GII"]
+    excluded = ["INT-W2", "WS1", "WS2", "WS3", "WS4", "WS5", "JS1", "JS2", "KUM1"]
     assert [x["identity"] for x in report["excluded"]] == excluded
     assert all("l6=0" in x["reason"] for x in report["excluded"])
     assert report["summary"]["skipped"] == len(excluded) and report["summary"]["nonzero"] == 0
-    assert report["summary"]["zero"] == 2 * (34 - len(excluded))
+    assert report["summary"]["zero"] == 2 * (32 - len(excluded))
     assert all(e["curve"][6] == "3" for e in report["entries"])
 
 
@@ -128,16 +115,28 @@ def test_sweep_deterministic_reports(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-# SHA-256 digests of two reports, millis masked; a deliberate change of
-# report output updates them
-PINNED_SWEEP_SHA256 = "dc39a6d0e97af1bae595379782518352f99a6a3d2263216c0d352337be17157c"
-PINNED_VERIFY_G2_SHA256 = "b4cc3433539a0397b6190afd75a5337d1779a2c07c2dde30b1e1de51151fc77e"
+# SHA-256 digests of reports, millis masked: `sweep --count 3 --seed 42` for
+# every named identity set, and verify-g2 of the whole catalog on one curve;
+# a deliberate change of report output updates them
+PINNED_SWEEP_SHA256 = {
+    "weierstrass": "7f999a78157db95ce2608027b27a80219c40050ebc450125cc2285915dbca9f5",
+    "jacobi": "065b8f00b4fc6f8296c6e705a4889d57573bead6f776d18db7ca78aad2b906ee",
+    "weierstrass-special": "b3f5281507ca9d40b357bdc7f1ee5f942831991da5535bce223959bdf113d760",
+    "jacobi-special": "e3bb51aea7b397b518765582ed9ceaa873ce3d8e136900bed1c5cf3c3092d4b3",
+    "kummer": "7125673a9eff3f49f7075bee9f9246a02add324af12a94e9c380e738dd4e1f40",
+    "integrability": "7e277b228fd484d416ec6cd30a11c8c716dcea39a5c20637950ad0522a223afb",
+    "all": "59549b446d01abb7764c0cd2277f5de2b3c236321deeb847ff7284e4b0618ea3",
+}
+PINNED_VERIFY_G2_SHA256 = "354dcc4b6bdb9891161c80be187de35c85668dc0e6d1459780298b189fd6f265"
 
 
 def test_reports_match_pinned_digests(tmp_path):
+    assert set(PINNED_SWEEP_SHA256) == set(g2soliton.IDENTITY_SETS)
     sweep = tmp_path / "sweep.json"
-    assert run_cli("sweep", "--count", "3", "--seed", "42", "--set", "all", "--out", str(sweep)) == 0
-    assert hashlib.sha256(sweep.read_bytes()).hexdigest() == PINNED_SWEEP_SHA256
+    for identity_set, digest in PINNED_SWEEP_SHA256.items():
+        args = ("sweep", "--count", "3", "--seed", "42", "--set", identity_set, "--out", str(sweep))
+        assert run_cli(*args) == 0
+        assert hashlib.sha256(sweep.read_bytes()).hexdigest() == digest, identity_set
     g2 = tmp_path / "g2.json"
     assert run_cli("verify-g2", "--set", "all", "--lambda", "3,2,1,5,7,4,9", "--out", str(g2)) == 0
     entries = json.loads(g2.read_text())["entries"]
@@ -336,6 +335,8 @@ def test_miura_pipeline_command(tmp_path):
         ("verify-g2", "--lambda", "1,2,1,3,1,4,5", "--set", "nonsense"),
         ("sweep", "--count", "1", "--set", "nonsense"),
         ("sweep", "--count", "2", "--set", "jacobi-special", "--constraints", "l1=0"),
+        ("verify-g2", "--lambda", "0,4,1,1,1,4,0", "--set", "half-period"),
+        ("sweep", "--count", "1", "--set", "half-period"),
     ],
 )
 def test_vacuous_or_degenerate_runs_are_usage_errors(argv, capsys):

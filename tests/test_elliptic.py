@@ -9,7 +9,6 @@ import pytest
 
 from g2soliton.elliptic import (
     DegenerateRoots,
-    JacobiParams,
     PoleArgument,
     WeierstrassRoots,
     agm,
@@ -51,12 +50,6 @@ def test_quarter_period_agm_invariant():
         kp = math.sqrt(1 - k * k)
         reference = math.pi / (2 * agm(1, kp).real)
         assert abs(quarter_period(k) - reference) < 1e-12 * reference
-
-
-def test_jacobi_params_container():
-    params = JacobiParams.from_modulus(0.7)
-    assert abs(params.Kq - quarter_period(0.7)) == 0
-    assert abs(params.Kq_prime - quarter_period(math.sqrt(1 - 0.49))) == 0
 
 
 @pytest.mark.parametrize(

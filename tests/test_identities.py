@@ -20,7 +20,6 @@ from g2soliton.identities import (
     identity_ids,
     merge_constraints,
     probe_identity,
-    residual,
     residuals,
     residuals_unchecked,
     symmetric_pairing,
@@ -83,11 +82,11 @@ def test_r_family_collapses_when_l6_zero():
 
 
 def test_build_functions_guards():
+    # every family is built on an l5 = 0 curve; the catalog locus guards W1
     no_w = CurveParams((1, 2, 1, 3, 1, 0, 5))
     fns = G2Functions(no_w)
-    assert fns.p22 is None
-    with pytest.raises(MissingConstraint):
-        fns.base("p22")
+    assert fns.base("p22").is_zero() and fns.base("p21").is_zero()
+    assert not fns.base("hp11").is_zero()
     with pytest.raises(MissingConstraint):
         residuals("W1", fns)
 
@@ -123,7 +122,7 @@ def test_probe_oracle_then_exact_zero(tag, generic_fns):
 
 
 SPECIAL_TAGS = ["WS1", "WS2", "WS3", "WS4", "WS5", "JS1", "JS2", "JS3", "JS4", "JS5",
-                "INT-W2", "INT-J2", "KUM1", "HP", "GII"]
+                "INT-W2", "INT-J2", "KUM1"]
 
 
 @pytest.mark.parametrize("tag", SPECIAL_TAGS)
@@ -166,8 +165,8 @@ def test_kummer_quartic_nonzero_without_correction(generic_fns):
 
 def test_kummer_difference_vanishes_on_quintic():
     fns = G2Functions(QUINTIC)
-    k2 = residual("KUM2", fns)
-    k1 = residual("KUM1", fns)
+    (k2,) = residuals("KUM2", fns)
+    (k1,) = residuals("KUM1", fns)
     assert (k2 - k1).is_zero()
 
 
@@ -176,32 +175,8 @@ def test_kummer_on_fractional_curve_with_l0_not_one():
     # curves with l0 = 1 cannot tell the difference, this one can
     params = CurveParams.from_text("lambda = [-81/7,-9,25/2,62/9,-31/5,37,-93/2]")
     fns = G2Functions(params)
-    assert residual("KUM2", fns).is_zero()
-
-
-# -- half-period and the projective map -------------------------------------------
-
-
-def test_halfperiod_check_components(special_fns):
-    comps = residuals("HP", special_fns)
-    assert len(comps) == 3
-    assert all(c.is_zero() for c in comps)
-
-
-def test_halfperiod_guard():
-    with pytest.raises(MissingConstraint):
-        residuals("HP", G2Functions(GENERIC))
-
-
-def test_gii_matches_halfperiod_images(special_fns):
-    # hatted triple equals the projective image of (p22, p21, q) exactly
-    assert all(r.is_zero() for r in residuals("GII", special_fns))
-
-
-def test_gii_guard_for_other_normalizations():
-    other = CurveParams((0, 2, 1, 1, 1, 4, 0))
-    with pytest.raises(MissingConstraint):
-        residuals("GII", G2Functions(other))
+    (kum2,) = residuals("KUM2", fns)
+    assert kum2.is_zero()
 
 
 # -- dual involution ---------------------------------------------------------------
@@ -298,7 +273,7 @@ def test_jacobi_loci_imply_reflected_partner_loci():
 
 def test_corrupted_identity_yields_witness(generic_fns):
     # flip the sign of the quadratic term of the first closure
-    good = residual("W1", generic_fns)
+    (good,) = residuals("W1", generic_fns)
     corrupted = good + 12 * generic_fns.p22**2
     assert not corrupted.is_zero()
     point, value = find_witness((corrupted,), generic_fns, seed=0)
@@ -357,7 +332,7 @@ def test_probe_stream_is_drawn_once_per_seed_and_precision(monkeypatch):
 
 
 def test_missing_witness_is_unresolved_and_fails(monkeypatch, generic_fns):
-    corrupted = residual("W1", generic_fns) + 12 * generic_fns.p22**2
+    corrupted = residuals("W1", generic_fns)[0] + 12 * generic_fns.p22**2
     monkeypatch.setattr(identities, "residuals", lambda tag, fns: (corrupted,))
     assert find_witness((corrupted,), generic_fns, tries=0) == (None, None)
     monkeypatch.setattr(identities, "find_witness", functools.partial(find_witness, tries=0))
@@ -366,7 +341,7 @@ def test_missing_witness_is_unresolved_and_fails(monkeypatch, generic_fns):
     report = verify_all(GENERIC, ["W1", "W2"])
     assert [r.status for r in report.results] == ["unresolved", "unresolved"] and report.has_nonzero
     summary = summarize([report])
-    assert not summary.clean and summary.n_nonzero == 2 and summary.failing_curves == [str(GENERIC)]
+    assert summary.n_nonzero == 2 and summary.failing_curves == [str(GENERIC)]
     assert main(["verify-g2", "--lambda", "1,2,1,3,1,4,5", "--set", "weierstrass"]) == 1
 
 
@@ -401,8 +376,6 @@ def test_verify_identity_nonzero_status(generic_fns):
 
 
 def test_residual_accessor_rejects_multicomponent(generic_fns):
-    with pytest.raises(ValueError):
-        residual("INT-R", generic_fns)
     assert len(residuals("INT-R", generic_fns)) == 2
 
 
@@ -423,8 +396,6 @@ CATALOG = {
     **{f"JS{i}": ("l0=0", "l1!=0") for i in range(3, 6)},
     "KUM1": ("l5!=0", "l6=0"),
     "KUM2": ("l5!=0",),
-    "HP": ("l0=0", "l1!=0", "l5!=0", "l6=0"),
-    "GII": ("l0=0", "l1=4", "l5=4", "l6=0"),
 }
 
 
@@ -433,9 +404,9 @@ def test_identity_ids_carry_constraints():
     assert list(ids) == IDENTITY_SETS["all"] == list(CATALOG)
     assert {tag: tuple(map(str, i.constraints)) for tag, i in ids.items()} == CATALOG
     assert ids["W1"].required_constraints == frozenset({"l5!=0"})
-    assert ids["HP"].required_constraints == frozenset({"l0=0", "l6=0", "l5!=0", "l1!=0"})
+    assert ids["JS1"].required_constraints == frozenset({"l0=0", "l6=0", "l1!=0"})
     assert not ids["W1"].violated(GENERIC)
-    assert ids["HP"].violated(GENERIC)
+    assert ids["JS1"].violated(GENERIC) == ["l0=0", "l6=0"]
 
 
 def test_constraint_text_round_trip():
@@ -473,7 +444,7 @@ def test_sweep_runs_and_summarizes():
     cfg = SweepConfig(count=3, seed=7, constraints=frozenset({"l5!=0"}))
     reports = run_sweep(cfg, IDENTITY_SETS["weierstrass"])
     summary = summarize(reports)
-    assert summary.n_curves == 3 and summary.n_zero == 21 and summary.clean
+    assert summary.n_curves == 3 and summary.n_zero == 21 and summary.n_nonzero == 0
 
 
 def test_sweep_parallel_matches_serial():
@@ -514,7 +485,7 @@ def test_sweep_samples_each_identity_on_its_locus():
     tags = [[e.tag for e in r.results] for r in reports]
     assert tags == [["W1", "KUM2"]] * 2 + [["JS3", "INT-J2"]] * 2 + [["INT-R"]] * 2
     summary = summarize(reports)
-    assert summary.n_zero == 10 and summary.n_skipped == 0 and summary.clean
+    assert summary.n_zero == 10 and summary.n_skipped == 0 and summary.n_nonzero == 0
 
 
 def test_sweep_excludes_identities_whose_locus_contradicts_the_constraints():
