@@ -15,6 +15,8 @@ import math
 from .elliptic import SingularDenominator, sncndn
 
 _RECIPROCAL_FLOOR = 1e-12
+# n! for every n whose n! is a float; value(n) with 171! would overflow anyway
+_FACTORIALS = tuple(float(math.factorial(n)) for n in range(171))
 
 
 class Jet:
@@ -27,15 +29,28 @@ class Jet:
         if not self.coef:
             raise ValueError("a jet needs at least the value coefficient")
 
+    @classmethod
+    def _of(cls, coef: tuple) -> "Jet":
+        """A jet on a nonempty tuple of complex coefficients, taken as is."""
+        jet = object.__new__(cls)
+        jet.coef = coef
+        return jet
+
     @property
     def order(self) -> int:
         return len(self.coef) - 1
 
     def value(self, n: int = 0) -> complex:
         """The n-th derivative at the expansion point."""
-        if n > self.order:
+        if not 0 <= n < len(self.coef):
             raise ValueError(f"jet of order {self.order} cannot give derivative {n}")
-        return self.coef[n] * math.factorial(n)
+        return self.coef[n] * _FACTORIALS[n]
+
+    def truncate(self, order: int) -> "Jet":
+        """The same jet, keeping coefficients up to `order`."""
+        if not 0 <= order <= self.order:
+            raise ValueError(f"cannot truncate a jet of order {self.order} to order {order}")
+        return Jet._of(self.coef[: order + 1])
 
     @classmethod
     def constant(cls, value, order: int) -> "Jet":
@@ -47,44 +62,38 @@ class Jet:
             return cls((complex(x0),))
         return cls((complex(x0), 1 + 0j) + (0j,) * (order - 1))
 
-    def _wrap(self, other):
-        if isinstance(other, Jet):
-            return other
-        if isinstance(other, (int, float, complex)):
-            return Jet.constant(other, self.order)
-        return None
-
     def __add__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        n = min(self.order, other.order)
-        return Jet(tuple(self.coef[i] + other.coef[i] for i in range(n + 1)))
+        if isinstance(other, Jet):
+            return Jet._of(tuple(a + b for a, b in zip(self.coef, other.coef)))
+        if isinstance(other, (int, float, complex)):
+            return Jet._of((self.coef[0] + complex(other),) + self.coef[1:])
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(tuple(-c for c in self.coef))
+        return Jet._of(tuple(-c for c in self.coef))
 
     def __sub__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, Jet):
+            return Jet._of(tuple(a - b for a, b in zip(self.coef, other.coef)))
+        if isinstance(other, (int, float, complex)):
+            return Jet._of((self.coef[0] - complex(other),) + self.coef[1:])
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return Jet(tuple(c * other for c in self.coef))
+            other = complex(other)
+            return Jet._of(tuple(c * other for c in self.coef))
         if not isinstance(other, Jet):
             return NotImplemented
-        n = min(self.order, other.order)
-        out = []
-        for m in range(n + 1):
-            out.append(sum(self.coef[i] * other.coef[m - i] for i in range(m + 1)))
-        return Jet(out)
+        a, b = self.coef, other.coef
+        return Jet._of(
+            tuple(sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(min(len(a), len(b))))
+        )
 
     __rmul__ = __mul__
 
@@ -96,7 +105,7 @@ class Jet:
         for m in range(1, self.order + 1):
             acc = sum(self.coef[i] * out[m - i] for i in range(1, m + 1))
             out.append(-inv0 * acc)
-        return Jet(out)
+        return Jet._of(tuple(out))
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -117,13 +126,13 @@ class Jet:
         return result
 
     def deriv(self, times: int = 1) -> "Jet":
-        """Jet of f', one order shorter."""
-        jet = self
+        """Jet of f^(times), `times` orders shorter."""
+        if times > self.order:
+            raise ValueError("jet too short to differentiate")
+        coef = self.coef
         for _ in range(times):
-            if jet.order == 0:
-                raise ValueError("jet too short to differentiate")
-            jet = Jet(tuple((i + 1) * jet.coef[i + 1] for i in range(jet.order)))
-        return jet
+            coef = tuple((i + 1) * coef[i + 1] for i in range(len(coef) - 1))
+        return Jet._of(coef)
 
     def __repr__(self):
         return f"Jet({self.coef})"

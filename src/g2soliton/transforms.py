@@ -73,6 +73,8 @@ def static_transformation_residuals(v: Jet, which: str, a) -> tuple:
     if v.order < _MIN_ORDER[which]:
         raise ValueError(f"{which} needs a jet of order >= {_MIN_ORDER[which]}")
     a = complex(a)
+    # both sides read v only to this order, and coefficient m of a product needs only those <= m
+    v = v.truncate(_MIN_ORDER[which])
     v0, vx = v.value(0), v.value(1)
     if which in ("inv_square", "inv_power"):
         if abs(v0) < _DENOM_FLOOR or abs(vx) < _DENOM_FLOOR:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import g2soliton
+from g2soliton import cli
 from g2soliton.cli import main
+from g2soliton.pde import conserved_quantities
 
 
 def run_cli(*argv):
@@ -310,6 +313,53 @@ def test_pde_run_gmkdv_conserves_its_invariants(tmp_path):
     drifts = json.loads(out.read_text())["invariant_drifts"]
     assert set(drifts) == {"mass", "momentum", "energy"}
     assert all(v < 1e-7 for v in drifts.values())
+
+
+def test_pde_run_under_resolved_exits_1(tmp_path):
+    # dt = 1e-2 on a c = 4 soliton: the window residual is about 3.6e-3
+    out = tmp_path / "run.json"
+    code = run_cli(
+        "pde-run", "--eq", "kdv", "--n", "64", "--L", "20", "--dt", "1e-2", "--t-end", "0.1",
+        "--init", "soliton:c=4,x0=5", "--out", str(out),
+    )
+    assert code == 1
+    assert json.loads(out.read_text())["pde_residual_window"] >= cli.PDE_RESIDUAL_TOL
+
+
+def test_pde_run_zero_mean_field_reports_small_drifts(tmp_path):
+    # mass is 0 up to rounding: its drift is measured against int |u| dx, not |mass|
+    data = tmp_path / "sine.csv"
+    data.write_text("\n".join(f"{0.3 * math.sin(2 * math.pi * i / 64)},0" for i in range(64)))
+    out = tmp_path / "run.json"
+    code = run_cli(
+        "pde-run", "--eq", "gmkdv", "--a", "1.5", "--n", "64", "--L", "20",
+        "--t-end", "0.02", "--init", f"file:{data}", "--out", str(out),
+    )
+    assert code == 0
+    drifts = json.loads(out.read_text())["invariant_drifts"]
+    assert all(v < 1e-7 for v in drifts.values())
+
+
+def test_pde_run_drift_alone_fails_the_gate(tmp_path, monkeypatch):
+    # the csv-column settings pass both gates (residual 6.9e-7); a final mass
+    # 1e-6 off its start must then fail on the drift alone
+    calls = []
+
+    def drifting(u, eq):
+        mass, momentum, energy = conserved_quantities(u, eq)
+        calls.append(eq)
+        return (mass * (1 + 1e-6) if len(calls) == 2 else mass), momentum, energy
+
+    monkeypatch.setattr(cli, "conserved_quantities", drifting)
+    out = tmp_path / "run.json"
+    code = run_cli(
+        "pde-run", "--n", "64", "--L", "20", "--t-end", "0.01", "--init", "soliton:c=4,x0=5",
+        "--snapshots", "3", "--out", str(out),
+    )
+    assert code == 1
+    summary = json.loads(out.read_text())
+    assert summary["pde_residual_window"] < cli.PDE_RESIDUAL_TOL
+    assert summary["invariant_drifts"]["mass"] == pytest.approx(1e-6, rel=1e-3)
 
 
 def test_miura_pipeline_command(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from g2soliton.elliptic import SingularDenominator
 from g2soliton.jets import Jet, sn_jet_triple, trig_jet
 from g2soliton.transforms import (
+    _MIN_ORDER,
     SQRT2,
     TRANSFORMATIONS,
     kdv_profile_operator,
@@ -74,6 +75,173 @@ def test_sn_jet_scale_chain_rule():
     x0, k = 1.1, 0.7
     s, c, d = sn_jet_triple(x0, k, 1, scale=0.5)
     assert abs(s.value(1) - 0.5 * c.value(0) * d.value(0)) < 1e-14
+
+
+class _ReferenceJet:
+    """The jet arithmetic in the form it had before jets built one tuple per
+    operation: every coefficient re-converted, scalars wrapped in constant
+    jets, subtraction as addition of the negation.  The reference for `Jet`.
+    `truncate` keeps the full order, as the transforms ran at the caller's order."""
+
+    __slots__ = ("coef",)
+
+    def __init__(self, coef):
+        self.coef = tuple(complex(c) for c in coef)
+
+    @property
+    def order(self):
+        return len(self.coef) - 1
+
+    def value(self, n=0):
+        if n > self.order:
+            raise ValueError(f"jet of order {self.order} cannot give derivative {n}")
+        return self.coef[n] * math.factorial(n)
+
+    def truncate(self, order):
+        return self
+
+    @classmethod
+    def constant(cls, value, order):
+        return cls((complex(value),) + (0j,) * order)
+
+    def _wrap(self, other):
+        if isinstance(other, _ReferenceJet):
+            return other
+        if isinstance(other, (int, float, complex)):
+            return _ReferenceJet.constant(other, self.order)
+        return None
+
+    def __add__(self, other):
+        other = self._wrap(other)
+        if other is None:
+            return NotImplemented
+        n = min(self.order, other.order)
+        return _ReferenceJet(tuple(self.coef[i] + other.coef[i] for i in range(n + 1)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _ReferenceJet(tuple(-c for c in self.coef))
+
+    def __sub__(self, other):
+        other = self._wrap(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, float, complex)):
+            return _ReferenceJet(tuple(c * other for c in self.coef))
+        if not isinstance(other, _ReferenceJet):
+            return NotImplemented
+        n = min(self.order, other.order)
+        out = []
+        for m in range(n + 1):
+            out.append(sum(self.coef[i] * other.coef[m - i] for i in range(m + 1)))
+        return _ReferenceJet(out)
+
+    __rmul__ = __mul__
+
+    def reciprocal(self):
+        inv0 = 1 / self.coef[0]
+        out = [inv0]
+        for m in range(1, self.order + 1):
+            acc = sum(self.coef[i] * out[m - i] for i in range(1, m + 1))
+            out.append(-inv0 * acc)
+        return _ReferenceJet(out)
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, float, complex)):
+            return self * (1 / other)
+        return self * other.reciprocal()
+
+    def __rtruediv__(self, other):
+        return self.reciprocal() * other
+
+    def __pow__(self, n):
+        result = _ReferenceJet.constant(1, self.order)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def deriv(self, times=1):
+        jet = self
+        for _ in range(times):
+            if jet.order == 0:
+                raise ValueError("jet too short to differentiate")
+            jet = _ReferenceJet(tuple((i + 1) * jet.coef[i + 1] for i in range(jet.order)))
+        return jet
+
+
+def _seeded_trig_jet(rng, order):
+    x0 = rng.uniform(-2.0, 2.0)
+    terms = []
+    for _ in range(3):
+        amp = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
+        terms.append((amp, rng.uniform(0.3, 2.0), rng.uniform(0, 2 * math.pi)))
+    return trig_jet(x0, order, terms) + Jet.constant(rng.uniform(0.8, 1.6), order)
+
+
+@pytest.mark.parametrize("order", range(3, 9))
+def test_jet_operations_match_reference_bit_for_bit(order):
+    rng = random.Random(100 + order)
+    for _ in range(10):
+        v, w = _seeded_trig_jet(rng, order), _seeded_trig_jet(rng, order - 1)
+        rv, rw = _ReferenceJet(v.coef), _ReferenceJet(w.coef)
+        s = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
+        pairs = [
+            (v + w, rv + rw), (v - w, rv - rw), (v * w, rv * rw), (v / w, rv / rw),
+            (v + s, rv + s), (s + v, s + rv), (v - s, rv - s), (s - v, s - rv),
+            (v * s, rv * s), (3 * v, 3 * rv), (v / 1.7, rv / 1.7), (2.5 / v, 2.5 / rv),
+            (-v, -rv), (v**3, rv**3), (v.reciprocal(), rv.reciprocal()),
+            (v.deriv(), rv.deriv()), (v.deriv(3), rv.deriv(3)),
+        ]
+        for got, want in pairs:
+            assert got.coef == want.coef
+        assert [v.value(n) for n in range(order + 1)] == [rv.value(n) for n in range(order + 1)]
+
+
+@pytest.mark.parametrize("order", range(3, 9))
+def test_static_transforms_match_reference_on_trig_jets(order):
+    rng = random.Random(200 + order)
+    for _ in range(10):
+        v = _seeded_trig_jet(rng, order)
+        for which in TRANSFORMATIONS:
+            if order < _MIN_ORDER[which]:
+                continue
+            got = static_transformation_residuals(v, which, 1.3)
+            assert got == static_transformation_residuals(_ReferenceJet(v.coef), which, 1.3)
+
+
+def test_static_transforms_match_reference_on_sn_profiles():
+    for x in (0.7, 1.1 + 0.2j, 2.3, 0.9 - 0.3j):
+        for order in (5, 6):
+            sn = sn_profile_jet(x, order)
+            paired = paired_profile_jet(x, order)
+            ref_paired = (SQRT2 * _ReferenceJet(sn.coef)).reciprocal()
+            assert paired.coef == ref_paired.coef
+            for v, ref_v in ((sn, _ReferenceJet(sn.coef)), (paired, ref_paired)):
+                for which in TRANSFORMATIONS:
+                    assert static_transformation_residuals(v, which, 1.5) == static_transformation_residuals(
+                        ref_v, which, 1.5
+                    )
+
+
+def test_static_transforms_read_only_the_minimum_order():
+    rng = random.Random(7)
+    for _ in range(10):
+        v = _seeded_trig_jet(rng, 6)
+        for which in TRANSFORMATIONS:
+            trimmed = v.truncate(_MIN_ORDER[which])
+            assert trimmed.order == _MIN_ORDER[which] and trimmed.coef == v.coef[: _MIN_ORDER[which] + 1]
+            assert static_transformation_residuals(v, which, 1.3) == static_transformation_residuals(
+                trimmed, which, 1.3
+            )
+    with pytest.raises(ValueError):
+        v.truncate(7)
 
 
 # -- factorization identities -------------------------------------------------------
