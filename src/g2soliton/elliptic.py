@@ -6,8 +6,9 @@ are exact to ~1e-16), then the triple is lifted back up the ladder with the
 Gauss ascending formulas, which preserve sn^2+cn^2 = 1 and dn^2+k^2 sn^2 = 1
 identically.  Moduli with |k| > 1 (the verification suite needs k^2 = 2) go
 through the reciprocal-modulus transformation first, and moduli near +-1
-through the imaginary-argument transformation at the complementary modulus,
-so the ladder always contracts.
+through the imaginary-argument transformation at the complementary modulus
+(shifted by a quarter period where that transformation meets a pole), so the
+ladder always contracts.
 
 Quarter periods come from the arithmetic-geometric mean; all arithmetic is
 double-precision complex.
@@ -105,11 +106,25 @@ def _sncndn_core(z: complex, k: complex):
         s, c, d = _sncndn_core(k * z, 1 / k)
         return s / k, d, c
     if abs(1 - k * k) < _NEAR_ONE_BAND:
-        # imaginary argument at the complementary modulus
         kp = cmath.sqrt(1 - k * k)
-        s, c, d = _sncndn_core(-1j * z, kp)
-        return 1j * s / c, 1 / c, d / c
+        try:
+            triple = _imaginary_transform(z, kp)
+        except (ZeroDivisionError, PoleArgument):
+            pass
+        else:
+            if all(map(cmath.isfinite, triple)):
+                return triple
+        # a zero of cn(z, k) is a pole at k': shift by the quarter period,
+        # sn(z) = cd(z - K), cn(z) = -k' sd(z - K), dn(z) = k' nd(z - K)
+        s, c, d = _imaginary_transform(z - quarter_period(k), kp)
+        return c / d, -kp * s / d, kp / d
     return _sncndn_ladder(z, k)
+
+
+def _imaginary_transform(z: complex, kp: complex):
+    # imaginary argument at the complementary modulus k'
+    s, c, d = _sncndn_core(-1j * z, kp)
+    return 1j * s / c, 1 / c, d / c
 
 
 def sncndn(z, k):

@@ -315,6 +315,17 @@ def test_pde_run_gmkdv_conserves_its_invariants(tmp_path):
     assert all(v < 1e-7 for v in drifts.values())
 
 
+def test_pde_run_cnoidal_near_unit_modulus(tmp_path):
+    # at m = 2, n = 64, L = 20 a grid point falls on z = 3K(0.99), where cn = 0
+    out = tmp_path / "run.json"
+    code = run_cli(
+        "pde-run", "--eq", "gmkdv", "--a", "1.5", "--n", "64", "--L", "20", "--t-end", "0.01",
+        "--init", "cnoidal:k=0.99,m=2", "--out", str(out),
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["pde_residual_window"] < cli.PDE_RESIDUAL_TOL
+
+
 def test_pde_run_under_resolved_exits_1(tmp_path):
     # dt = 1e-2 on a c = 4 soliton: the window residual is about 3.6e-3
     out = tmp_path / "run.json"

@@ -75,6 +75,19 @@ def test_triple_against_mpmath(z, k):
         assert abs(d - complex(mp.ellipfun("dn", mp.mpc(z), k=mp.mpc(k)))) < 1e-12
 
 
+@pytest.mark.parametrize("k", [0.99, 0.999])
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_near_one_modulus_at_odd_quarter_periods(k, m):
+    """z = mK, where cn = 0 and sn = +-1: the imaginary transform at k' meets a
+    pole there, so the near-one band evaluates through the quarter-period shift."""
+    z = m * quarter_period(k).real
+    s, c, d = sncndn(z, k)
+    with mp.workdps(25):
+        assert abs(s - complex(mp.ellipfun("sn", z, k=k))) < 1e-12
+        assert abs(c - complex(mp.ellipfun("cn", z, k=k))) < 1e-12
+        assert abs(d - complex(mp.ellipfun("dn", z, k=k))) < 1e-12
+
+
 def test_pythagorean_identities_on_grid():
     k = 0.7
     worst_sq = worst_dn = 0.0

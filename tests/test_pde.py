@@ -1,5 +1,7 @@
 """Pseudo-spectral evolution: soliton, cnoidal, Miura pipeline, diagnostics."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from g2soliton.pde import (
     one_soliton,
     soliton_peak_travel,
     _Etdrk4,
+    _etdrk4_coefficients,
 )
 
 
@@ -57,6 +60,46 @@ class _ComplexEtdrk4:
         c1 = self.exp_half * a1 + self.q * (2 * n2 - n0)
         n3 = self._nonlinear(c1)
         return self.exp_full * hat + self.f1 * n0 + self.f2_twice * (n1 + n2) + self.f3 * n3
+
+
+def _dealiased(grid, hat):
+    return np.where(grid.dealias_mask, hat, 0.0)
+
+
+def _reference_stencil(traj, dt, residual):
+    worst = 0.0
+    for i in range(2, len(traj) - 2):
+        w_t = (
+            -traj[i + 2].values + 8 * traj[i + 1].values - 8 * traj[i - 1].values + traj[i - 2].values
+        ) / (12 * dt)
+        worst = max(worst, float(np.max(np.abs(residual(w_t, traj[i])))))
+    return worst
+
+
+def _reference_kdv_residual(u_traj, dt):
+    """The residual as it was computed with one spectrum per derivative: 6 FFTs."""
+
+    def residual(u_t, u):
+        prod = np.fft.irfft(_dealiased(u.grid, np.fft.rfft(u.values * u.deriv(1))))
+        return u_t + u.deriv(3) - 6 * prod
+
+    return _reference_stencil(u_traj, dt, residual)
+
+
+def _reference_gmkdv_residual(v_traj, dt, a):
+    """The gmKdV residual with v_x computed twice: 8 FFTs."""
+
+    def residual(v_t, v):
+        prod = np.fft.irfft(_dealiased(v.grid, np.fft.rfft(v.values**2 * v.deriv(1))))
+        return v_t + v.deriv(3) - 6 * prod + a * v.deriv(1)
+
+    return _reference_stencil(v_traj, dt, residual)
+
+
+def _reference_miura_map(v, a):
+    """The Miura map with separate transforms for v^2 and v_x: 4 FFTs."""
+    sq_hat = _dealiased(v.grid, np.fft.rfft(v.values * v.values))
+    return np.fft.irfft(sq_hat) + v.deriv(1) - a / 6
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +166,68 @@ def test_half_spectrum_stepper_matches_complex_reference(eq, n, a):
         hat, ref_hat = real.step(hat), ref.step(ref_hat)
     u, u_ref = np.fft.irfft(hat), np.fft.ifft(ref_hat)
     assert np.max(np.abs(u - u_ref)) < 1e-13 * np.max(np.abs(u_ref))
+
+
+def _gmkdv_trajectory(grid, a):
+    phase = 2 * np.pi * grid.x / grid.length
+    v0 = Field1D(grid, 0.4 * np.sin(phase) + 0.1 * np.cos(2 * phase), "v")
+    return evolve_trajectory("gmkdv", v0, 8e-3, 1e-3, a=a, save_every=1)
+
+
+def test_single_spectrum_residuals_match_the_former_forms(grid):
+    # "relative" is against the size of the spatial terms: along a trajectory
+    # the residual itself is ~1e-7 or less, a near-total cancellation, so both
+    # forms agree there only to rounding in those terms
+    a = 1.5
+    soliton = evolve_trajectory("kdv", one_soliton(grid, 4.0, 10.0), 8e-3, 1e-3, save_every=1)
+    vtraj = _gmkdv_trajectory(grid, a)
+    utraj = [miura_map(v, a) for v in vtraj]
+    cases = [(kdv_residual, _reference_kdv_residual, traj) for traj in (soliton, utraj)]
+    cases.append((partial(gmkdv_residual, a=a), partial(_reference_gmkdv_residual, a=a), vtraj))
+    for new, reference, traj in cases:
+        frozen = [traj[4]] * 5  # w_t = 0: the residual is the max norm of the spatial terms
+        scale = reference(frozen, 1e-3)
+        assert scale > 1e-2
+        assert abs(new(frozen, 1e-3) - scale) <= 1e-12 * scale
+        assert abs(new(traj, 1e-3) - reference(traj, 1e-3)) <= 1e-12 * scale
+        corrupted = traj[:4] + [Field1D(grid, 0.9 * traj[4].values, traj[4].role)] + traj[5:]
+        assert abs(new(corrupted, 1e-3) - reference(corrupted, 1e-3)) <= 1e-12 * reference(corrupted, 1e-3)
+
+
+def test_three_transform_miura_map_matches_the_former_form(grid):
+    a = 1.5
+    rough = Field1D(grid, np.random.default_rng(3).standard_normal(grid.n), "v")  # v^2 aliases
+    for v in _gmkdv_trajectory(grid, a) + [rough]:
+        reference = _reference_miura_map(v, a)
+        assert np.max(np.abs(miura_map(v, a).values - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_steppers_with_one_coefficient_set_do_not_interfere():
+    grid = Grid1D(256, 40.0)
+    hat0 = np.where(grid.dealias_mask, np.fft.rfft(one_soliton(grid, 4.0, 10.0).values), 0.0)
+    pristine = hat0.copy()
+    alone = _Etdrk4(grid, "kdv", 0.0, 5e-4)
+    expected = [hat0]
+    for _ in range(20):
+        expected.append(alone.step(expected[-1]).copy())
+    first, second = _Etdrk4(grid, "kdv", 0.0, 5e-4), _Etdrk4(grid, "kdv", 0.0, 5e-4)
+    assert first.coefficients is second.coefficients is alone.coefficients
+    hat_first = hat_second = hat0
+    for i in range(1, 21):
+        hat_first = first.step(hat_first)
+        hat_second = second.step(hat_second)
+        assert np.array_equal(hat_first, expected[i]) and np.array_equal(hat_second, expected[i])
+    assert np.array_equal(hat0, pristine)  # step leaves its input alone
+
+
+def test_shared_coefficients_are_read_only(grid):
+    coefficients = _etdrk4_coefficients(grid.n, grid.length, "gmkdv", 1.5, 5e-4, 32)
+    assert len(coefficients) == 6
+    for array in coefficients:
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+        with pytest.raises(ValueError):
+            array *= 2
 
 
 def test_soliton_travel_and_shape(grid):
