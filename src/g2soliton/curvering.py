@@ -590,7 +590,7 @@ class Fld:
 
     @classmethod
     def const(cls, params, value) -> "Fld":
-        return cls(Poly.const(params, value))
+        return cls._make(Poly.const(params, value), (0, 0, 0))
 
     @classmethod
     def variable(cls, params, name: str) -> "Fld":

@@ -7,8 +7,8 @@ Gauss ascending formulas, which preserve sn^2+cn^2 = 1 and dn^2+k^2 sn^2 = 1
 identically.  Moduli with |k| > 1 (the verification suite needs k^2 = 2) go
 through the reciprocal-modulus transformation first, and moduli near +-1
 through the imaginary-argument transformation at the complementary modulus
-(shifted by a quarter period where that transformation meets a pole), so the
-ladder always contracts.
+(after reducing z by the period 4K, and shifted by a quarter period where
+that transformation meets a pole), so the ladder always contracts.
 
 Quarter periods come from the arithmetic-geometric mean; all arithmetic is
 double-precision complex.
@@ -24,6 +24,7 @@ _LANDEN_BASE = 1e-8
 _LANDEN_MAX_STEPS = 64
 _POLE_SN_MAGNITUDE = 1e12
 _NEAR_ONE_BAND = 0.05
+_NEAR_ONE_HALF_PERIOD = 5.76  # below |2K| over the near-one band; nearer z need no reduction
 
 
 class EllipticError(Exception):
@@ -106,6 +107,10 @@ def _sncndn_core(z: complex, k: complex):
         s, c, d = _sncndn_core(k * z, 1 / k)
         return s / k, d, c
     if abs(1 - k * k) < _NEAR_ONE_BAND:
+        if abs(z) > _NEAR_ONE_HALF_PERIOD:
+            # the imaginary transform loses accuracy far along the real period 4K
+            period = 4 * quarter_period(k)
+            z -= round((z / period).real) * period
         kp = cmath.sqrt(1 - k * k)
         try:
             triple = _imaginary_transform(z, kp)

@@ -15,10 +15,11 @@ field element.  Each identity is stored once as a builder over an abstract
 context, which gives two independent evaluation routes: exact reduction in
 the function field, and high-precision numeric evaluation at random curve
 points (the Schwartz-Zippel style probe used both as a development oracle
-and to certify nonzero witnesses).  The Jacobi-type identities are not
-written out: each is a Weierstrass builder run through the dual involution
-(`_DualContext`), which is how the paper obtains them.  Every function is a
-numerator over x1^a * x2^b * (x1-x2)^k.
+and to certify nonzero witnesses).  As in the paper, the derived identities
+are not written out: a Jacobi-type one is a Weierstrass builder run through
+the dual involution (`_DualContext`), a quintic one a sextic builder with l6
+(and l0) pinned to zero (`_PinnedContext`), each on its partner's locus
+transformed.  Every function is a numerator over x1^a * x2^b * (x1-x2)^k.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import random
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import mpmath as mp
 
@@ -309,6 +310,19 @@ class _DualContext:
         return self._ctx.d(_DUAL_NAMES[name], dirs.translate(_DUAL_FLOWS))
 
 
+class _PinnedContext:
+    """A context whose l<j>, j in `zeros`, read as 0 * l<j>, a zero of its own
+    type; a sextic builder run here assembles its l6 = 0 or l0 = l6 = 0 form."""
+
+    def __init__(self, ctx, zeros):
+        self._ctx = ctx
+        for j in zeros:
+            setattr(self, f"l{j}", 0 * getattr(ctx, f"l{j}"))
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+
 # -- identity builders ---------------------------------------------------------
 
 
@@ -351,6 +365,8 @@ def _kummer_quartic(c):
 
 
 def _kummer_correction(c):
+    if c.l6 == 0:
+        return 0 * c.one
     # the Y^2 term carries l0*l5^2: derived by expanding
     # (F/2 - 2(x1-x2)^2 Z)^2 = f(x1) f(x2) in symmetric coordinates and
     # subtracting the quartic kernel determinant; confirmed by exact sweeps
@@ -502,70 +518,54 @@ def _y1y2(c):
     return 4 * c.sep_sq() * c.q + 2 * c.y1y2() - c.f_sym()
 
 
-@_identity("WS1", "l5!=0", "l6=0")  # quintic-curve u2^4 closure for p22
-def _ws1(c):
-    return c.d("p22", "22") - 6 * c.p22**2 - c.l4 * c.p22 - c.l5 * c.p21 - c.l3 * c.l5 / 8
-
-
-@_identity("WS2", "l5!=0", "l6=0")  # quintic-curve mixed closure with q as p11
-def _ws2(c):
-    return c.d("p22", "12") - 6 * c.p22 * c.p21 - c.l4 * c.p21 + c.l5 / 2 * c.q
-
-
-@_identity("WS3", "l5!=0", "l6=0")  # quintic-curve (u2 u1)^2 closure
-def _ws3(c):
-    return c.d("p22", "11") - 2 * c.p22 * c.q - 4 * c.p21**2 - c.l3 / 2 * c.p21
-
-
-@_identity("WS4", "l5!=0", "l6=0", "l0=0")  # quintic-curve u1^3 u2 closure
-def _ws4(c):
-    return c.d("p21", "11") - 6 * c.p21 * c.q + c.l1 / 2 * c.p22 - c.l2 * c.p21
-
-
-@_identity("WS5", "l5!=0", "l6=0", "l0=0")  # quintic-curve u1^4 closure
-def _ws5(c):
-    return c.d("q", "11") - 6 * c.q**2 - c.l1 * c.p21 - c.l2 * c.q - c.l1 * c.l3 / 8
-
-
-# Jacobi-type entries: each is its Weierstrass partner read through the dual
-# involution, registered here so the catalog order stays W, WS, J, JS, KUM.
-# Each locus is the reflection l_j -> l_(6-j) of its partner's: WS1-WS3 need
-# l5!=0 and l6=0, so JS3-JS5 need l1!=0 and l0=0.
-_JACOBI_DUALS = (
-    ("J1", "W4", "l1!=0"),  # dual-triple u2^3 u1 closure
-    ("J2", "W3", "l1!=0"),  # dual-triple u2^2 u1^2 closure
-    ("J3", "W2", "l1!=0"),  # dual-triple u2 u1^3 closure
-    ("J4", "W1", "l1!=0"),  # dual-triple u1^4 closure
-    ("J5", "W7", "l1!=0"),  # dual-triple u1^2 closure for hq
-    ("J6", "W6", "l1!=0"),  # dual-triple mixed u2 u1 closure for hq
-    ("J7", "W5", "l1!=0"),  # dual-triple u2^2 closure for hq
-    ("INT-J", "INT-W", "l1!=0"),  # second integrability relation of the dual triple
-    ("INT-J2", "INT-W2", "l1!=0", "l0=0"),  # first dual integrability relation; closes only for l0=0
-    ("JS1", "WS5", "l1!=0", "l0=0", "l6=0"),  # dual triple satisfies the quintic u2^4 closure
-    ("JS2", "WS4", "l1!=0", "l0=0", "l6=0"),  # dual triple, mixed u2^3 u1 closure
-    ("JS3", "WS3", "l1!=0", "l0=0"),  # dual triple, (u2 u1)^2 closure
-    ("JS4", "WS2", "l1!=0", "l0=0"),  # dual triple, u1^3 u2 closure
-    ("JS5", "WS1", "l1!=0", "l0=0"),  # dual triple, u1^4 closure
-)
-
-
-def _dual_image(partner):
-    build = _BUILDERS[partner]
-    return lambda c: build(_DualContext(c))
-
-
-for _tag, _partner, *_constraints in _JACOBI_DUALS:
-    _identity(_tag, *_constraints)(_dual_image(_partner))
-
-
-@_identity("KUM1", "l5!=0", "l6=0")  # quartic kernel determinant (quintic curves)
-def _kum1(c):
-    return _kummer_quartic(c)
-
-
 @_identity("KUM2", "l5!=0")  # generalized quartic relation (sextic curves)
 def _kum2(c):
     return _kummer_quartic(c) + _kummer_correction(c)
+
+
+# Derived entries: a partner's builder run in another context, on a locus
+# computed from the partner's, so no formula or locus is stated twice.
+def _derive(tag, partner, view, locus):
+    build = _BUILDERS[partner]
+    _identity(tag, *locus)(lambda c: build(view(c)))
+
+
+# quintic entries: the listed coefficients pinned to zero, the locus gaining l<j>=0
+_QUINTIC_PINS = (
+    ("WS1", "W1", (6,)),  # quintic-curve u2^4 closure for p22
+    ("WS2", "W2", (6,)),  # quintic-curve mixed closure with q as p11
+    ("WS3", "W3", (6,)),  # quintic-curve (u2 u1)^2 closure
+    ("WS4", "W4", (0, 6)),  # quintic-curve u1^3 u2 closure
+    ("WS5", "W5", (0, 6)),  # quintic-curve u1^4 closure
+    ("KUM1", "KUM2", (6,)),  # quartic kernel determinant (quintic curves)
+)
+for _tag, _partner, _zeros in _QUINTIC_PINS:
+    _locus = _IDENTITY_IDS[_partner].constraints + tuple(Constraint(j, "=", Rat(0)) for j in _zeros)
+    _derive(_tag, _partner, lambda c, zeros=_zeros: _PinnedContext(c, zeros), _locus)
+
+# Jacobi-type entries: read through the dual involution, the locus reflected
+# l_j -> l_(6-j); JS1-JS5 pin the dual view, as the images of WS5-WS1
+_JACOBI_DUALS = (
+    ("J1", "W4"),  # dual-triple u2^3 u1 closure
+    ("J2", "W3"),  # dual-triple u2^2 u1^2 closure
+    ("J3", "W2"),  # dual-triple u2 u1^3 closure
+    ("J4", "W1"),  # dual-triple u1^4 closure
+    ("J5", "W7"),  # dual-triple u1^2 closure for hq
+    ("J6", "W6"),  # dual-triple mixed u2 u1 closure for hq
+    ("J7", "W5"),  # dual-triple u2^2 closure for hq
+    ("INT-J", "INT-W"),  # second integrability relation of the dual triple
+    ("INT-J2", "INT-W2"),  # first dual integrability relation; closes only for l0=0
+    ("JS1", "WS5"),  # dual triple satisfies the quintic u2^4 closure
+    ("JS2", "WS4"),  # dual triple, mixed u2^3 u1 closure
+    ("JS3", "WS3"),  # dual triple, (u2 u1)^2 closure
+    ("JS4", "WS2"),  # dual triple, u1^3 u2 closure
+    ("JS5", "WS1"),  # dual triple, u1^4 closure
+)
+for _tag, _partner in _JACOBI_DUALS:
+    _derive(_tag, _partner, _DualContext, [replace(c, index=6 - c.index) for c in _IDENTITY_IDS[_partner].constraints])
+
+for _tag in ("KUM1", "KUM2"):  # the catalog closes with the Kummer pair
+    _BUILDERS[_tag], _IDENTITY_IDS[_tag] = _BUILDERS.pop(_tag), _IDENTITY_IDS.pop(_tag)
 
 
 def identity_ids() -> dict:
@@ -587,13 +587,12 @@ def _as_tuple(value):
     return value if isinstance(value, tuple) else (value,)
 
 
-def residuals(tag_or_id, fns: G2Functions) -> tuple:
+def residuals(tag: str, fns: G2Functions) -> tuple:
     """All residual components of one identity, as exact field elements."""
-    tag = tag_or_id.tag if isinstance(tag_or_id, IdentityId) else tag_or_id
     bad = _IDENTITY_IDS[tag].violated(fns.params)
     if bad:
         raise MissingConstraint(f"{tag} needs {', '.join(bad)} on curve {fns.params}")
-    return _as_tuple(_BUILDERS[tag](ExactContext(fns)))
+    return residuals_unchecked(tag, fns)
 
 
 def residuals_unchecked(tag: str, fns: G2Functions) -> tuple:

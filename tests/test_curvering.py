@@ -262,6 +262,12 @@ def test_structured_arithmetic_matches_general_constructor(params):
             _same_form(flow_derivative(f, direction), Fld(dn * f.den - f.num * dd, binom * f.den * f.den))
 
 
+def test_const_builds_the_normal_form_directly():
+    for value in (0, 1, Rat(-3, 4)):
+        got, want = Fld.const(GENERIC, value), Fld(Poly.const(GENERIC, value))
+        assert got.num == want.num and got.struct == want.struct == (0, 0, 0)
+
+
 def test_try_divide_by_x1_minus_x2():
     x1, x2, y1 = (poly_var(GENERIC, n) for n in ("x1", "x2", "y1"))
     binom = x1 - x2

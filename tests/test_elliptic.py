@@ -88,6 +88,24 @@ def test_near_one_modulus_at_odd_quarter_periods(k, m):
         assert abs(d - complex(mp.ellipfun("dn", z, k=k))) < 1e-12
 
 
+@pytest.mark.parametrize("k", [0.99, 0.999, 0.98 + 0.01j, -0.995, 1.01, 0.999 + 0.001j])
+def test_near_one_modulus_along_fifteen_quarter_periods(k):
+    """z = jK/4 + i y for j < 60: far along the real period the imaginary
+    transform lost accuracy (sn at 8K, k = 0.99, was off by 0.34), so the
+    near-one band reduces z by the period 4K first."""
+    big_k = quarter_period(k)
+    worst = 0.0
+    with mp.workdps(25):
+        q = mp.qfrom(k=mp.mpc(k))
+        for j in range(60):
+            for y in (0, 0.3, -0.7):
+                z = j * big_k / 4 + 1j * y
+                for name, got in zip(("sn", "cn", "dn"), sncndn(z, k)):
+                    want = complex(mp.ellipfun(name, mp.mpc(z), q=q))
+                    worst = max(worst, abs(got - want) / max(abs(want), 1))
+    assert worst < 1e-12
+
+
 def test_pythagorean_identities_on_grid():
     k = 0.7
     worst_sq = worst_dn = 0.0

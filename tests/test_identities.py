@@ -13,9 +13,11 @@ from g2soliton.curvering import CurveParams, Fld, Poly, Rat, probe_digits, rando
 from g2soliton.flows import flow_derivative
 from g2soliton.identities import (
     Constraint,
+    ExactContext,
     G2Functions,
     IDENTITY_SETS,
     MissingConstraint,
+    NumericContext,
     find_witness,
     identity_ids,
     merge_constraints,
@@ -266,6 +268,52 @@ def test_jacobi_loci_imply_reflected_partner_loci():
     for tag, partner in DUAL_PARTNERS.items():
         reflected = [Constraint(6 - c.index, c.kind, c.value) for c in ids[partner].constraints]
         assert merge_constraints(ids[tag].constraints + tuple(reflected)) == ids[tag].constraints, tag
+
+
+# -- quintic entries generated by pinning -----------------------------------------
+
+# the quintic entries as written out before they were generated from their
+# sextic partners with l6 (and l0) pinned to zero: references for the pin
+QUINTIC_REFERENCES = {
+    "WS1": lambda c: c.d("p22", "22") - 6 * c.p22**2 - c.l4 * c.p22 - c.l5 * c.p21 - c.l3 * c.l5 / 8,
+    "WS2": lambda c: c.d("p22", "12") - 6 * c.p22 * c.p21 - c.l4 * c.p21 + c.l5 / 2 * c.q,
+    "WS3": lambda c: c.d("p22", "11") - 2 * c.p22 * c.q - 4 * c.p21**2 - c.l3 / 2 * c.p21,
+    "WS4": lambda c: c.d("p21", "11") - 6 * c.p21 * c.q + c.l1 / 2 * c.p22 - c.l2 * c.p21,
+    "WS5": lambda c: c.d("q", "11") - 6 * c.q**2 - c.l1 * c.p21 - c.l2 * c.q - c.l1 * c.l3 / 8,
+    "KUM1": identities._kummer_quartic,
+}
+PIN_CURVES = {
+    "sextic": CurveParams((3, 2, 1, 5, 7, 4, 9)),
+    "sextic, l1<0": CurveParams((1, -2, 3, 5, 7, 4, 9)),
+    "l0=l6=0": CurveParams((0, 2, 1, 5, 7, 4, 0)),
+    "l6=0": CurveParams((2, 2, 1, 5, 7, 4, 0)),
+    "fractional sextic": CurveParams(("59/5", "89/6", "76/9", "-93/8", "49/2", "66", "-30")),
+}
+
+
+@pytest.mark.parametrize("name", list(PIN_CURVES))
+def test_generated_quintic_entries_match_the_written_out_forms(name):
+    # on and off their loci, so residuals and witnesses are unchanged
+    fns = G2Functions(PIN_CURVES[name])
+    for tag, reference in QUINTIC_REFERENCES.items():
+        (got,) = residuals_unchecked(tag, fns)
+        want = reference(ExactContext(fns))
+        assert got.num == want.num and got.struct == want.struct, tag
+    with mp.workdps(probe_digits()):
+        point = fns.probe_point(0, 0)
+        for tag, reference in QUINTIC_REFERENCES.items():
+            assert probe_identity(tag, fns, point) == (reference(NumericContext(fns, point)),), tag
+
+
+def test_generated_js_entries_are_dual_images_of_the_references():
+    # the pin acts on the dual view: pinning the curve's own l6 instead
+    # would give another JS3 on this sextic
+    params = PIN_CURVES["fractional sextic"]
+    fns, ctx_rev = G2Functions(params), ExactContext(G2Functions(params.dual()))
+    for tag in ("JS1", "JS2", "JS3", "JS4", "JS5"):
+        (got,) = residuals_unchecked(tag, fns)
+        want = QUINTIC_REFERENCES[DUAL_PARTNERS[tag]](ctx_rev)
+        assert not got.is_zero() and (got - dual_transform(want)).is_zero(), tag
 
 
 # -- mutation control and witnesses ------------------------------------------------
