@@ -51,11 +51,11 @@ def main() -> int:
     if args.csv:
         stride = max(1, len(traj) // 10)
         with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("t,x,re_u,im_u\n")
+            fh.write("t,x,re_u\n")
             for i in range(0, len(traj), stride):
                 t = i * args.dt
                 for xv, uv in zip(grid.x, traj[i].values):
-                    fh.write(f"{t},{xv},{uv.real},{uv.imag}\n")
+                    fh.write(f"{t},{xv},{uv}\n")
         print(f"snapshots written to {args.csv}")
     return 0
 

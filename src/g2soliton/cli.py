@@ -357,10 +357,10 @@ def _cmd_pde_run(args) -> int:
         times = [i * save_every * args.dt for i in range(len(traj))]
         times[-1] = args.t_end
         with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("t,x,re_u,im_u\n")
+            fh.write("t,x,re_u\n")
             for t, snap in zip(times, traj):
                 for xv, uv in zip(grid.x, snap.values):
-                    fh.write(f"{t},{xv},{uv.real},{uv.imag}\n")
+                    fh.write(f"{t},{xv},{uv}\n")
     summary = {
         "command": "pde-run",
         "eq": args.eq,

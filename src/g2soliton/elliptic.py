@@ -57,10 +57,15 @@ def agm(a, b, tol: float = 1e-15) -> complex:
     return (a + b) / 2
 
 
+def _complementary_modulus(k: complex) -> complex:
+    """k' = sqrt(1 - k^2), factored so that it does not cancel near k = +-1."""
+    return cmath.sqrt((1 - k) * (1 + k))
+
+
 def quarter_period(k) -> complex:
     """Complete elliptic integral K(k) via pi / (2 agm(1, k'))."""
     k = complex(k)
-    kp = cmath.sqrt(1 - k * k)
+    kp = _complementary_modulus(k)
     if abs(kp) == 0:
         return complex(math.inf)
     return math.pi / (2 * agm(1, kp))
@@ -78,7 +83,7 @@ def _sncndn_ladder(z: complex, k: complex):
     for _ in range(_LANDEN_MAX_STEPS):
         if abs(k) < _LANDEN_BASE:
             break
-        kp = cmath.sqrt(1 - k * k)
+        kp = _complementary_modulus(k)
         k1 = k * k / (1 + kp) ** 2
         ladder.append(k1)
         z = z / (1 + k1)
@@ -111,7 +116,7 @@ def _sncndn_core(z: complex, k: complex):
             # the imaginary transform loses accuracy far along the real period 4K
             period = 4 * quarter_period(k)
             z -= round((z / period).real) * period
-        kp = cmath.sqrt(1 - k * k)
+        kp = _complementary_modulus(k)
         try:
             triple = _imaginary_transform(z, kp)
         except (ZeroDivisionError, PoleArgument):
@@ -180,7 +185,7 @@ def halfperiod_residual_g1(z, k, shift_multiple: int = 3) -> complex:
     Any odd multiple works since 2iK' is a period of sn.
     """
     k = complex(k)
-    kq_prime = quarter_period(cmath.sqrt(1 - k * k))
+    kq_prime = quarter_period(_complementary_modulus(k))
     sz = sn(z, k)
     if abs(sz) < 1e-6 or abs(sz) > 1e6:
         raise PoleArgument("z is within 1e-6 of a zero or pole of sn")

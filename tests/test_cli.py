@@ -249,7 +249,7 @@ def test_pde_run_soliton(tmp_path):
     assert summary["pde_residual_window"] < 1e-6
     assert all(v < 1e-7 for v in summary["invariant_drifts"].values())
     header = csv_path.read_text().splitlines()[0]
-    assert header == "t,x,re_u,im_u"
+    assert header == "t,x,re_u"
 
 
 def test_pde_run_file_init(tmp_path):
@@ -292,7 +292,8 @@ def test_pde_run_unknown_init_kind_is_usage_error(capsys):
     assert captured.out == "" and "unknown --init kind 'bogus'" in captured.err
 
 
-def test_pde_run_csv_imaginary_column_is_zero(tmp_path):
+def test_pde_run_csv_has_one_real_sample_column(tmp_path):
+    # fields are real, so the former im_u column (always 0.0) is gone
     csv_path = tmp_path / "traj.csv"
     code = run_cli(
         "pde-run", "--n", "64", "--L", "20", "--t-end", "0.01", "--init", "soliton:c=4,x0=5",
@@ -300,9 +301,11 @@ def test_pde_run_csv_imaginary_column_is_zero(tmp_path):
     )
     assert code == 0
     lines = csv_path.read_text().splitlines()
-    assert lines[0] == "t,x,re_u,im_u"
+    assert lines[0] == "t,x,re_u"
     assert len(lines) == 1 + 3 * 64
-    assert all(float(line.split(",")[3]) == 0.0 for line in lines[1:])
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert all(len(row) == 3 for row in rows)
+    assert min(row[2] for row in rows) < -1.9  # the depth-2 soliton trough
 
 
 def test_pde_run_gmkdv_conserves_its_invariants(tmp_path):

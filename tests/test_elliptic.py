@@ -106,6 +106,31 @@ def test_near_one_modulus_along_fifteen_quarter_periods(k):
     assert worst < 1e-12
 
 
+@pytest.mark.parametrize("k", [0.999, 0.9999, -0.995])
+def test_quarter_period_near_one_against_mpmath(k):
+    """k' is formed as sqrt((1 - k)(1 + k)); sqrt(1 - k^2) cancelled near
+    k = +-1, and K(0.9999) was off by 2.2e-14 relative."""
+    with mp.workdps(30):
+        want = complex(mp.ellipk(mp.mpf(k) ** 2))
+    assert abs(quarter_period(k) - want) <= 2e-16 * abs(want)
+
+
+@pytest.mark.parametrize("k", [0.999, -0.995])
+def test_near_one_sn_keeps_the_period_reduction_exact(k):
+    """The 4K reduction multiplies any error of K by the periods it removes:
+    with the cancelling k', sn at k = 0.999 was off by 1.75e-13 over this grid."""
+    big_k = quarter_period(k)
+    worst = 0.0
+    with mp.workdps(25):
+        q = mp.qfrom(k=mp.mpf(k))
+        for j in range(60):
+            for y in (0, 0.3, -0.7):
+                z = j * big_k / 4 + 1j * y
+                want = complex(mp.ellipfun("sn", mp.mpc(z), q=q))
+                worst = max(worst, abs(sn(z, k) - want) / max(abs(want), 1))
+    assert worst < 2e-14
+
+
 def test_pythagorean_identities_on_grid():
     k = 0.7
     worst_sq = worst_dn = 0.0

@@ -21,6 +21,8 @@ from g2soliton.pde import (
     soliton_peak_travel,
     _Etdrk4,
     _etdrk4_coefficients,
+    _irfft,
+    _rfft,
 )
 
 
@@ -141,6 +143,22 @@ def test_field_rejects_complex_samples(grid):
         Field1D(grid, np.exp(1j * grid.x))
     with pytest.raises(ValueError):
         Field1D(grid, np.zeros(grid.n, dtype=complex))
+
+
+@pytest.mark.parametrize("n", [32, 256, 1024, 4096])
+def test_pocketfft_helpers_equal_numpy_fft_bit_for_bit(n):
+    """_rfft/_irfft call numpy's private pocketfft kernels; a numpy release that
+    moves or changes them fails here instead of shifting the solver's output."""
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n)
+    hat = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+    assert np.array_equal(_rfft(values), np.fft.rfft(values))
+    assert np.array_equal(_irfft(hat, n), np.fft.irfft(hat, n))
+    spectrum, samples = np.empty(n // 2 + 1, dtype=complex), np.empty(n)
+    assert _rfft(values, out=spectrum) is spectrum
+    assert np.array_equal(spectrum, np.fft.rfft(values))
+    assert _irfft(hat, n, out=samples) is samples
+    assert np.array_equal(samples, np.fft.irfft(hat, n))
 
 
 def test_dealias_mask_is_the_two_thirds_band_of_the_half_spectrum(grid):
