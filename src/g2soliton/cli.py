@@ -57,10 +57,6 @@ PDE_RESIDUAL_TOL = 1e-6
 DRIFT_TOL = 1e-7
 
 
-def _parse_lambda(text: str) -> CurveParams:
-    return CurveParams.from_text(text)
-
-
 def _emit(report: dict, out_path: str | None) -> None:
     payload = json.dumps(report, indent=2, default=str)
     if out_path:
@@ -84,6 +80,11 @@ def _identity_set(name: str) -> list:
     return tags
 
 
+def _check_finite_a(a: float) -> None:
+    if not math.isfinite(a):
+        raise ValueError(f"--a must be finite, got {a}")
+
+
 def _exact_exit_code(results, what: str) -> int:
     """1 if an identity is nonzero or unresolved, else 0; skips fail nothing.
 
@@ -99,7 +100,7 @@ def _exact_exit_code(results, what: str) -> int:
 
 
 def _cmd_verify_g2(args) -> int:
-    params = _parse_lambda(args.lam)
+    params = CurveParams.from_text(args.lam)
     report = verify_all(params, _identity_set(args.set), witness_seed=args.witness_seed)
     code = _exact_exit_code(report.results, f"set {args.set!r} on curve {params}")
     print(report.table())
@@ -212,6 +213,7 @@ def _cmd_elliptic_check(args) -> int:
 def _cmd_static_transforms(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    _check_finite_a(args.a)
     rng = random.Random(args.seed)
     worst = {name: 0.0 for name in TRANSFORMATIONS}
     checked = 0
@@ -303,27 +305,34 @@ def _initial_field(spec: str, grid: Grid1D) -> tuple:
     if kind == "soliton":
         c = options.get("c", 4.0)
         x0 = options.get("x0", grid.length / 4)
-        return one_soliton(grid, c, x0), {"kind": "soliton", "c": c, "x0": x0}
-    if kind == "cnoidal":
-        k = options.get("k", 0.9)
-        m = int(options.get("m", 1))
-        field, speed = cnoidal_wave(grid, k, n_periods=m)
-        return field, {"kind": "cnoidal", "k": k, "speed": speed}
-    if kind == "file":
+        field, info = one_soliton(grid, c, x0), {"kind": "soliton", "c": c, "x0": x0}
+    elif kind == "cnoidal":
+        k, m = options.get("k", 0.9), options.get("m", 1.0)
+        if not (m >= 1 and m.is_integer()):
+            raise ValueError(f"cnoidal m (the number of periods) must be a positive integer, got {m:g}")
+        field, speed = cnoidal_wave(grid, k, n_periods=int(m))
+        info = {"kind": "cnoidal", "k": k, "m": int(m), "speed": speed}
+    elif kind == "file":
         data = np.loadtxt(rest, delimiter=",", ndmin=2)
         if data.shape[1] > 1 and np.any(data[:, 1]):
             raise ValueError("file column 2 (imaginary part) must be zero: fields are real")
         if len(data) != grid.n:
             raise ValueError(f"file has {len(data)} samples, grid needs {grid.n}")
-        return Field1D(grid, data[:, 0]), {"kind": "file", "path": rest}
-    raise ValueError(f"unknown --init kind {kind!r}")
+        field, info = Field1D(grid, data[:, 0]), {"kind": "file", "path": rest}
+    else:
+        raise ValueError(f"unknown --init kind {kind!r}")
+    if not np.any(field.values):
+        raise ValueError(f"--init {spec} is identically zero, so the run would check nothing")
+    return field, info
 
 
 def _time_steps(args, min_steps: int) -> int:
-    """Steps of size --dt up to --t-end; ValueError unless both are positive
-    and there are at least `min_steps` of them."""
+    """Steps of size --dt up to --t-end; ValueError unless both are positive,
+    their ratio is finite and there are at least `min_steps` of them."""
     if not (args.dt > 0 and args.t_end > 0):
         raise ValueError(f"--dt and --t-end must be positive, got {args.dt:g} and {args.t_end:g}")
+    if not math.isfinite(args.t_end / args.dt):
+        raise ValueError(f"--t-end / --dt must be finite, got {args.t_end:g} / {args.dt:g}")
     steps = int(round(args.t_end / args.dt))
     if steps < min_steps:
         raise ValueError(
@@ -335,6 +344,7 @@ def _time_steps(args, min_steps: int) -> int:
 
 def _cmd_pde_run(args) -> int:
     steps = _time_steps(args, min_steps=1)
+    _check_finite_a(args.a)
     grid = Grid1D(args.n, args.length)
     u0, init_info = _initial_field(args.init, grid)
     save_every = max(1, steps // max(1, args.snapshots - 1))
@@ -388,6 +398,7 @@ def _invariant_magnitudes(u: Field1D, eq: str) -> tuple:
 
 def _cmd_miura_pipeline(args) -> int:
     _time_steps(args, min_steps=4)
+    _check_finite_a(args.a)
     grid = Grid1D(args.n, args.length)
     v0 = Field1D(
         grid,
@@ -395,7 +406,11 @@ def _cmd_miura_pipeline(args) -> int:
         + 0.1 * np.cos(4 * np.pi * grid.x / grid.length),
         "v",
     )
-    vtraj = evolve_trajectory("gmkdv", v0, args.t_end, args.dt, a=args.a, save_every=1)
+    try:
+        vtraj = evolve_trajectory("gmkdv", v0, args.t_end, args.dt, a=args.a, save_every=1)
+    except PdeError as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
     utraj = [miura_map(v, args.a) for v in vtraj]
     res_v = gmkdv_residual(vtraj, args.dt, args.a)
     res_u = kdv_residual(utraj, args.dt)

@@ -25,6 +25,7 @@ _LANDEN_MAX_STEPS = 64
 _POLE_SN_MAGNITUDE = 1e12
 _NEAR_ONE_BAND = 0.05
 _NEAR_ONE_HALF_PERIOD = 5.76  # below |2K| over the near-one band; nearer z need no reduction
+_AGM_TOL = 1e-15
 
 
 class EllipticError(Exception):
@@ -43,11 +44,11 @@ class SingularDenominator(EllipticError):
     """A transformation denominator (v or v_x) is too close to zero."""
 
 
-def agm(a, b, tol: float = 1e-15) -> complex:
+def agm(a, b) -> complex:
     """Arithmetic-geometric mean with the branch |a-b| <= |a+b| at every step."""
     a, b = complex(a), complex(b)
     for _ in range(64):
-        if abs(a - b) <= tol * abs(a):
+        if abs(a - b) <= _AGM_TOL * abs(a):
             return (a + b) / 2
         an = (a + b) / 2
         bn = cmath.sqrt(a * b)
@@ -155,14 +156,6 @@ def sncndn(z, k):
 
 def sn(z, k):
     return sncndn(z, k)[0]
-
-
-def cn(z, k):
-    return sncndn(z, k)[1]
-
-
-def dn(z, k):
-    return sncndn(z, k)[2]
 
 
 def sn_ode_residual(z, k) -> complex:

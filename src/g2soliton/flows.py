@@ -28,21 +28,13 @@ from __future__ import annotations
 
 from .curvering import Fld, Poly, Rat, _den_poly
 
-FLOW_U1 = 1
-FLOW_U2 = 2
-
 _HALF = Rat(1, 2)
-
-
-def _check_direction(direction: int) -> int:
-    if direction not in (1, 2):
-        raise ValueError("flow direction must be 1 (u1) or 2 (u2)")
-    return direction
 
 
 def flow_poly_numerator(p: Poly, direction: int) -> Poly:
     """Numerator of D_dir p over the common denominator (x1 - x2)."""
-    _check_direction(direction)
+    if direction not in (1, 2):
+        raise ValueError("flow direction must be 1 (u1) or 2 (u2)")
     params = p.params
     p_x1 = p.partial(0)
     p_x2 = p.partial(1)
@@ -78,11 +70,8 @@ def _log_den_numerator(params, a: int, b: int, k: int, direction: int) -> Poly:
     return Poly.scaled(params, {m: c for m, c in terms.items() if c})
 
 
-def flow_derivative(g: Fld | Poly, direction: int) -> Fld:
+def flow_derivative(g: Fld, direction: int) -> Fld:
     """Exact derivative of a function-field element along u1 or u2."""
-    _check_direction(direction)
-    if isinstance(g, Poly):
-        g = Fld(g)
     params = g.params
     dn = flow_poly_numerator(g.num, direction)
     a, b, k = g.struct

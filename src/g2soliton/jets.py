@@ -138,9 +138,9 @@ class Jet:
         return f"Jet({self.coef})"
 
 
-def sn_jet_triple(x0, k, order: int, scale=1.0, shift=0.0):
-    """Jets of sn, cn, dn of (scale*x + shift) around x = x0."""
-    z0 = complex(scale) * complex(x0) + complex(shift)
+def sn_jet_triple(x0, k, order: int, scale=1.0):
+    """Jets of sn, cn, dn of scale*x around x = x0."""
+    z0 = complex(scale) * complex(x0)
     s0, c0, d0 = sncndn(z0, k)
     k2 = complex(k) ** 2
     sc = complex(scale)
@@ -155,8 +155,8 @@ def sn_jet_triple(x0, k, order: int, scale=1.0, shift=0.0):
     return Jet(s), Jet(c), Jet(d)
 
 
-def sn_jet(x0, k, order: int, scale=1.0, shift=0.0) -> Jet:
-    return sn_jet_triple(x0, k, order, scale=scale, shift=shift)[0]
+def sn_jet(x0, k, order: int, scale=1.0) -> Jet:
+    return sn_jet_triple(x0, k, order, scale=scale)[0]
 
 
 def trig_jet(x0, order: int, terms) -> Jet:

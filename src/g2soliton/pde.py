@@ -39,6 +39,9 @@ class InsufficientSnapshots(PdeError):
 
 
 BLOWUP_NORM = 1e8
+# contour points of the phi-coefficient averages, ETDRK4 micro-steps per dt
+_N_CONTOUR = 32
+_SUBSTEPS = 2
 
 
 # numpy.fft.rfft/irfft end in these pocketfft gufuncs; calling them directly
@@ -120,7 +123,7 @@ def _linear_symbol(grid: Grid1D, eq: str, a: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _etdrk4_coefficients(n: int, length: float, eq: str, a: float, dt: float, n_contour: int) -> tuple:
+def _etdrk4_coefficients(n: int, length: float, eq: str, a: float, dt: float) -> tuple:
     """Read-only (exp_full, exp_half, q, f1, 2 f2, f3) with the nonlinear symbol
     folded into the last four, shared by every stepper with these parameters."""
     grid = Grid1D(n, length)
@@ -130,7 +133,7 @@ def _etdrk4_coefficients(n: int, length: float, eq: str, a: float, dt: float, n_
     lin = _linear_symbol(grid, eq, a)
     # full-circle contour: the symbol is imaginary, so the half-circle
     # plus-real-part shortcut for real operators does not apply
-    roots = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
+    roots = np.exp(2j * np.pi * (np.arange(_N_CONTOUR) + 0.5) / _N_CONTOUR)
     lr = dt * lin[:, None] + roots[None, :]
     elr = np.exp(lr)
     q = dt * np.mean((np.exp(lr / 2) - 1) / lr, axis=1)
@@ -150,9 +153,9 @@ class _Etdrk4:
     The coefficients are shared; the work buffers are this stepper's own.
     """
 
-    def __init__(self, grid: Grid1D, eq: str, a: float, dt: float, n_contour: int = 32):
+    def __init__(self, grid: Grid1D, eq: str, a: float, dt: float):
         self.cube = eq == "gmkdv"
-        self.coefficients = _etdrk4_coefficients(grid.n, grid.length, eq, a, dt, n_contour)
+        self.coefficients = _etdrk4_coefficients(grid.n, grid.length, eq, a, dt)
         self.u = np.empty(grid.n)
         self.power = np.empty(grid.n)
         spectrum = grid.wavenumbers.shape
@@ -216,31 +219,21 @@ def _check_state(u: np.ndarray) -> None:
         raise BlowUp("field norm exceeded 1e8")
 
 
-def evolve_trajectory(
-    eq: str,
-    u0: Field1D,
-    t_end: float,
-    dt: float,
-    a: float = 0.0,
-    save_every: int = 1,
-    substeps: int = 2,
-) -> list:
+def evolve_trajectory(eq: str, u0: Field1D, t_end: float, dt: float, a: float = 0.0, save_every: int = 1) -> list:
     """Integrate and return snapshots every `save_every * dt` (t=0 included).
 
-    `dt` is the snapshot cadence; each dt is advanced with `substeps`
-    ETDRK4 micro-steps, which keeps the per-snapshot integration noise well
-    below the fourth-order time-stencil truncation of residual measurements.
+    `dt` is the snapshot cadence; each dt is advanced with two ETDRK4
+    micro-steps, which keeps the per-snapshot integration noise well below
+    the fourth-order time-stencil truncation of residual measurements.
     """
     if eq not in ("kdv", "gmkdv"):
         raise ValueError("eq must be 'kdv' or 'gmkdv'")
-    if substeps < 1:
-        raise ValueError("substeps must be positive")
     steps = int(round(t_end / dt))
-    stepper = _Etdrk4(u0.grid, eq, a, dt / substeps)
+    stepper = _Etdrk4(u0.grid, eq, a, dt / _SUBSTEPS)
     hat = _dealias(u0.grid, u0.spectrum())
     snapshots = [Field1D(u0.grid, _irfft(hat, u0.grid.n), u0.role)]
     for i in range(1, steps + 1):
-        for _ in range(substeps):
+        for _ in range(_SUBSTEPS):
             hat = stepper.step(hat)
         if i % save_every == 0 or i == steps:
             u = _irfft(hat, u0.grid.n)

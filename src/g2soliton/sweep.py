@@ -11,6 +11,7 @@ and reports.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -102,15 +103,17 @@ def run_sweep(config: SweepConfig, tags=None, jobs: int = 1, witness_seed: int =
     """Verify each locus group of the tags on its own sampled curves.
 
     Reports are ordered by group, then by curve index; excluded tags are
-    left out (see `locus_groups`).
+    left out (see `locus_groups`).  At most `jobs` worker processes start,
+    and no more than there are work items or cores.
     """
     if tags is None:
         tags = IDENTITY_SETS["all"]
     groups, _ = locus_groups(config, tags)
     work = [(c.as_strings(), group_tags, witness_seed) for group, group_tags in groups for c in sample_curves(group)]
-    if jobs <= 1 or len(work) <= 1:
+    workers = min(jobs, len(work), os.cpu_count() or 1)
+    if workers <= 1:
         return [_sweep_worker(w) for w in work]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_worker, work))
 
 

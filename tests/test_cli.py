@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import g2soliton
-from g2soliton import cli
+from g2soliton import cli, identities, sweep
 from g2soliton.cli import main
 from g2soliton.pde import conserved_quantities
 
@@ -91,9 +91,9 @@ def test_sweep_all_checks_every_identity_on_its_locus(tmp_path):
     out = tmp_path / "s.json"
     assert run_cli("sweep", "--count", "2", "--seed", "42", "--set", "all", "--out", str(out)) == 0
     report = json.loads(out.read_text())
-    assert {e["identity"] for e in report["entries"]} == set(g2soliton.IDENTITY_SETS["all"])
-    assert len(report["entries"]) == 2 * 32 and report["excluded"] == []
-    assert report["summary"]["zero"] == 64
+    assert {e["identity"] for e in report["entries"]} == set(identities.IDENTITY_SETS["all"])
+    assert len(report["entries"]) == 2 * 31 and report["excluded"] == []
+    assert report["summary"]["zero"] == 62
     assert report["summary"]["nonzero"] == report["summary"]["skipped"] == 0
 
 
@@ -106,7 +106,7 @@ def test_sweep_excludes_identities_off_the_user_locus(tmp_path):
     assert [x["identity"] for x in report["excluded"]] == excluded
     assert all("l6=0" in x["reason"] for x in report["excluded"])
     assert report["summary"]["skipped"] == len(excluded) and report["summary"]["nonzero"] == 0
-    assert report["summary"]["zero"] == 2 * (32 - len(excluded))
+    assert report["summary"]["zero"] == 2 * (31 - len(excluded))
     assert all(e["curve"][6] == "3" for e in report["entries"])
 
 
@@ -127,14 +127,14 @@ PINNED_SWEEP_SHA256 = {
     "weierstrass-special": "b3f5281507ca9d40b357bdc7f1ee5f942831991da5535bce223959bdf113d760",
     "jacobi-special": "e3bb51aea7b397b518765582ed9ceaa873ce3d8e136900bed1c5cf3c3092d4b3",
     "kummer": "7125673a9eff3f49f7075bee9f9246a02add324af12a94e9c380e738dd4e1f40",
-    "integrability": "7e277b228fd484d416ec6cd30a11c8c716dcea39a5c20637950ad0522a223afb",
-    "all": "59549b446d01abb7764c0cd2277f5de2b3c236321deeb847ff7284e4b0618ea3",
+    "integrability": "467753bb787f1d51854cdb2f4c6a9936e8b2e1532f72af2bf4ca63041ee6abc4",
+    "all": "5937fc330c8d43dbe1a3c1aa082c45ed5a7fe19192194071312f85334438e7e5",
 }
-PINNED_VERIFY_G2_SHA256 = "354dcc4b6bdb9891161c80be187de35c85668dc0e6d1459780298b189fd6f265"
+PINNED_VERIFY_G2_SHA256 = "89171b6a0b0e7f7e0fa215d55820b37d64816343c71a5416889da2c29877ade4"
 
 
 def test_reports_match_pinned_digests(tmp_path):
-    assert set(PINNED_SWEEP_SHA256) == set(g2soliton.IDENTITY_SETS)
+    assert set(PINNED_SWEEP_SHA256) == set(identities.IDENTITY_SETS)
     sweep = tmp_path / "sweep.json"
     for identity_set, digest in PINNED_SWEEP_SHA256.items():
         args = ("sweep", "--count", "3", "--seed", "42", "--set", identity_set, "--out", str(sweep))
@@ -154,6 +154,36 @@ def test_sweep_parallel_same_entries(tmp_path):
         args = ("sweep", "--count", "4", "--seed", "5", "--set", identity_set)
         assert run_cli(*args, "--jobs", "1", "--out", str(out1)) == 0
         assert run_cli(*args, "--jobs", "2", "--out", str(out2)) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_sweep_starts_no_more_workers_than_work_or_cores(tmp_path, monkeypatch):
+    # a stub pool records max_workers and maps in-process, so no process starts
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+    args = ("sweep", "--count", "3", "--seed", "5", "--set", "weierstrass")
+    assert run_cli(*args, "--jobs", "1", "--out", str(out1)) == 0
+    assert started == []
+    for cores, expected in ((8, 3), (2, 2), (1, None), (None, None)):
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda cores=cores: cores)
+        started.clear()
+        assert run_cli(*args, "--jobs", "64", "--out", str(out2)) == 0
+        assert started == ([] if expected is None else [expected])  # one locus group of 3 curves
         assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -313,7 +343,9 @@ def test_pde_run_gmkdv_conserves_its_invariants(tmp_path):
     out = tmp_path / "run.json"
     code = run_cli("pde-run", "--eq", "gmkdv", "--a", "1.5", "--init", "cnoidal:k=0.9,m=2", "--out", str(out))
     assert code == 0
-    drifts = json.loads(out.read_text())["invariant_drifts"]
+    summary = json.loads(out.read_text())
+    assert summary["init"]["m"] == 2
+    drifts = summary["invariant_drifts"]
     assert set(drifts) == {"mass", "momentum", "energy"}
     assert all(v < 1e-7 for v in drifts.values())
 
@@ -401,6 +433,18 @@ def test_miura_pipeline_command(tmp_path):
         ("sweep", "--count", "2", "--set", "jacobi-special", "--constraints", "l1=0"),
         ("verify-g2", "--lambda", "0,4,1,1,1,4,0", "--set", "half-period"),
         ("sweep", "--count", "1", "--set", "half-period"),
+        ("pde-run", "--t-end", "inf"),
+        ("pde-run", "--t-end", "1e400"),
+        ("pde-run", "--dt", "1e-320", "--t-end", "1"),
+        ("miura-pipeline", "--t-end", "inf"),
+        ("static-transforms", "--a", "nan"),
+        ("pde-run", "--a", "nan"),
+        ("pde-run", "--eq", "gmkdv", "--a", "inf"),
+        ("miura-pipeline", "--a=-inf"),
+        ("pde-run", "--init", "soliton:c=0"),
+        ("pde-run", "--init", "cnoidal:k=0"),
+        ("pde-run", "--init", "cnoidal:k=0.9,m=0"),
+        ("pde-run", "--init", "cnoidal:k=0.9,m=1.5"),
     ],
 )
 def test_vacuous_or_degenerate_runs_are_usage_errors(argv, capsys):
@@ -408,6 +452,22 @@ def test_vacuous_or_degenerate_runs_are_usage_errors(argv, capsys):
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
+
+
+def test_pde_run_zero_file_init_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "zero.csv"
+    data.write_text("\n".join("0.0,0.0" for _ in range(64)))
+    assert run_cli("pde-run", "--n", "64", "--L", "20", "--t-end", "0.02", "--init", f"file:{data}") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "identically zero" in captured.err
+
+
+def test_miura_pipeline_unstable_run_fails_without_traceback(capsys):
+    # a finite but huge a overflows the linear symbol: the run fails, as in pde-run
+    assert run_cli("miura-pipeline", "--a", "1e300", "--t-end", "0.004") == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("run failed: ")
 
 
 def test_miura_pipeline_short_run_names_minimum(capsys):

@@ -104,7 +104,7 @@ def test_symmetry_under_point_swap(generic_fns):
 GENERIC_TAGS = [
     "W1", "W2", "W3", "W4", "W5", "W6", "W7",
     "J1", "J2", "J3", "J4", "J5", "J6", "J7",
-    "INT-R", "INT-W", "INT-J", "Y1Y2", "KUM2",
+    "INT-R", "INT-W", "INT-J", "KUM2",
 ]
 
 
@@ -381,7 +381,7 @@ def test_probe_stream_is_drawn_once_per_seed_and_precision(monkeypatch):
 
 def test_missing_witness_is_unresolved_and_fails(monkeypatch, generic_fns):
     corrupted = residuals("W1", generic_fns)[0] + 12 * generic_fns.p22**2
-    monkeypatch.setattr(identities, "residuals", lambda tag, fns: (corrupted,))
+    monkeypatch.setattr(identities, "residuals_unchecked", lambda tag, fns: (corrupted,))
     assert find_witness((corrupted,), generic_fns, tries=0) == (None, None)
     monkeypatch.setattr(identities, "find_witness", functools.partial(find_witness, tries=0))
     res = verify_identity("W1", generic_fns)
@@ -434,7 +434,6 @@ CATALOG = {
     "INT-R": (),
     "INT-W": ("l5!=0",),
     "INT-W2": ("l5!=0", "l6=0"),
-    "Y1Y2": (),
     **{f"WS{i}": ("l5!=0", "l6=0") for i in range(1, 4)},
     **{f"WS{i}": ("l0=0", "l5!=0", "l6=0") for i in range(4, 6)},
     **{f"J{i}": ("l1!=0",) for i in range(1, 8)},
