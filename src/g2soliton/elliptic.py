@@ -5,10 +5,8 @@ below 1e-8 (where trigonometric closed forms with a first-order correction
 are exact to ~1e-16), then the triple is lifted back up the ladder with the
 Gauss ascending formulas, which preserve sn^2+cn^2 = 1 and dn^2+k^2 sn^2 = 1
 identically.  Moduli with |k| > 1 (the verification suite needs k^2 = 2) go
-through the reciprocal-modulus transformation first, and moduli near +-1
-through the imaginary-argument transformation at the complementary modulus
-(after reducing z by the period 4K, and shifted by a quarter period where
-that transformation meets a pole), so the ladder always contracts.
+through the reciprocal-modulus transformation first, so the ladder always
+contracts; far arguments are first reduced by the period 4K.
 
 Quarter periods come from the arithmetic-geometric mean; all arithmetic is
 double-precision complex.
@@ -23,8 +21,7 @@ from dataclasses import dataclass
 _LANDEN_BASE = 1e-8
 _LANDEN_MAX_STEPS = 64
 _POLE_SN_MAGNITUDE = 1e12
-_NEAR_ONE_BAND = 0.05
-_NEAR_ONE_HALF_PERIOD = 5.76  # below |2K| over the near-one band; nearer z need no reduction
+_REDUCE_BEYOND = 5.76  # below |2K| wherever |1 - k^2| < 0.05; nearer z skip the quarter_period call
 _AGM_TOL = 1e-15
 
 
@@ -80,12 +77,14 @@ def _sncndn_base(z: complex, k: complex):
 
 
 def _sncndn_ladder(z: complex, k: complex):
+    # k' is carried down the ladder: recomputed from a k1 near 1 it would cancel
+    kp = _complementary_modulus(k)
     ladder = []
     for _ in range(_LANDEN_MAX_STEPS):
         if abs(k) < _LANDEN_BASE:
             break
-        kp = _complementary_modulus(k)
         k1 = k * k / (1 + kp) ** 2
+        kp = 2 * cmath.sqrt(kp) / (1 + kp)
         ladder.append(k1)
         z = z / (1 + k1)
         k = k1
@@ -101,8 +100,6 @@ def _sncndn_ladder(z: complex, k: complex):
 
 
 def _sncndn_core(z: complex, k: complex):
-    # no magnitude guards here: branch recursions take ratios of values that
-    # may individually be huge near an inner lattice while the result is finite
     if k == 0:
         return cmath.sin(z), cmath.cos(z), complex(1)
     if k == 1 or k == -1:
@@ -112,30 +109,12 @@ def _sncndn_core(z: complex, k: complex):
         # reciprocal modulus: sn(z,k) = sn(kz,1/k)/k, cn <-> dn swap
         s, c, d = _sncndn_core(k * z, 1 / k)
         return s / k, d, c
-    if abs(1 - k * k) < _NEAR_ONE_BAND:
-        if abs(z) > _NEAR_ONE_HALF_PERIOD:
-            # the imaginary transform loses accuracy far along the real period 4K
-            period = 4 * quarter_period(k)
-            z -= round((z / period).real) * period
-        kp = _complementary_modulus(k)
-        try:
-            triple = _imaginary_transform(z, kp)
-        except (ZeroDivisionError, PoleArgument):
-            pass
-        else:
-            if all(map(cmath.isfinite, triple)):
-                return triple
-        # a zero of cn(z, k) is a pole at k': shift by the quarter period,
-        # sn(z) = cd(z - K), cn(z) = -k' sd(z - K), dn(z) = k' nd(z - K)
-        s, c, d = _imaginary_transform(z - quarter_period(k), kp)
-        return c / d, -kp * s / d, kp / d
+    if _REDUCE_BEYOND < abs(z) < math.inf:
+        # 4K is a period of sn, cn and dn for every modulus; an infinite z is
+        # left to the ladder, whose non-finite triple sncndn reports as a pole
+        period = 4 * quarter_period(k)
+        z -= round((z / period).real) * period
     return _sncndn_ladder(z, k)
-
-
-def _imaginary_transform(z: complex, kp: complex):
-    # imaginary argument at the complementary modulus k'
-    s, c, d = _sncndn_core(-1j * z, kp)
-    return 1j * s / c, 1 / c, d / c
 
 
 def sncndn(z, k):

@@ -615,10 +615,6 @@ class VerifyReport:
     results: list = field(default_factory=list)
 
     @property
-    def n_zero(self) -> int:
-        return sum(r.status == "zero" for r in self.results)
-
-    @property
     def has_nonzero(self) -> bool:
         return any(r.status in ("nonzero", "unresolved") for r in self.results)
 

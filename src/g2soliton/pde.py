@@ -134,15 +134,19 @@ def _etdrk4_coefficients(n: int, length: float, eq: str, a: float, dt: float) ->
     # full-circle contour: the symbol is imaginary, so the half-circle
     # plus-real-part shortcut for real operators does not apply
     roots = np.exp(2j * np.pi * (np.arange(_N_CONTOUR) + 0.5) / _N_CONTOUR)
-    lr = dt * lin[:, None] + roots[None, :]
-    elr = np.exp(lr)
-    q = dt * np.mean((np.exp(lr / 2) - 1) / lr, axis=1)
-    f1 = dt * np.mean((-4 - lr + elr * (4 - 3 * lr + lr**2)) / lr**3, axis=1)
-    f2_twice = 2 * (dt * np.mean((2 + lr + elr * (lr - 2)) / lr**3, axis=1))
-    f3 = dt * np.mean((-4 - 3 * lr - lr**2 + elr * (4 - lr)) / lr**3, axis=1)
-    coefficients = (np.exp(dt * lin), np.exp(0.5 * dt * lin), q * nl_symbol,
-                    f1 * nl_symbol, f2_twice * nl_symbol, f3 * nl_symbol)
+    # a huge a * dt overflows here; the finiteness check below reports it once
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lr = dt * lin[:, None] + roots[None, :]
+        elr = np.exp(lr)
+        q = dt * np.mean((np.exp(lr / 2) - 1) / lr, axis=1)
+        f1 = dt * np.mean((-4 - lr + elr * (4 - 3 * lr + lr**2)) / lr**3, axis=1)
+        f2_twice = 2 * (dt * np.mean((2 + lr + elr * (lr - 2)) / lr**3, axis=1))
+        f3 = dt * np.mean((-4 - 3 * lr - lr**2 + elr * (4 - lr)) / lr**3, axis=1)
+        coefficients = (np.exp(dt * lin), np.exp(0.5 * dt * lin), q * nl_symbol,
+                        f1 * nl_symbol, f2_twice * nl_symbol, f3 * nl_symbol)
     for array in coefficients:
+        if not np.all(np.isfinite(array)):
+            raise UnstableStep("non-finite ETDRK4 coefficients")
         array.flags.writeable = False
     return coefficients
 

@@ -361,6 +361,20 @@ def test_pde_run_cnoidal_near_unit_modulus(tmp_path):
     assert json.loads(out.read_text())["pde_residual_window"] < cli.PDE_RESIDUAL_TOL
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("elliptic-check", "--k", "0.99999999", "--re", "0.1:60:40", "--im=-0.5:0.5:5"),
+        ("pde-run", "--eq", "kdv", "--n", "256", "--L", "40", "--t-end", "0.01",
+         "--init", "cnoidal:k=0.99999999,m=1"),
+    ],
+)
+def test_modulus_within_1e8_of_one_passes(argv, tmp_path):
+    # an imaginary-argument transform at k' gave an sn ODE residual of 0.64 and
+    # a window residual of 2.8 here; the Landen ladder is exact to rounding
+    assert run_cli(*argv, "--out", str(tmp_path / "run.json")) == 0
+
+
 def test_pde_run_under_resolved_exits_1(tmp_path):
     # dt = 1e-2 on a c = 4 soliton: the window residual is about 3.6e-3
     out = tmp_path / "run.json"
@@ -437,6 +451,8 @@ def test_miura_pipeline_command(tmp_path):
         ("pde-run", "--t-end", "1e400"),
         ("pde-run", "--dt", "1e-320", "--t-end", "1"),
         ("miura-pipeline", "--t-end", "inf"),
+        ("pde-run", "--n", "32", "--dt", "1e-9", "--t-end", "1"),
+        ("miura-pipeline", "--dt", "1e-9", "--t-end", "1"),
         ("static-transforms", "--a", "nan"),
         ("pde-run", "--a", "nan"),
         ("pde-run", "--eq", "gmkdv", "--a", "inf"),
@@ -464,10 +480,12 @@ def test_pde_run_zero_file_init_is_usage_error(tmp_path, capsys):
 
 
 def test_miura_pipeline_unstable_run_fails_without_traceback(capsys):
-    # a finite but huge a overflows the linear symbol: the run fails, as in pde-run
-    assert run_cli("miura-pipeline", "--a", "1e300", "--t-end", "0.004") == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("run failed: ")
+    # a finite but huge a overflows the ETDRK4 coefficients: one line, no numpy warnings
+    for command in (("miura-pipeline",), ("pde-run", "--eq", "gmkdv")):
+        assert run_cli(*command, "--a", "1e300", "--t-end", "0.004") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("run failed: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_miura_pipeline_short_run_names_minimum(capsys):

@@ -76,8 +76,8 @@ def test_triple_against_mpmath(z, k):
 @pytest.mark.parametrize("k", [0.99, 0.999])
 @pytest.mark.parametrize("m", [1, 3, 5])
 def test_near_one_modulus_at_odd_quarter_periods(k, m):
-    """z = mK, where cn = 0 and sn = +-1: the imaginary transform at k' meets a
-    pole there, so the near-one band evaluates through the quarter-period shift."""
+    """z = mK, where cn = 0 and sn = +-1: an imaginary-argument transform at k'
+    would meet a pole there; the Landen ladder does not."""
     z = m * quarter_period(k).real
     s, c, d = sncndn(z, k)
     with mp.workdps(25):
@@ -86,11 +86,13 @@ def test_near_one_modulus_at_odd_quarter_periods(k, m):
         assert abs(d - complex(mp.ellipfun("dn", z, k=k))) < 1e-12
 
 
-@pytest.mark.parametrize("k", [0.99, 0.999, 0.98 + 0.01j, -0.995, 1.01, 0.999 + 0.001j])
+@pytest.mark.parametrize(
+    "k", [0.99, 0.999, 0.98 + 0.01j, -0.995, 1.01, 0.999 + 0.001j, 1 - 1e-8, 1 - 1e-12]
+)
 def test_near_one_modulus_along_fifteen_quarter_periods(k):
-    """z = jK/4 + i y for j < 60: far along the real period the imaginary
-    transform lost accuracy (sn at 8K, k = 0.99, was off by 0.34), so the
-    near-one band reduces z by the period 4K first."""
+    """z = jK/4 + i y for j < 60: z is reduced by the period 4K, and k' is carried
+    down the Landen ladder rather than recomputed from a rung near 1.  An
+    imaginary-argument transform at k' was off by 0.55 at k = 1 - 1e-8."""
     big_k = quarter_period(k)
     worst = 0.0
     with mp.workdps(25):
@@ -175,6 +177,13 @@ def test_pole_argument_raised_close_to_lattice():
     pole = 1j * quarter_period(math.sqrt(1 - k * k)).real
     with pytest.raises(PoleArgument):
         sn(pole + 1e-14, k)
+
+
+@pytest.mark.parametrize("k", [0.5, 0.99, 1.5])
+def test_infinite_argument_is_a_pole_argument(k):
+    # the 4K reduction would round an infinite quotient
+    with pytest.raises(PoleArgument):
+        sncndn(complex(math.inf, 0.5), k)
 
 
 def test_near_pole_returns_large_value():
