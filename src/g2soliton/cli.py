@@ -14,10 +14,9 @@ import math
 import random
 import sys
 
-import numpy as np
-
+# numpy and the PDE and AKNS modules are imported by the subcommands that use
+# them, so the exact subcommands start without numpy
 from . import __version__
-from .akns import AKNSParams, JetPoint, akns_commutator_residual, signed_mkdv_residual
 from .curvering import CurveParams
 from .elliptic import (
     EllipticError,
@@ -30,18 +29,6 @@ from .elliptic import (
 )
 from .identities import IDENTITY_SETS, verify_all
 from .jets import Jet, trig_jet
-from .pde import (
-    Field1D,
-    Grid1D,
-    PdeError,
-    cnoidal_wave,
-    conserved_quantities,
-    evolve_trajectory,
-    gmkdv_residual,
-    kdv_residual,
-    miura_map,
-    one_soliton,
-)
 from .sweep import SweepConfig, locus_groups, run_sweep, summarize
 from .transforms import (
     TRANSFORMATIONS,
@@ -72,6 +59,8 @@ def _range_spec(text: str) -> tuple:
     lo, hi, n = text.split(":")
     if int(n) < 1:
         raise ValueError(f"range {text!r} must have at least one point")
+    if not math.isfinite(float(hi) - float(lo)):
+        raise ValueError(f"range {text!r} must have finite ends a finite distance apart")
     return float(lo), float(hi), int(n)
 
 
@@ -154,6 +143,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_elliptic_check(args) -> int:
+    import numpy as np
+
     re_lo, re_hi, re_n = _range_spec(args.re_range)
     im_lo, im_hi, im_n = _range_spec(args.im_range)
     k = complex(args.k)
@@ -268,6 +259,10 @@ def _cmd_akns_check(args) -> int:
     # diagonal below 1e-13; gaussian tails would not
     if args.draws < 1 or args.jets < 1:
         raise ValueError(f"--draws and --jets must be at least 1, got {args.draws} and {args.jets}")
+    import numpy as np
+
+    from .akns import AKNSParams, JetPoint, akns_commutator_residual, signed_mkdv_residual
+
     rng = np.random.default_rng(args.seed)
     worst_diag = worst_off = worst_asym = 0.0
     for _ in range(args.draws):
@@ -298,6 +293,10 @@ def _cmd_akns_check(args) -> int:
 
 def _initial_field(spec: str, grid: Grid1D) -> tuple:
     """Parse soliton:c=4,x0=10 | cnoidal:k=0.9,m=1 | file:path."""
+    import numpy as np
+
+    from .pde import Field1D, cnoidal_wave, one_soliton
+
     kind, _, rest = spec.partition(":")
     options = {}
     if kind != "file" and rest:
@@ -345,6 +344,8 @@ def _time_steps(args, min_steps: int) -> int:
 
 
 def _cmd_pde_run(args) -> int:
+    from .pde import Grid1D, PdeError, conserved_quantities, evolve_trajectory, gmkdv_residual, kdv_residual
+
     steps = _time_steps(args, min_steps=1)
     _check_finite_a(args.a)
     grid = Grid1D(args.n, args.length)
@@ -392,6 +393,8 @@ def _cmd_pde_run(args) -> int:
 
 def _invariant_magnitudes(u: Field1D, eq: str) -> tuple:
     """`conserved_quantities` with |integrand|, so a zero-mean mass drifts against the field's size."""
+    import numpy as np
+
     dx = u.grid.length / u.grid.n
     potential = np.abs(u.values) ** 3 if eq == "kdv" else 0.5 * u.values**4
     integrands = (np.abs(u.values), u.values**2, 0.5 * u.deriv(1) ** 2 + potential)
@@ -399,6 +402,10 @@ def _invariant_magnitudes(u: Field1D, eq: str) -> tuple:
 
 
 def _cmd_miura_pipeline(args) -> int:
+    import numpy as np
+
+    from .pde import Field1D, Grid1D, PdeError, evolve_trajectory, gmkdv_residual, kdv_residual, miura_map
+
     _time_steps(args, min_steps=4)
     _check_finite_a(args.a)
     grid = Grid1D(args.n, args.length)

@@ -246,24 +246,6 @@ class Poly:
         mono = tuple(1 if i == idx else 0 for i in range(4))
         return _poly(params, {mono: 1}, _ONE)
 
-    @classmethod
-    def f_of(cls, params, which: int) -> "Poly":
-        """The sextic f(x1) (which=1) or f(x2) (which=2) as a polynomial."""
-        terms = {}
-        for j, lam in enumerate(params.int_lambdas):
-            if lam:
-                terms[(j, 0, 0, 0) if which == 1 else (0, j, 0, 0)] = lam
-        return cls.scaled(params, terms, Rat(1, params.lambda_den))
-
-    @classmethod
-    def fprime_of(cls, params, which: int) -> "Poly":
-        """d f / d x evaluated in x1 or x2."""
-        terms = {}
-        for j, lam in enumerate(params.int_lambdas):
-            if j >= 1 and lam:
-                terms[(j - 1, 0, 0, 0) if which == 1 else (0, j - 1, 0, 0)] = j * lam
-        return cls.scaled(params, terms, Rat(1, params.lambda_den))
-
     # -- basic structure ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -387,18 +369,7 @@ class Poly:
             n >>= 1
         return result
 
-    # -- calculus and substitutions ----------------------------------------
-
-    def partial(self, var: int) -> "Poly":
-        """Formal partial derivative treating x1,x2,y1,y2 as independent (var 0..3)."""
-        out = {}
-        for m, c in self.terms.items():
-            e = m[var]
-            if e == 0:
-                continue
-            key = tuple(v - 1 if i == var else v for i, v in enumerate(m))
-            out[key] = c * e
-        return _poly(self.params, *_canonical(out, self.scale))
+    # -- substitutions ------------------------------------------------------
 
     def swap_points(self) -> "Poly":
         """Simultaneous exchange x1<->x2, y1<->y2."""

@@ -124,6 +124,9 @@ def sncndn(z, k):
         triple = _sncndn_core(z, k)
     except ZeroDivisionError:
         raise PoleArgument("argument lies on the pole lattice") from None
+    except OverflowError:
+        # not a pole: a caller that skips poles must not skip this point
+        raise EllipticError(f"sn/cn/dn overflow at z = {z}, k = {k}") from None
     s = triple[0]
     if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in triple):
         raise PoleArgument("argument lies on the pole lattice")

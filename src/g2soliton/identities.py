@@ -383,12 +383,14 @@ def _identity(tag, *constraints):
     return register
 
 
+# W1-W5 build their l6 terms only when l6 != 0: WS1-WS5 run them with l6 pinned to 0
 @_identity("W1", "l5!=0")  # fourth u2-derivative closure for p22
 def _w1(c):
+    r = c.d("p22", "22")
+    if c.l6:
+        r = r - 32 * c.l6 / c.l5**2 * c.p22**3 - 12 * c.l6 / c.l5 * c.p22 * c.p21
     return (
-        c.d("p22", "22")
-        - 32 * c.l6 / c.l5**2 * c.p22**3
-        - 12 * c.l6 / c.l5 * c.p22 * c.p21
+        r
         - 6 * c.p22**2
         - c.l4 * c.p22
         - c.l5 * c.p21
@@ -398,10 +400,11 @@ def _w1(c):
 
 @_identity("W2", "l5!=0")  # mixed (u2^3 u1) closure for p22
 def _w2(c):
+    r = c.d("p22", "12")
+    if c.l6:
+        r = r - 32 * c.l6 / c.l5**2 * c.p22**2 * c.p21 - 4 * c.l6 / c.l5 * c.p21**2
     return (
-        c.d("p22", "12")
-        - 32 * c.l6 / c.l5**2 * c.p22**2 * c.p21
-        - 4 * c.l6 / c.l5 * c.p21**2
+        r
         - 6 * c.p22 * c.p21
         - c.l4 * c.p21
         + c.l5 / 2 * c.q
@@ -410,9 +413,11 @@ def _w2(c):
 
 @_identity("W3", "l5!=0")  # mixed (u2^2 u1^2) closure for p22
 def _w3(c):
+    r = c.d("p22", "11")
+    if c.l6:
+        r = r - 32 * c.l6 / c.l5**2 * c.p22 * c.p21**2
     return (
-        c.d("p22", "11")
-        - 32 * c.l6 / c.l5**2 * c.p22 * c.p21**2
+        r
         - 2 * c.p22 * c.q
         - 4 * c.p21**2
         - c.l3 / 2 * c.p21
@@ -421,9 +426,11 @@ def _w3(c):
 
 @_identity("W4", "l5!=0")  # mixed (u2 u1^3) closure for p21
 def _w4(c):
+    r = c.d("p21", "11")
+    if c.l6:
+        r = r - 32 * c.l6 / c.l5**2 * c.p21**3
     return (
-        c.d("p21", "11")
-        - 32 * c.l6 / c.l5**2 * c.p21**3
+        r
         - 6 * c.p21 * c.q
         + c.l1 / 2 * c.p22
         - c.l2 * c.p21
@@ -433,11 +440,16 @@ def _w4(c):
 
 @_identity("W5", "l5!=0")  # u1^2 closure for q
 def _w5(c):
+    r = c.d("q", "11")
+    if c.l6:
+        r = (
+            r
+            - 32 * c.l6 / c.l5**2 * c.p21**2 * c.q
+            + 16 * c.l0 * c.l6 / c.l5**2 * c.p22**2
+            - 8 * c.l1 * c.l6 / c.l5**2 * c.p22 * c.p21
+        )
     return (
-        c.d("q", "11")
-        - 32 * c.l6 / c.l5**2 * c.p21**2 * c.q
-        + 16 * c.l0 * c.l6 / c.l5**2 * c.p22**2
-        - 8 * c.l1 * c.l6 / c.l5**2 * c.p22 * c.p21
+        r
         - 6 * c.q**2
         + 3 * c.l0 * c.p22
         - (c.l1 - 2 * c.l0 * c.l6 / c.l5) * c.p21

@@ -1,0 +1,85 @@
+"""The ring-product form of the flow derivations, the tests' reference.
+
+`flows.flow_derivative` writes a derivative's terms in one pass over the
+numerator.  This module builds the same element the long way: partial
+derivatives, f'(x_i) and `Poly` products with the y-reduction they imply,
+then the closed form of the `flows` docstring as a ring expression.  Since
+`Poly` and `Fld` have a canonical form, both routes must give the same
+numerator, scale and denominator exponents.
+"""
+
+from g2soliton.curvering import Fld, Poly, Rat, _den_poly
+
+_HALF = Rat(1, 2)
+
+
+def partial(p: Poly, var: int) -> Poly:
+    """Formal partial derivative treating x1,x2,y1,y2 as independent (var 0..3)."""
+    out = {}
+    for m, c in p.terms.items():
+        if m[var]:
+            out[tuple(v - 1 if i == var else v for i, v in enumerate(m))] = c * m[var]
+    return Poly.scaled(p.params, out, p.scale)
+
+
+def f_of(params, which: int) -> Poly:
+    """The sextic f(x1) (which=1) or f(x2) (which=2) as a polynomial."""
+    terms = {(j, 0, 0, 0) if which == 1 else (0, j, 0, 0): lam for j, lam in enumerate(params.int_lambdas) if lam}
+    return Poly.scaled(params, terms, Rat(1, params.lambda_den))
+
+
+def fprime_of(params, which: int) -> Poly:
+    """d f / d x evaluated in x1 or x2."""
+    terms = {
+        (j - 1, 0, 0, 0) if which == 1 else (0, j - 1, 0, 0): j * lam
+        for j, lam in enumerate(params.int_lambdas)
+        if j and lam
+    }
+    return Poly.scaled(params, terms, Rat(1, params.lambda_den))
+
+
+def flow_poly_numerator(p: Poly, direction: int) -> Poly:
+    """Numerator of D_dir p over the common denominator (x1 - x2)."""
+    if direction not in (1, 2):
+        raise ValueError("flow direction must be 1 (u1) or 2 (u2)")
+    params = p.params
+    p_x1, p_x2, p_y1, p_y2 = (partial(p, var) for var in range(4))
+    y1 = Poly.variable(params, "y1")
+    y2 = Poly.variable(params, "y2")
+    fp1 = fprime_of(params, 1)
+    fp2 = fprime_of(params, 2)
+    if direction == 2:
+        num = p_x1 * y1 - p_x2 * y2
+        if p_y1:
+            num = num + p_y1 * fp1 * _HALF
+        if p_y2:
+            num = num - p_y2 * fp2 * _HALF
+    else:
+        x1 = Poly.variable(params, "x1")
+        x2 = Poly.variable(params, "x2")
+        num = p_x2 * x1 * y2 - p_x1 * x2 * y1
+        if p_y1:
+            num = num - p_y1 * x2 * fp1 * _HALF
+        if p_y2:
+            num = num + p_y2 * x1 * fp2 * _HALF
+    return num
+
+
+def _log_den_numerator(params, a: int, b: int, k: int, direction: int) -> Poly:
+    """L with D(x1^a x2^b B^k) / (x1^a x2^b B^k) = L / (x1 x2 B^2), B = x1 - x2."""
+    if direction == 2:
+        terms = {(1, 1, 1, 0): a + k, (0, 2, 1, 0): -a, (2, 0, 0, 1): -b, (1, 1, 0, 1): b + k}
+    else:
+        terms = {(1, 2, 1, 0): -a - k, (0, 3, 1, 0): a, (3, 0, 0, 1): b, (2, 1, 0, 1): -b - k}
+    return Poly.scaled(params, {m: c for m, c in terms.items() if c})
+
+
+def flow_derivative(g: Fld, direction: int) -> Fld:
+    """D g by the closed form, as products in the coordinate ring."""
+    params = g.params
+    dn = flow_poly_numerator(g.num, direction)
+    a, b, k = g.struct
+    if not (a or b or k):
+        return Fld.structured(dn, 0, 0, 1)
+    num = dn * _den_poly(params, 1, 1, 1) - g.num * _log_den_numerator(params, a, b, k, direction)
+    return Fld.structured(num, a + 1, b + 1, k + 2)

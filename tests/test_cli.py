@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import g2soliton
-from g2soliton import cli, identities, sweep
+from g2soliton import cli, identities, pde, sweep
 from g2soliton.cli import main
 from g2soliton.pde import conserved_quantities
 
@@ -230,6 +230,20 @@ def test_sweep_redundant_constraints_ignore_hash_seed(tmp_path):
     assert all(e["curve"][5] == "4" for e in report["entries"])
 
 
+def test_exact_subcommands_start_without_numpy():
+    src = str(Path(g2soliton.__file__).resolve().parent.parent)
+    script = (
+        "import sys\n"
+        "from g2soliton.cli import main\n"
+        "assert main(['verify-g2', '--lambda', '1,2,1,3,1,4,5', '--set', 'weierstrass']) == 0\n"
+        "assert main(['sweep', '--count', '1', '--set', 'integrability']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_elliptic_check_zero_modulus_is_usage_error(capsys):
     # K'(0) is infinite, so no half-period point can be evaluated
     assert run_cli("elliptic-check", "--k", "0", "--re", "0.2:1.8:2", "--im=-0.4:0.4:2") == 2
@@ -410,7 +424,8 @@ def test_pde_run_drift_alone_fails_the_gate(tmp_path, monkeypatch):
         calls.append(eq)
         return (mass * (1 + 1e-6) if len(calls) == 2 else mass), momentum, energy
 
-    monkeypatch.setattr(cli, "conserved_quantities", drifting)
+    # the subcommand imports the PDE layer when it runs, so patch it there
+    monkeypatch.setattr(pde, "conserved_quantities", drifting)
     out = tmp_path / "run.json"
     code = run_cli(
         "pde-run", "--n", "64", "--L", "20", "--t-end", "0.01", "--init", "soliton:c=4,x0=5",
@@ -461,6 +476,8 @@ def test_miura_pipeline_command(tmp_path):
         ("pde-run", "--init", "cnoidal:k=0"),
         ("pde-run", "--init", "cnoidal:k=0.9,m=0"),
         ("pde-run", "--init", "cnoidal:k=0.9,m=1.5"),
+        ("elliptic-check", "--re", "0:inf:3"),
+        ("elliptic-check", "--k", "0.7", "--re", "0.1:1:3", "--im=-1e308:0.5:2"),
     ],
 )
 def test_vacuous_or_degenerate_runs_are_usage_errors(argv, capsys):

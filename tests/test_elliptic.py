@@ -9,6 +9,7 @@ import pytest
 
 from g2soliton.elliptic import (
     DegenerateRoots,
+    EllipticError,
     PoleArgument,
     WeierstrassRoots,
     agm,
@@ -184,6 +185,14 @@ def test_infinite_argument_is_a_pole_argument(k):
     # the 4K reduction would round an infinite quotient
     with pytest.raises(PoleArgument):
         sncndn(complex(math.inf, 0.5), k)
+
+
+@pytest.mark.parametrize("k", [0.7, 1e-9, 1.5])
+def test_overflowing_argument_is_an_error_but_not_a_pole(k):
+    # a caller that skips poles must not skip a point it cannot evaluate
+    with pytest.raises(EllipticError) as info:
+        sncndn(complex(0.1, -1e308), k)
+    assert not isinstance(info.value, PoleArgument)
 
 
 def test_near_pole_returns_large_value():

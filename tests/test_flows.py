@@ -4,10 +4,16 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2soliton.curvering import CurveParams, Fld, Poly, Rat, rat_to_mp
-from g2soliton.flows import flow_derivative, flow_poly_numerator
-from g2soliton.identities import G2Functions
+from g2soliton.flows import flow_derivative
+from g2soliton.identities import IDENTITY_SETS, G2Functions
+from g2soliton.sweep import SweepConfig, locus_groups, sample_curves
+
+import flow_reference
+from flow_reference import fprime_of, flow_poly_numerator
 
 GENERIC = CurveParams((1, 2, 1, 3, 1, 4, 5))
 
@@ -34,7 +40,7 @@ def test_flow_of_constant_is_zero():
 def test_flow_of_y_consistent_with_curve():
     # 2 y1 D y1 = f'(x1) D x1 exactly
     y1 = fvar("y1")
-    fp = Fld(Poly.fprime_of(GENERIC, 1))
+    fp = Fld(fprime_of(GENERIC, 1))
     lhs = 2 * y1 * flow_derivative(y1, 2)
     rhs = fp * flow_derivative(fvar("x1"), 2)
     assert (lhs - rhs).is_zero()
@@ -76,6 +82,55 @@ def test_derivation_laws_random_pairs():
         )
         assert linearity.is_zero()
         checked += 1
+
+
+def _same(got, want):
+    assert (got.num.terms, got.num.scale, got.struct) == (want.num.terms, want.num.scale, want.struct)
+
+
+_BASE_NAMES = ("p22", "p21", "q", "r22", "r21", "r11", "hp11", "hp21", "hq")
+# one curve from every catalog locus, then zero, sparse and non-integer coefficients
+_REFERENCE_CURVES = [
+    *(sample_curves(group)[0] for group, _ in locus_groups(SweepConfig(count=1, seed=5), IDENTITY_SETS["all"])[0]),
+    CurveParams((1, 0, 0, 0, 0, 0, 1)),
+    CurveParams((0, 1, 0, 0, 0, 0, 0)),
+    CurveParams((0, 0, 0, 0, 0, 1, 0)),
+    CurveParams(("-23/2", "2/3", "2/7", 42, 14, "-32/3", "51/2")),
+    CurveParams(("1/3", 0, "5/7", 0, "-1/6", "-2/9", 0)),
+]
+
+
+@pytest.mark.parametrize("params", _REFERENCE_CURVES, ids=lambda p: ",".join(p.as_strings()))
+def test_flow_derivative_matches_ring_reference(params):
+    # every base function to order 3: the one-pass kernel against the ring products
+    fns = G2Functions(params)
+    for name in _BASE_NAMES:
+        for dirs in ("", "1", "2", "11", "12", "22"):
+            inner = fns.deriv(name, dirs)
+            for direction in (1, 2):
+                _same(flow_derivative(inner, direction), flow_reference.flow_derivative(inner, direction))
+    for value in (0, Rat(-7, 3)):
+        const = Fld.const(params, value)
+        for direction in (1, 2):
+            _same(flow_derivative(const, direction), flow_reference.flow_derivative(const, direction))
+
+
+_MONOMIALS = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 1), st.integers(0, 1))
+_COEFFS = st.builds(Rat, st.integers(-30, 30), st.integers(1, 6))
+
+
+@given(
+    st.dictionaries(_MONOMIALS, _COEFFS, max_size=6),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.sampled_from(_REFERENCE_CURVES),
+)
+@settings(max_examples=80, deadline=None)
+def test_flow_derivative_matches_ring_reference_on_random_elements(terms, a, b, k, params):
+    g = Fld.structured(Poly(params, terms), a, b, k)
+    for direction in (1, 2):
+        _same(flow_derivative(g, direction), flow_reference.flow_derivative(g, direction))
 
 
 def test_flows_commute_on_core_functions():
