@@ -84,13 +84,8 @@ def akns_commutator_residual(jet: JetPoint, params: AKNSParams) -> np.ndarray:
 
 
 def signed_mkdv_residual(jet: JetPoint, params: AKNSParams) -> complex:
-    """D = v_t + v_xxx + 6 v^2 v_x + 4 eta^2 (b-1) v_x (the +cubic convention)."""
-    return (
-        jet.v_t
-        + jet.v_xxx
-        + 6 * jet.v**2 * jet.v_x
-        + 4 * params.eta**2 * (params.b - 1) * jet.v_x
-    )
+    """D = v_t + v_xxx + 6 v^2 v_x + a v_x, a = 4 eta^2 (b-1) (the +cubic convention)."""
+    return jet.v_t + jet.v_xxx + 6 * jet.v**2 * jet.v_x + params.a * jet.v_x
 
 
 def gmkdv_jet_residual(jet: JetPoint, a: complex) -> complex:

@@ -3,12 +3,13 @@
 The curve is y_i^2 = f(x_i) = l6*x_i^6 + ... + l1*x_i + l0 for two independent
 points (x1, y1), (x2, y2).  Polynomials live in the quotient ring
 Q[x1, x2, y1, y2] / (y1^2 - f(x1), y2^2 - f(x2)), kept in y-reduced canonical
-form (every y exponent is 0 or 1).  `Fld` elements are quotients of such
-polynomials by x1^a * x2^b * (x1 - x2)^k, the only denominators the
-function families and their flow derivatives produce, and are stored as the
-numerator and the exponents (a, b, k); equality-to-zero of a numerator term
-map is therefore an exact decision procedure for identities between
-hyperelliptic functions.
+form (every y exponent is 0 or 1).  A field element `Fld(num, a, b, k)` is
+such a polynomial over x1^a * x2^b * (x1 - x2)^k, stored as the numerator
+and the exponents (a, b, k).  The function families have such denominators,
+and sums, products and flow derivatives keep them, which is all the catalog
+computes; there is no division and no other denominator.  Equality-to-zero
+of a numerator term map is therefore an exact decision procedure for
+identities between hyperelliptic functions.
 
 Coefficients are fraction-free: a `Poly` is one rational scale
 (fractions.Fraction) times a polynomial with integer coefficients of gcd 1,
@@ -39,10 +40,6 @@ DEFAULT_PROBE_DIGITS = 30
 
 class CurveRingError(Exception):
     pass
-
-
-class DivisionByZero(CurveRingError, ZeroDivisionError):
-    """Division by a field element that reduces to zero."""
 
 
 class PoleAtPoint(CurveRingError):
@@ -112,10 +109,6 @@ class CurveParams:
             raise ValueError(f"expected 7 lambda entries, got {len(entries)}")
         return cls(tuple(entries))
 
-    def dual(self) -> "CurveParams":
-        """Coefficient reversal l_j <-> l_{6-j} (the x -> 1/x involution)."""
-        return CurveParams(tuple(reversed(self.lambdas)))
-
     def f_value_mp(self, x):
         acc = mp.mpf(0)
         for c in reversed(self.lambdas):
@@ -127,11 +120,6 @@ class CurveParams:
 
     def __str__(self) -> str:
         return "lambda = [" + ",".join(self.as_strings()) + "]"
-
-
-def _order_key(m) -> tuple:
-    # graded lexicographic, x1 > x2 > y1 > y2
-    return (m[0] + m[1] + m[2] + m[3], m[0], m[1], m[2])
 
 
 _ONE = Rat(1)
@@ -260,13 +248,6 @@ class Poly:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and (0, 0, 0, 0) in self.terms)
 
-    def constant_value(self) -> Rat:
-        if self.is_zero():
-            return Rat(0)
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.scale
-
     def _same_ring(self, other: "Poly") -> None:
         if self.params is not other.params and self.params.lambdas != other.params.lambdas:
             raise ValueError("polynomials live over different curves")
@@ -325,9 +306,6 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Rat)):
             if other == 0:
@@ -371,11 +349,6 @@ class Poly:
 
     # -- substitutions ------------------------------------------------------
 
-    def swap_points(self) -> "Poly":
-        """Simultaneous exchange x1<->x2, y1<->y2."""
-        out = {(m[1], m[0], m[3], m[2]): c for m, c in self.terms.items()}
-        return _poly(self.params, *_canonical(out, self.scale))
-
     def common_monomial(self) -> tuple:
         """Componentwise minimum exponent vector over all terms."""
         return tuple(map(min, zip(*self.terms))) if self.terms else (0, 0, 0, 0)
@@ -391,20 +364,14 @@ class Poly:
         # a monomial factor keeps the lexicographic order, hence the sign
         return _poly(self.params, out, self.scale)
 
-    def try_divide(self, divisor: "Poly"):
-        """Exact quotient by c*(x1 - x2); None if it does not divide.
+    def try_divide(self):
+        """Exact quotient by x1 - x2; None if it does not divide.
 
         Multiplying by (x1 - x2) keeps the total degree d and the y-sector, so
         division acts on each row c_0..c_d of coefficients of x1^i * x2^(d-i)
         by itself: the quotient row is the prefix sum q_i = -(c_0 + ... + c_i),
-        and the row divides exactly when its sum is zero.  Any divisor other
-        than a rational multiple of x1 - x2 raises ValueError.
+        and the row divides exactly when its sum is zero.
         """
-        self._same_ring(divisor)
-        if divisor.is_zero():
-            raise DivisionByZero("division by zero polynomial")
-        if divisor.terms != {(1, 0, 0, 0): 1, (0, 1, 0, 0): -1}:
-            raise ValueError("divisor must be a rational multiple of x1 - x2")
         if not self.terms:
             return self
         rows: dict = {}
@@ -424,7 +391,7 @@ class Poly:
                 return None
         # the quotient of a primitive polynomial by x1 - x2 is primitive, and
         # its leading coefficient is the dividend's
-        return _poly(self.params, quo, self.scale / divisor.scale)
+        return _poly(self.params, quo, self.scale)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -457,40 +424,9 @@ class Poly:
         s = rat_to_mp(self.scale)
         return value * s, magnitude * abs(s)
 
-    # -- display -------------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=_order_key, reverse=True):
-            c = self.terms[m] * self.scale
-            factors = []
-            for name, e in zip(("x1", "x2", "y1", "y2"), m):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(f"{c}")
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __repr__ = __str__
-
 
 def _has_var(p: Poly, var: int) -> bool:
     return any(m[var] for m in p.terms)
-
-
-def _x1_minus_x2(params) -> Poly:
-    return _poly(params, {(1, 0, 0, 0): 1, (0, 1, 0, 0): -1}, _ONE)
 
 
 def _den_poly(params, a: int, b: int, k: int) -> Poly:
@@ -501,10 +437,9 @@ def _den_poly(params, a: int, b: int, k: int) -> Poly:
 
 def _divide_binom(p: Poly, limit) -> tuple:
     """(p / (x1 - x2)^j, j) for the largest j <= limit that divides p."""
-    binom = _x1_minus_x2(p.params)
     j = 0
     while j < limit and not p.is_constant():
-        q = p.try_divide(binom)
+        q = p.try_divide()
         if q is None:
             break
         p, j = q, j + 1
@@ -517,64 +452,36 @@ def _times_den(p: Poly, a: int, b: int, k: int) -> Poly:
 
 
 class Fld:
-    """Element of the curve's function field: Poly / (x1^a * x2^b * (x1-x2)^k).
+    """Element of the curve's function field: num / (x1^a * x2^b * (x1-x2)^k).
 
     An element is its numerator `num` and the exponents `struct` = (a, b, k)
-    of its denominator.  The constructor accepts a denominator
-    c * x1^a * x2^b * (x1 - x2)^k with c a nonzero rational and raises
-    ValueError for any other; the catalog needs no other.  Normal form: the
-    constant moves into the numerator, and numerator and denominator share
-    no x1, x2 or (x1 - x2).  Arithmetic and numeric evaluation read
-    `struct`; the expanded denominator `den` is computed on demand.
-    Products, sums and powers work on the exponents and normalise only the
-    new numerator; negation, nonzero rational multiples and the point swap
-    keep the normal form as it is.  Two elements are equal iff their
-    difference has the zero numerator.
+    of its denominator; `Fld(num, a, b, k)` is the one constructor.  Normal
+    form: numerator and denominator share no x1, x2 or (x1 - x2).  Products,
+    sums and nonnegative powers add or raise the exponents and normalise the
+    new numerator; negation and rational multiples keep the normal form as
+    it is.  The catalog never divides, so there is no division.  Two
+    elements are equal iff their difference has the zero numerator.
     """
 
     __slots__ = ("num", "struct")
 
-    def __init__(self, num: Poly, den: Poly | None = None):
-        if den is None:
-            den = Poly.const(num.params, 1)
-        if den.is_zero():
-            raise DivisionByZero("denominator reduces to zero")
-        # split den = x1^a * x2^b * (x1 - x2)^k * rest, learning k as we divide
-        a, b, _, _ = den.common_monomial()
-        rest, k = _divide_binom(den.shift_down((a, b, 0, 0)), math.inf)
-        if not rest.is_constant():
-            raise ValueError(f"denominator must be c * x1^a * x2^b * (x1 - x2)^k, got {den}")
-        self.num, self.struct = _normalise(num * (1 / rest.constant_value()), a, b, k)
-
-    # -- constructors ------------------------------------------------------
+    def __init__(self, num: Poly, a: int = 0, b: int = 0, k: int = 0):
+        self.num, self.struct = _normalise(num, a, b, k)
 
     @classmethod
     def _make(cls, num: Poly, struct) -> "Fld":
+        """An element already in normal form, taken as is."""
         out = cls.__new__(cls)
         out.num, out.struct = num, struct
         return out
 
     @classmethod
-    def structured(cls, num: Poly, a: int, b: int, k: int) -> "Fld":
-        """num / (x1^a * x2^b * (x1 - x2)^k) in normal form."""
-        return cls._make(*_normalise(num, a, b, k))
-
-    @classmethod
     def const(cls, params, value) -> "Fld":
         return cls._make(Poly.const(params, value), (0, 0, 0))
-
-    @classmethod
-    def variable(cls, params, name: str) -> "Fld":
-        return cls(Poly.variable(params, name))
 
     @property
     def params(self) -> CurveParams:
         return self.num.params
-
-    @property
-    def den(self) -> Poly:
-        """The expanded denominator x1^a * x2^b * (x1 - x2)^k."""
-        return _den_poly(self.params, *self.struct)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -588,16 +495,11 @@ class Fld:
             return NotImplemented
         return (self - other).is_zero()
 
-    def __hash__(self):
-        raise TypeError("Fld is unhashable; compare with == or is_zero()")
-
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, (int, Rat)):
             return Fld.const(self.params, other)
-        if isinstance(other, Poly):
-            return Fld(other)
         if isinstance(other, Fld):
             return other
         return None
@@ -614,7 +516,7 @@ class Fld:
         a, b, k = (max(u, v) for u, v in zip(sa, sb))
         num = _times_den(self.num, a - sa[0], b - sa[1], k - sa[2])
         num = num + _times_den(other.num, a - sb[0], b - sb[1], k - sb[2])
-        return Fld.structured(num, a, b, k)
+        return Fld(num, a, b, k)
 
     __radd__ = __add__
 
@@ -639,38 +541,15 @@ class Fld:
         if other is None:
             return NotImplemented
         sa, sb = self.struct, other.struct
-        return Fld.structured(self.num * other.num, sa[0] + sb[0], sa[1] + sb[1], sa[2] + sb[2])
+        return Fld(self.num * other.num, sa[0] + sb[0], sa[1] + sb[1], sa[2] + sb[2])
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Fld":
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero field element")
-        return Fld(self.den, self.num)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        return other * self.inverse()
-
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise ValueError("integer powers only")
-        if n < 0:
-            return self.inverse() ** (-n)
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("only nonnegative integer powers")
         a, b, k = self.struct
-        return Fld.structured(self.num**n, n * a, n * b, n * k)
-
-    def swap_points(self) -> "Fld":
-        # x2^a * x1^b * (x2 - x1)^k = (-1)^k * x1^b * x2^a * (x1 - x2)^k
-        a, b, k = self.struct
-        num = self.num.swap_points()
-        return Fld._make(-num if k % 2 else num, (b, a, k))
+        return Fld(self.num**n, n * a, n * b, n * k)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -691,13 +570,6 @@ class Fld:
 
     def eval_mp(self, x1, x2, y1, y2):
         return self.num.eval_mp(x1, x2, y1, y2) / self.den_mp(x1, x2)
-
-    def __str__(self) -> str:
-        if self.struct == (0, 0, 0):
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    __repr__ = __str__
 
 
 def _normalise(num: Poly, a: int, b: int, k: int) -> tuple:

@@ -6,7 +6,9 @@ are exact to ~1e-16), then the triple is lifted back up the ladder with the
 Gauss ascending formulas, which preserve sn^2+cn^2 = 1 and dn^2+k^2 sn^2 = 1
 identically.  Moduli with |k| > 1 (the verification suite needs k^2 = 2) go
 through the reciprocal-modulus transformation first, so the ladder always
-contracts; far arguments are first reduced by the period 4K.
+contracts; far arguments are first reduced by the period 4K, and arguments
+more than 10,000 periods out are rejected, since the reduction in double
+precision would lose their accuracy.
 
 Quarter periods come from the arithmetic-geometric mean; all arithmetic is
 double-precision complex.
@@ -22,6 +24,10 @@ _LANDEN_BASE = 1e-8
 _LANDEN_MAX_STEPS = 64
 _POLE_SN_MAGNITUDE = 1e12
 _REDUCE_BEYOND = 5.76  # below |2K| wherever |1 - k^2| < 0.05; nearer z skip the quarter_period call
+# the reduction by n periods 4K costs about 5e-15 * n of accuracy: within this
+# many, sn/cn/dn were within 1.6e-11 of 60-digit mpmath at k = 0.7, 0.99, 0.999,
+# sqrt(2) and 1.5, and within 1.7e-10 at up to 1e5 periods
+_MAX_PERIODS = 10_000
 _AGM_TOL = 1e-15
 
 
@@ -113,7 +119,11 @@ def _sncndn_core(z: complex, k: complex):
         # 4K is a period of sn, cn and dn for every modulus; an infinite z is
         # left to the ladder, whose non-finite triple sncndn reports as a pole
         period = 4 * quarter_period(k)
-        z -= round((z / period).real) * period
+        periods = (z / period).real
+        if abs(periods) > _MAX_PERIODS:
+            # not a pole: a caller that skips poles must not skip this point
+            raise EllipticError(f"sn/cn/dn argument lies more than {_MAX_PERIODS} periods 4K out, too far to reduce")
+        z -= round(periods) * period
     return _sncndn_ladder(z, k)
 
 

@@ -83,4 +83,4 @@ def flow_derivative(g: Fld, direction: int) -> Fld:
                         key = (m1 + s1, m2 + s2, n1, n2)
                         out[key] = out.get(key, 0) + cw * coef
     num = Poly.scaled(params, {m: c for m, c in out.items() if c}, g.num.scale / (2 * den))
-    return Fld.structured(num, a + 1, b + 1, k + 2) if a or b or k else Fld.structured(num, 0, 0, 1)
+    return Fld(num, a + 1, b + 1, k + 2) if a or b or k else Fld(num, 0, 0, 1)

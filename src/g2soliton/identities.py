@@ -42,7 +42,6 @@ from .curvering import (
     random_probe_point,
     rat_to_mp,
     _to_rat,
-    _x1_minus_x2,
 )
 from .flows import flow_derivative
 
@@ -160,11 +159,12 @@ class G2Functions:
         x1 = Poly.variable(params, "x1")
         x2 = Poly.variable(params, "x2")
         y1y2 = Poly(params, {(0, 0, 1, 1): 1})
-        binom2 = _x1_minus_x2(params) ** 2
         self.f_poly = symmetric_pairing(params)
+        # (F - 2 y1 y2) / 4, the numerator of q and hq
+        q_num = (self.f_poly - 2 * y1y2) * Rat(1, 4)
 
         quarter5 = l[5] / 4
-        self.q = Fld(self.f_poly - 2 * y1y2, 4 * binom2)
+        self.q = Fld(q_num, 0, 0, 2)
         self.p22 = Fld((x1 + x2) * quarter5)
         self.p21 = Fld(x1 * x2 * (-quarter5))
 
@@ -174,9 +174,9 @@ class G2Functions:
         self.r11 = self.q + Fld((x1 * x2) ** 2 * half6)
 
         quarter1 = l[1] / 4
-        self.hp11 = Fld((x1 + x2) * quarter1, x1 * x2)
-        self.hp21 = Fld(Poly.const(params, -quarter1), x1 * x2)
-        self.hq = Fld(self.f_poly - 2 * y1y2, 4 * x1 * x2 * binom2)
+        self.hp11 = Fld((x1 + x2) * quarter1, 1, 1)
+        self.hp21 = Fld(Poly.const(params, -quarter1), 1, 1)
+        self.hq = Fld(q_num, 1, 1, 2)
 
         self._derivs: dict = {}
         self._probe_streams: dict = {}

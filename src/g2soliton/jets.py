@@ -56,12 +56,6 @@ class Jet:
     def constant(cls, value, order: int) -> "Jet":
         return cls((complex(value),) + (0j,) * order)
 
-    @classmethod
-    def variable(cls, x0, order: int) -> "Jet":
-        if order == 0:
-            return cls((complex(x0),))
-        return cls((complex(x0), 1 + 0j) + (0j,) * (order - 1))
-
     def __add__(self, other):
         if isinstance(other, Jet):
             return Jet._of(tuple(a + b for a, b in zip(self.coef, other.coef)))
@@ -71,18 +65,12 @@ class Jet:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Jet._of(tuple(-c for c in self.coef))
-
     def __sub__(self, other):
         if isinstance(other, Jet):
             return Jet._of(tuple(a - b for a, b in zip(self.coef, other.coef)))
         if isinstance(other, (int, float, complex)):
             return Jet._of((self.coef[0] - complex(other),) + self.coef[1:])
         return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -107,16 +95,6 @@ class Jet:
             out.append(-inv0 * acc)
         return Jet._of(tuple(out))
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self * (1 / other)
-        if not isinstance(other, Jet):
-            return NotImplemented
-        return self * other.reciprocal()
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
@@ -133,9 +111,6 @@ class Jet:
         for _ in range(times):
             coef = tuple((i + 1) * coef[i + 1] for i in range(len(coef) - 1))
         return Jet._of(coef)
-
-    def __repr__(self):
-        return f"Jet({self.coef})"
 
 
 def sn_jet_triple(x0, k, order: int, scale=1.0):

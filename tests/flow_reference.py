@@ -1,4 +1,4 @@
-"""The ring-product form of the flow derivations, the tests' reference.
+"""The long forms of the exact layer's operations, the tests' reference.
 
 `flows.flow_derivative` writes a derivative's terms in one pass over the
 numerator.  This module builds the same element the long way: partial
@@ -6,11 +6,41 @@ derivatives, f'(x_i) and `Poly` products with the y-reduction they imply,
 then the closed form of the `flows` docstring as a ring expression.  Since
 `Poly` and `Fld` have a canonical form, both routes must give the same
 numerator, scale and denominator exponents.
+
+`Fld` takes its denominator as exponents.  `quotient` takes it as a `Poly`
+c * x1^a * x2^b * (x1 - x2)^k and factors it, so that field arithmetic can
+be checked against the cross-multiplied fraction, and `swap_points`
+exchanges the two curve points of an element through that route.
 """
 
 from g2soliton.curvering import Fld, Poly, Rat, _den_poly
 
 _HALF = Rat(1, 2)
+
+
+def den(f: Fld) -> Poly:
+    """The expanded denominator x1^a * x2^b * (x1 - x2)^k of f."""
+    return _den_poly(f.params, *f.struct)
+
+
+def quotient(num: Poly, d: Poly) -> Fld:
+    """num / d for d = c * x1^a * x2^b * (x1 - x2)^k, c a nonzero rational."""
+    a, b, _, _ = d.common_monomial()
+    rest, k = d.shift_down((a, b, 0, 0)), 0
+    while not rest.is_constant():
+        rest, k = rest.try_divide(), k + 1
+        assert rest is not None, "denominator is not c * x1^a * x2^b * (x1 - x2)^k"
+    assert rest, "zero denominator"
+    return Fld(num * (1 / rest.scale), a, b, k)
+
+
+def _swap(p: Poly) -> Poly:
+    return Poly(p.params, {(m[1], m[0], m[3], m[2]): c * p.scale for m, c in p.terms.items()})
+
+
+def swap_points(f: Fld) -> Fld:
+    """f with x1 <-> x2 and y1 <-> y2 exchanged."""
+    return quotient(_swap(f.num), _swap(den(f)))
 
 
 def partial(p: Poly, var: int) -> Poly:
@@ -80,6 +110,6 @@ def flow_derivative(g: Fld, direction: int) -> Fld:
     dn = flow_poly_numerator(g.num, direction)
     a, b, k = g.struct
     if not (a or b or k):
-        return Fld.structured(dn, 0, 0, 1)
+        return Fld(dn, 0, 0, 1)
     num = dn * _den_poly(params, 1, 1, 1) - g.num * _log_den_numerator(params, a, b, k, direction)
-    return Fld.structured(num, a + 1, b + 1, k + 2)
+    return Fld(num, a + 1, b + 1, k + 2)

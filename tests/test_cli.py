@@ -478,6 +478,7 @@ def test_miura_pipeline_command(tmp_path):
         ("pde-run", "--init", "cnoidal:k=0.9,m=1.5"),
         ("elliptic-check", "--re", "0:inf:3"),
         ("elliptic-check", "--k", "0.7", "--re", "0.1:1:3", "--im=-1e308:0.5:2"),
+        ("elliptic-check", "--k", "0.7", "--re", "1e17:1e17:1", "--im", "0:0:1"),
     ],
 )
 def test_vacuous_or_degenerate_runs_are_usage_errors(argv, capsys):

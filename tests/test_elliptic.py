@@ -195,6 +195,24 @@ def test_overflowing_argument_is_an_error_but_not_a_pole(k):
     assert not isinstance(info.value, PoleArgument)
 
 
+@pytest.mark.parametrize("k", [0.7, 0.999, 1.5])
+def test_far_real_argument_is_an_error_but_not_a_pole(k):
+    """Reducing z by n periods 4K in double precision costs ~5e-15 * n: at
+    k = 0.7, sn was off by 3.8e-5 at z = 1e12 and returned 0 at 1e17."""
+    # |k| > 1 is reduced as sn(kz, 1/k) / k, so count periods of the reciprocal modulus
+    kk, scale = (1 / k, k) if k > 1 else (k, 1)
+    period = (4 * quarter_period(kk)).real / scale
+    for n in (1e4 + 1, 1e12, 1e17):
+        with pytest.raises(EllipticError) as info:
+            sncndn(n * period, k)
+        assert not isinstance(info.value, PoleArgument)
+    # just inside the bound the reduction is still accurate
+    z = (1e4 - 0.3) * period
+    with mp.workdps(40):
+        want = complex(mp.ellipfun("sn", z, m=mp.mpf(k) ** 2))
+    assert abs(sn(z, k) - want) < 1e-10
+
+
 def test_near_pole_returns_large_value():
     k = 0.7
     pole = 1j * quarter_period(math.sqrt(1 - k * k)).real

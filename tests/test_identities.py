@@ -30,6 +30,8 @@ from g2soliton.identities import (
 )
 from g2soliton.sweep import SweepConfig, locus_groups, run_sweep, sample_curve, sample_curves, summarize
 
+from flow_reference import swap_points
+
 GENERIC = CurveParams((1, 2, 1, 3, 1, 4, 5))
 QUINTIC = CurveParams((2, 3, 1, 5, 1, 4, 0))  # l6 = 0
 SPECIAL = CurveParams((0, 4, 1, 1, 1, 4, 0))  # l0 = l6 = 0, l1 = l5 = 4
@@ -48,10 +50,14 @@ def special_fns():
 # -- construction --------------------------------------------------------------
 
 
+def fvar(params, name):
+    return Fld(Poly.variable(params, name))
+
+
 def test_weierstrass_triple_shapes(generic_fns):
     params = GENERIC
-    x1 = Fld.variable(params, "x1")
-    x2 = Fld.variable(params, "x2")
+    x1 = fvar(params, "x1")
+    x2 = fvar(params, "x2")
     l5 = params.lambdas[5]
     assert generic_fns.p22 == l5 / 4 * (x1 + x2)
     assert generic_fns.p21 == -(l5 / 4) * x1 * x2
@@ -59,18 +65,18 @@ def test_weierstrass_triple_shapes(generic_fns):
 
 def test_dual_triple_shapes(generic_fns):
     params = GENERIC
-    x1 = Fld.variable(params, "x1")
-    x2 = Fld.variable(params, "x2")
+    one = Poly.const(params, 1)
+    inv_x1, inv_x2, inv_x1x2 = Fld(one, 1, 0, 0), Fld(one, 0, 1, 0), Fld(one, 1, 1, 0)
     l1 = params.lambdas[1]
-    assert generic_fns.hp11 == l1 / 4 * (1 / x1 + 1 / x2)
-    assert generic_fns.hp21 == -(l1 / 4) / (x1 * x2)
-    assert generic_fns.hq == generic_fns.q / (x1 * x2)
+    assert generic_fns.hp11 == l1 / 4 * (inv_x1 + inv_x2)
+    assert generic_fns.hp21 == -(l1 / 4) * inv_x1x2
+    assert generic_fns.hq == generic_fns.q * inv_x1x2
 
 
 def test_q_defining_relation(generic_fns):
     params = GENERIC
-    x1 = Fld.variable(params, "x1")
-    x2 = Fld.variable(params, "x2")
+    x1 = fvar(params, "x1")
+    x2 = fvar(params, "x2")
     y1y2 = Fld(Poly(params, {(0, 0, 1, 1): Rat(1)}))
     lhs = 4 * (x1 - x2) ** 2 * generic_fns.q
     assert (lhs - (Fld(generic_fns.f_poly) - 2 * y1y2)).is_zero()
@@ -96,7 +102,7 @@ def test_build_functions_guards():
 def test_symmetry_under_point_swap(generic_fns):
     for name in ("p22", "p21", "q", "hp11", "hp21", "hq"):
         f = generic_fns.base(name)
-        assert (f - f.swap_points()).is_zero()
+        assert (f - swap_points(f)).is_zero()
 
 
 # -- probe oracle first, then exact reduction -----------------------------------
@@ -184,29 +190,32 @@ def test_kummer_on_fractional_curve_with_l0_not_one():
 # -- dual involution ---------------------------------------------------------------
 
 
-def dual_transform_poly(p, target):
-    """Image of a polynomial under x_i -> 1/x_i, y_i -> y_i/x_i^3.
+def reversed_curve(params):
+    """The curve with l_j <-> l_{6-j}, which x -> 1/x maps onto `params`."""
+    return CurveParams(tuple(reversed(params.lambdas)))
 
-    `target` must be the coefficient-reversed curve; the involution maps the
-    quotient relation of one curve onto the other.
+
+def dual_transform(f):
+    """Image of a function-field element under x_i -> 1/x_i, y_i -> y_i/x_i^3,
+    on the coefficient-reversed curve, apart from the catalog: a reference for
+    the generated Jacobi entries.
+
+    For f = N / (x1^a x2^b (x1 - x2)^k), N's monomials map to x1^-(e1 + 3 c1)
+    x2^-(e2 + 3 c2) y1^c1 y2^c2, and 1/x1 - 1/x2 = -(x1 - x2) / (x1 x2).
     """
-    assert target.lambdas == p.params.dual().lambdas
+    a, b, k = f.struct
+    p = f.num
     d1 = max((m[0] + 3 * m[2] for m in p.terms), default=0)
     d2 = max((m[1] + 3 * m[3] for m in p.terms), default=0)
-    num_terms = {(d1 - e1 - 3 * a1, d2 - e2 - 3 * a2, a1, a2): c for (e1, e2, a1, a2), c in p.terms.items()}
-    return Fld(Poly.scaled(target, num_terms, p.scale), Poly.scaled(target, {(d1, d2, 0, 0): 1}))
-
-
-def dual_transform(a):
-    """Image of a function-field element under the dual involution, apart
-    from the catalog: a reference for the generated Jacobi entries."""
-    target = a.params.dual()
-    return dual_transform_poly(a.num, target) / dual_transform_poly(a.den, target)
+    terms = {
+        (d1 - e1 - 3 * c1 + a + k, d2 - e2 - 3 * c2 + b + k, c1, c2): c for (e1, e2, c1, c2), c in p.terms.items()
+    }
+    return Fld(Poly.scaled(reversed_curve(f.params), terms, p.scale * (-1) ** k), d1, d2, k)
 
 
 def test_dual_transform_sends_triple_to_hatted():
     # the Weierstrass triple on the reversed curve maps onto the dual triple
-    rev = GENERIC.dual()
+    rev = reversed_curve(GENERIC)
     fns = G2Functions(GENERIC)
     fns_rev = G2Functions(rev)
     assert (dual_transform(fns_rev.p22) - fns.hp11).is_zero()
@@ -216,7 +225,7 @@ def test_dual_transform_sends_triple_to_hatted():
 
 def test_dual_transform_flow_relabeling():
     # S o D1 = -D2 o S: the involution swaps and reverses the flows
-    rev = GENERIC.dual()
+    rev = reversed_curve(GENERIC)
     fns_rev = G2Functions(rev)
     g = fns_rev.p22
     lhs = dual_transform(flow_derivative(g, 1))
@@ -226,12 +235,10 @@ def test_dual_transform_flow_relabeling():
 
 def test_dual_pairing_polynomial_consistency():
     # F(1/x1, 1/x2; reversed) * (x1 x2)^3 == F(x1, x2; original)
-    rev = GENERIC.dual()
+    rev = reversed_curve(GENERIC)
     f_rev = symmetric_pairing(rev)
     image = dual_transform(Fld(f_rev))
-    x1 = Fld.variable(GENERIC, "x1")
-    x2 = Fld.variable(GENERIC, "x2")
-    expect = Fld(symmetric_pairing(GENERIC)) / (x1 * x2) ** 3
+    expect = Fld(symmetric_pairing(GENERIC), 3, 3)
     assert (image - expect).is_zero()
 
 
@@ -254,7 +261,7 @@ def test_generated_jacobi_entries_are_dual_images(name):
     # reversed curve; S o D1 = -D2 o S flips the sign of first-derivative
     # relations only
     params = DUAL_CURVES[name]
-    fns, fns_rev = G2Functions(params), G2Functions(params.dual())
+    fns, fns_rev = G2Functions(params), G2Functions(reversed_curve(params))
     for tag, partner in DUAL_PARTNERS.items():
         sign = -1 if tag.startswith("INT") else 1
         got = residuals_unchecked(tag, fns)
@@ -309,7 +316,7 @@ def test_generated_js_entries_are_dual_images_of_the_references():
     # the pin acts on the dual view: pinning the curve's own l6 instead
     # would give another JS3 on this sextic
     params = PIN_CURVES["fractional sextic"]
-    fns, ctx_rev = G2Functions(params), ExactContext(G2Functions(params.dual()))
+    fns, ctx_rev = G2Functions(params), ExactContext(G2Functions(reversed_curve(params)))
     for tag in ("JS1", "JS2", "JS3", "JS4", "JS5"):
         (got,) = residuals_unchecked(tag, fns)
         want = QUINTIC_REFERENCES[DUAL_PARTNERS[tag]](ctx_rev)

@@ -6,6 +6,8 @@ TEST_REFERENCES with the reason it is kept.
 """
 
 import ast
+import importlib.util
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,3 +92,19 @@ def test_every_public_name_has_a_program_reader():
     dead = sorted(public - reads - set(TEST_REFERENCES))
     assert dead == [], f"public names no program path reads: {dead}"
     assert set(TEST_REFERENCES) <= public, "a listed test reference no longer exists"
+
+
+def test_benchmark_patch_points_resolve_to_program_functions():
+    # the traced benchmark wraps each (owner, attribute); a method the program
+    # lost would resolve to one inherited from object, and its layer would read 0
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    checked = 0
+    for owner, attr, _ in tracing.PATCH_POINTS:
+        if not getattr(owner, "__module__", getattr(owner, "__name__", "")).startswith("g2soliton"):
+            continue  # numpy's FFT
+        fn = getattr(owner, attr)
+        assert inspect.isfunction(fn) and fn.__module__.startswith("g2soliton"), (owner, attr)
+        checked += 1
+    assert checked == len(tracing.PATCH_POINTS) - 2

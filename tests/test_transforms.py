@@ -44,7 +44,7 @@ def test_jet_reciprocal_against_taylor_oracle():
 
 
 def test_jet_arithmetic_basics():
-    x = Jet.variable(2.0, 4)
+    x = Jet((2.0, 1.0, 0.0, 0.0, 0.0))  # the variable x at x0 = 2
     p = x * x + 3 * x - 1
     assert p.value(0) == pytest.approx(9.0)
     assert p.value(1) == pytest.approx(7.0)
@@ -129,9 +129,6 @@ class _ReferenceJet:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return _ReferenceJet(tuple(c * other for c in self.coef))
@@ -152,14 +149,6 @@ class _ReferenceJet:
             acc = sum(self.coef[i] * out[m - i] for i in range(1, m + 1))
             out.append(-inv0 * acc)
         return _ReferenceJet(out)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self * (1 / other)
-        return self * other.reciprocal()
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
 
     def __pow__(self, n):
         result = _ReferenceJet.constant(1, self.order)
@@ -193,10 +182,10 @@ def test_jet_operations_match_reference_bit_for_bit(order):
         rv, rw = _ReferenceJet(v.coef), _ReferenceJet(w.coef)
         s = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
         pairs = [
-            (v + w, rv + rw), (v - w, rv - rw), (v * w, rv * rw), (v / w, rv / rw),
-            (v + s, rv + s), (s + v, s + rv), (v - s, rv - s), (s - v, s - rv),
-            (v * s, rv * s), (3 * v, 3 * rv), (v / 1.7, rv / 1.7), (2.5 / v, 2.5 / rv),
-            (-v, -rv), (v**3, rv**3), (v.reciprocal(), rv.reciprocal()),
+            (v + w, rv + rw), (v - w, rv - rw), (v * w, rv * rw),
+            (v + s, rv + s), (s + v, s + rv), (v - s, rv - s),
+            (v * s, rv * s), (3 * v, 3 * rv),
+            (v**3, rv**3), (v.reciprocal(), rv.reciprocal()),
             (v.deriv(), rv.deriv()), (v.deriv(3), rv.deriv(3)),
         ]
         for got, want in pairs:
@@ -301,7 +290,7 @@ def test_order_requirements():
 
 
 def test_singular_denominator_guard():
-    v = Jet.variable(1e-12, 4) + Jet.constant(0.0, 4)
+    v = Jet((1e-12, 1.0, 0.0, 0.0, 0.0))  # x near x0 = 1e-12
     with pytest.raises(SingularDenominator):
         static_transformation_residuals(v, "inv_square", 1.0)
 
@@ -350,5 +339,5 @@ def test_pair_check_guard_at_sn_zero():
 
 
 def test_kdv_profile_operator():
-    u = Jet.variable(1.0, 4) ** 2  # u = x^2: u_xxx = 0, u u_x = 2x^3
+    u = Jet((1.0, 1.0, 0.0, 0.0, 0.0)) ** 2  # u = x^2 at x0 = 1: u_xxx = 0, u u_x = 2x^3
     assert kdv_profile_operator(u) == pytest.approx(-12.0)
