@@ -270,8 +270,10 @@ def _cmd_akns_check(args) -> int:
             eta=complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
             b=complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
         )
-        for _ in range(args.jets):
-            jet = JetPoint(*(rng.uniform(-1, 1, size=5) + 1j * rng.uniform(-1, 1, size=5)))
+        # per jet, the same stream as two draws of 5: real parts, then imaginary
+        parts = rng.uniform(-1, 1, size=(args.jets, 2, 5))
+        for values in (parts[:, 0] + 1j * parts[:, 1]).tolist():
+            jet = JetPoint(*values)
             res = akns_commutator_residual(jet, params)
             d_val = signed_mkdv_residual(jet, params)
             scale = max(1.0, abs(d_val))

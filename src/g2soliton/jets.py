@@ -5,12 +5,18 @@ pointwise transformation identities can be evaluated from genuinely analytic
 derivatives (no finite differencing).  Jets of the Jacobi triple are grown
 from the coupled first-order system sn' = cn dn, cn' = -sn dn,
 dn' = -k^2 sn cn, which needs only the point values to seed it.
+
+The convolutions (products, the reciprocal and the sn recursion) are plain
+index loops.  Each coefficient is accumulated from the integer 0 in the order
+of `sum`, and the loops convert nothing to `complex`, so they would run the
+same on exact coefficients.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 from .elliptic import SingularDenominator, sncndn
 
@@ -58,7 +64,7 @@ class Jet:
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet._of(tuple(a + b for a, b in zip(self.coef, other.coef)))
+            return Jet._of(tuple(map(operator.add, self.coef, other.coef)))
         if isinstance(other, (int, float, complex)):
             return Jet._of((self.coef[0] + complex(other),) + self.coef[1:])
         return NotImplemented
@@ -67,7 +73,7 @@ class Jet:
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return Jet._of(tuple(a - b for a, b in zip(self.coef, other.coef)))
+            return Jet._of(tuple(map(operator.sub, self.coef, other.coef)))
         if isinstance(other, (int, float, complex)):
             return Jet._of((self.coef[0] - complex(other),) + self.coef[1:])
         return NotImplemented
@@ -79,27 +85,36 @@ class Jet:
         if not isinstance(other, Jet):
             return NotImplemented
         a, b = self.coef, other.coef
-        return Jet._of(
-            tuple(sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(min(len(a), len(b))))
-        )
+        out = []
+        for m in range(min(len(a), len(b))):
+            acc = 0
+            for i in range(m + 1):
+                acc += a[i] * b[m - i]
+            out.append(acc)
+        return Jet._of(tuple(out))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Jet":
-        if abs(self.coef[0]) < _RECIPROCAL_FLOOR:
+        coef = self.coef
+        if abs(coef[0]) < _RECIPROCAL_FLOOR:
             raise SingularDenominator("jet value too close to zero to invert")
-        inv0 = 1 / self.coef[0]
+        inv0 = 1 / coef[0]
         out = [inv0]
-        for m in range(1, self.order + 1):
-            acc = sum(self.coef[i] * out[m - i] for i in range(1, m + 1))
+        for m in range(1, len(coef)):
+            acc = 0
+            for i in range(1, m + 1):
+                acc += coef[i] * out[m - i]
             out.append(-inv0 * acc)
         return Jet._of(tuple(out))
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        result = Jet.constant(1, self.order)
-        for _ in range(n):
+        if n == 0:
+            return Jet.constant(1, self.order)
+        result = self
+        for _ in range(n - 1):
             result = result * self
         return result
 
@@ -109,7 +124,7 @@ class Jet:
             raise ValueError("jet too short to differentiate")
         coef = self.coef
         for _ in range(times):
-            coef = tuple((i + 1) * coef[i + 1] for i in range(len(coef) - 1))
+            coef = tuple(map(operator.mul, range(1, len(coef)), coef[1:]))
         return Jet._of(coef)
 
 
@@ -121,13 +136,16 @@ def sn_jet_triple(x0, k, order: int, scale=1.0):
     sc = complex(scale)
     s, c, d = [s0], [c0], [d0]
     for n in range(order):
-        conv_cd = sum(c[i] * d[n - i] for i in range(n + 1))
-        conv_sd = sum(s[i] * d[n - i] for i in range(n + 1))
-        conv_sc = sum(s[i] * c[n - i] for i in range(n + 1))
+        conv_cd = conv_sd = conv_sc = 0
+        for i in range(n + 1):
+            j = n - i
+            conv_cd += c[i] * d[j]
+            conv_sd += s[i] * d[j]
+            conv_sc += s[i] * c[j]
         s.append(sc * conv_cd / (n + 1))
         c.append(-sc * conv_sd / (n + 1))
         d.append(-k2 * sc * conv_sc / (n + 1))
-    return Jet(s), Jet(c), Jet(d)
+    return Jet._of(tuple(s)), Jet._of(tuple(c)), Jet._of(tuple(d))
 
 
 def sn_jet(x0, k, order: int, scale=1.0) -> Jet:

@@ -29,10 +29,10 @@ def test_derived_coefficient():
 def test_matrix_shapes():
     jet = JetPoint(0.3, -0.2, 0.11, 0.45, -0.7)
     p = AKNSParams(eta=0.7, b=2.0)
-    l_mat = lax_l(jet, p)
-    m_mat = lax_m(jet, p)
-    assert l_mat[0, 0] == -l_mat[1, 1] and l_mat[0, 1] == -l_mat[1, 0]
-    assert m_mat[0, 0] == -m_mat[1, 1]
+    l00, l01, l10, l11 = lax_l(jet, p)
+    m00, _, _, m11 = lax_m(jet, p)
+    assert l00 == -l11 and l01 == -l10
+    assert m00 == -m11
 
 
 def test_commutator_structure_fixed_example():

@@ -389,6 +389,21 @@ def test_modulus_within_1e8_of_one_passes(argv, tmp_path):
     assert run_cli(*argv, "--out", str(tmp_path / "run.json")) == 0
 
 
+@pytest.mark.parametrize(
+    "argv,points",
+    [
+        (("--k", "1e-4", "--re", "0.1:2.0:5", "--im=-0.8:0.8:5"), 25),
+        (("--k", "0.6+0.3j", "--re", "1000:2000:5"), 100),
+    ],
+)
+def test_far_imaginary_arguments_pass(argv, points, tmp_path):
+    # z + 3iK' at k = 1e-4, and z reduced by the complex period 4K, lie far from
+    # the real axis, where the half-period and sn ODE residuals were 1.0
+    out = tmp_path / "run.json"
+    assert run_cli("elliptic-check", *argv, "--out", str(out)) == 0
+    assert json.loads(out.read_text())["grid_points"] == points
+
+
 def test_pde_run_under_resolved_exits_1(tmp_path):
     # dt = 1e-2 on a c = 4 soliton: the window residual is about 3.6e-3
     out = tmp_path / "run.json"

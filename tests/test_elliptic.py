@@ -213,6 +213,46 @@ def test_far_real_argument_is_an_error_but_not_a_pole(k):
     assert abs(sn(z, k) - want) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "z,k",
+    [
+        (0.5 + 50j, 0.7),
+        (0.5 + 30j, 0.7),
+        (0.5 + 400j, 0.7),
+        (1000, 0.6 + 0.3j),
+        (0.3 + 35j, 1e-4),
+        (0.3 - 52j, 1e-6),
+        (0.4 + 20j, 1.5),
+        (-37.5 + 11j, 0.6 + 0.3j),
+    ],
+)
+def test_far_imaginary_part_against_mpmath(z, k):
+    """Far from the real axis the ladder's trigonometric base case breaks down
+    (sn(0.5 + 50i, 0.7) came out as 2.3e-23, 0.5 + 400i as a false pole, and
+    for a complex modulus the 4K reduction of sn(1000) landed there too), so
+    z is reduced by the imaginary period 2iK' first."""
+    got = sncndn(z, k)
+    with mp.workdps(40):
+        want = [complex(mp.ellipfun(f, mp.mpc(z), m=mp.mpc(k) ** 2)) for f in ("sn", "cn", "dn")]
+    for g, w in zip(got, want):
+        assert abs(g - w) < 1e-12 * max(1.0, abs(w))
+
+
+@pytest.mark.parametrize("k", [0.7, 1e-4, 0.6 + 0.3j])
+def test_far_imaginary_argument_is_an_error_but_not_a_pole(k):
+    # n periods 2iK' cost about as much accuracy as n periods 4K
+    with mp.workdps(30):
+        iperiod = complex(2j * mp.ellipk(1 - mp.mpc(k) ** 2))
+    for n in (1e4 + 1, 1e12):
+        with pytest.raises(EllipticError) as info:
+            sncndn(0.4 + n * iperiod, k)
+        assert not isinstance(info.value, PoleArgument)
+    z = 0.4 + (1e4 - 0.3) * iperiod
+    with mp.workdps(60):
+        want = complex(mp.ellipfun("sn", mp.mpc(z), m=mp.mpc(k) ** 2))
+    assert abs(sn(z, k) - want) < 1e-10 * max(1.0, abs(want))
+
+
 def test_near_pole_returns_large_value():
     k = 0.7
     pole = 1j * quarter_period(math.sqrt(1 - k * k)).real
@@ -230,6 +270,14 @@ def test_halfperiod_relation_complex_point():
 def test_halfperiod_relation_half_quarter_period():
     z = quarter_period(0.5).real / 2
     assert abs(halfperiod_residual_g1(z, 0.5)) < 1e-9
+
+
+@pytest.mark.parametrize("k", [1e-4, 1e-6])
+def test_halfperiod_relation_small_modulus(k):
+    # K' through k' lost half the digits of k (1e-8 of K' at k = 1e-4), and
+    # z + 3iK' lay beyond the reach of the ladder; both gave residuals of 1e-8 to 1
+    for z in (0.3 + 0.2j, 1.1 - 0.4j, 1.7):
+        assert abs(halfperiod_residual_g1(z, k)) < 1e-9
 
 
 def test_halfperiod_zero_is_guarded():
