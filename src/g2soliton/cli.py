@@ -44,6 +44,8 @@ PDE_RESIDUAL_TOL = 1e-6
 DRIFT_TOL = 1e-7
 # 100x the README pde-run; a miura-pipeline at n = 256 then holds about 0.4 GB of snapshots
 MAX_STEPS = 100_000
+# snapshots in the pde-run CSV, t = 0 and t_end included, when 10 divides the step count
+PDE_SNAPSHOTS = 11
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -92,7 +94,7 @@ def _exact_exit_code(results, what: str) -> int:
 
 def _cmd_verify_g2(args) -> int:
     params = CurveParams.from_text(args.lam)
-    report = verify_all(params, _identity_set(args.set), witness_seed=args.witness_seed)
+    report = verify_all(params, _identity_set(args.set))
     code = _exact_exit_code(report.results, f"set {args.set!r} on curve {params}")
     print(report.table())
     _emit({"command": "verify-g2", "entries": report.to_json_entries()}, args.out)
@@ -104,7 +106,7 @@ def _cmd_sweep(args) -> int:
     config = SweepConfig(count=args.count, seed=args.seed, constraints=constraints)
     tags = _identity_set(args.set)
     _, excluded = locus_groups(config, tags)
-    reports = run_sweep(config, tags, jobs=args.jobs, witness_seed=args.witness_seed)
+    reports = run_sweep(config, tags, jobs=args.jobs)
     results = [r for rep in reports for r in rep.results]
     code = _exact_exit_code(results, f"set {args.set!r} under --constraints {args.constraints!r}")
     summary = summarize(reports, excluded)
@@ -162,6 +164,8 @@ def _cmd_elliptic_check(args) -> int:
             worst_ode = max(worst_ode, ode)
             worst_sq = max(worst_sq, sq)
             rows.append((re, im, ode))
+    if not rows:
+        raise ValueError(f"every --re/--im grid point is a pole at k={args.k}, so the grid checked nothing")
     worst_hp = 0.0
     rng = random.Random(args.seed)
     n_hp, need = 0, 100
@@ -293,6 +297,9 @@ def _cmd_akns_check(args) -> int:
     return 0 if ok else 1
 
 
+_INIT_KEYS = {"soliton": ("c", "x0"), "cnoidal": ("k", "m")}
+
+
 def _initial_field(spec: str, grid: Grid1D) -> tuple:
     """Parse soliton:c=4,x0=10 | cnoidal:k=0.9,m=1 | file:path."""
     import numpy as np
@@ -301,10 +308,14 @@ def _initial_field(spec: str, grid: Grid1D) -> tuple:
 
     kind, _, rest = spec.partition(":")
     options = {}
-    if kind != "file" and rest:
+    if kind in _INIT_KEYS and rest:
+        keys = _INIT_KEYS[kind]
         for item in rest.split(","):
             key, _, value = item.partition("=")
-            options[key.strip()] = float(value)
+            key = key.strip()
+            if key not in keys or key in options:
+                raise ValueError(f"--init {kind} takes the keys {' and '.join(keys)}, each at most once, got {item!r}")
+            options[key] = float(value)
     if kind == "soliton":
         c = options.get("c", 4.0)
         x0 = options.get("x0", grid.length / 4)
@@ -352,7 +363,7 @@ def _cmd_pde_run(args) -> int:
     _check_finite_a(args.a)
     grid = Grid1D(args.n, args.length)
     u0, init_info = _initial_field(args.init, grid)
-    save_every = max(1, steps // max(1, args.snapshots - 1))
+    save_every = max(1, steps // (PDE_SNAPSHOTS - 1))
     try:
         traj = evolve_trajectory(args.eq, u0, args.t_end, args.dt, a=args.a, save_every=save_every)
     except PdeError as exc:
@@ -446,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-g2", help="reduce an identity set on one curve")
     p.add_argument("--lambda", dest="lam", required=True, help="l0,l1,...,l6 (p/q entries allowed)")
     p.add_argument("--set", default="all", help=f"one of {sorted(IDENTITY_SETS)}")
-    p.add_argument("--witness-seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify_g2)
 
@@ -456,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", default="all")
     p.add_argument("--constraints", default="", help="comma list like l0=0,l6=0,l5=4")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--witness-seed", type=int, default=0)
     p.add_argument("--timing", action="store_true", help="include per-identity timings")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
@@ -492,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--t-end", dest="t_end", type=float, default=1.0)
     p.add_argument("--init", default="soliton:c=4,x0=10")
-    p.add_argument("--snapshots", type=int, default=11)
     p.add_argument("--csv", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_pde_run)

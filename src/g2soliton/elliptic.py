@@ -115,7 +115,9 @@ def _landen_descent(k: complex, signs: tuple) -> tuple:
     kp = _complementary_modulus(k)
     rungs = []
     for _ in range(_LANDEN_MAX_STEPS):
-        if abs(k) < _LANDEN_BASE:
+        # one rung at least: the base case's error grows as (k^2 e^(2 |Im z|))^2,
+        # O(1) near Im z = K' for the k itself, but k1 ~ k^2/4 has twice its K'
+        if rungs and abs(k) < _LANDEN_BASE:
             return tuple(1 + k1 for k1 in rungs), tuple((k1, 1 + k1) for k1 in reversed(rungs)), k
         k1 = k * k / (1 + kp) ** 2
         kp = 2 * cmath.sqrt(kp) / (1 + kp)
@@ -221,17 +223,17 @@ def sn_second_derivative_residual(z, k) -> complex:
     return szz + (1 + k2) * s - 2 * k2 * s**3
 
 
-def halfperiod_residual_g1(z, k, shift_multiple: int = 3) -> complex:
-    """Residual of sn(z + m*i*K') * k * sn(z) - 1 for odd m (default 3).
+def halfperiod_residual_g1(z, k) -> complex:
+    """Residual of sn(z + 3iK') * k * sn(z) - 1.
 
-    Any odd multiple works since 2iK' is a period of sn.
+    Any odd multiple of iK' would do, since 2iK' is a period of sn.
     """
     k = complex(k)
     kq_prime = _imaginary_quarter_period(k, _signs(k))
     sz = sn(z, k)
     if abs(sz) < 1e-6 or abs(sz) > 1e6:
         raise PoleArgument("z is within 1e-6 of a zero or pole of sn")
-    shifted = sn(complex(z) + shift_multiple * 1j * kq_prime, k)
+    shifted = sn(complex(z) + 3j * kq_prime, k)
     return shifted * k * sz - 1
 
 

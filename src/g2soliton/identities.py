@@ -181,18 +181,18 @@ class G2Functions:
         self._derivs: dict = {}
         self._probe_streams: dict = {}
 
-    def probe_point(self, seed: int, index: int):
-        """Point `index` of the probe stream for `seed` at the working precision.
+    def probe_point(self, index: int):
+        """Point `index` of the probe stream at the working precision.
 
-        The stream is the draws of random_probe_point(params, Random(seed)),
-        made once and extended lazily.
+        The stream is the draws of random_probe_point(params, Random(0)),
+        made once per precision and extended lazily.
         """
-        key = (seed, mp.mp.dps)
-        if key not in self._probe_streams:
-            self._probe_streams[key] = ([], random.Random(seed))
-        points, rng = self._probe_streams[key]
+        dps = mp.mp.dps
+        if dps not in self._probe_streams:
+            self._probe_streams[dps] = ([], random.Random(0))
+        points, rng = self._probe_streams[dps]
         while len(points) <= index:
-            points.append(random_probe_point(self.params, rng, mp.mp.dps))
+            points.append(random_probe_point(self.params, rng, dps))
         return points[index]
 
     def base(self, name: str) -> Fld:
@@ -600,6 +600,8 @@ def probe_identity(tag: str, fns: G2Functions, point) -> tuple:
 
 # -- verification driver --------------------------------------------------------
 
+WITNESS_TRIES = 25
+
 
 @dataclass
 class IdentityResult:
@@ -645,16 +647,16 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def find_witness(comps, fns: G2Functions, seed: int = 0, tries: int = 25):
+def find_witness(comps, fns: G2Functions):
     """A probe point where some residual component is numerically nonzero.
 
-    The points are the first `tries` of `fns`'s probe stream for `seed`, so
-    every identity witnessed on one curve walks the same draws, made once.
+    The points are the first WITNESS_TRIES of `fns`'s probe stream, so every
+    identity witnessed on one curve walks the same draws, made once.
     """
     with mp.workdps(probe_digits()):
         threshold = mp.mpf(10) ** (-(mp.mp.dps // 2))
-        for i in range(tries):
-            point = fns.probe_point(seed, i)
+        for i in range(WITNESS_TRIES):
+            point = fns.probe_point(i)
             for comp in comps:
                 if comp.is_zero():
                     continue
@@ -674,7 +676,7 @@ def find_witness(comps, fns: G2Functions, seed: int = 0, tries: int = 25):
     return None, None
 
 
-def verify_identity(tag: str, fns: G2Functions, witness_seed: int = 0) -> IdentityResult:
+def verify_identity(tag: str, fns: G2Functions) -> IdentityResult:
     """Reduce one identity exactly and witness a nonzero residual.
 
     "unresolved" is a nonzero residual without a witness point; `millis`
@@ -687,7 +689,7 @@ def verify_identity(tag: str, fns: G2Functions, witness_seed: int = 0) -> Identi
     comps = residuals_unchecked(tag, fns)
     if all(comp.is_zero() for comp in comps):
         return IdentityResult(tag, "zero", millis=(time.perf_counter() - start) * 1000)
-    point, value = find_witness(comps, fns, seed=witness_seed)
+    point, value = find_witness(comps, fns)
     millis = (time.perf_counter() - start) * 1000
     if point is None:
         return IdentityResult(tag, "unresolved", millis=millis, reason="no witness point found")
@@ -695,12 +697,12 @@ def verify_identity(tag: str, fns: G2Functions, witness_seed: int = 0) -> Identi
     return IdentityResult(tag, "nonzero", millis=millis, witness_point=wp, witness_value=value)
 
 
-def verify_all(params: CurveParams, tags=None, witness_seed: int = 0) -> VerifyReport:
+def verify_all(params: CurveParams, tags=None) -> VerifyReport:
     """Reduce every requested identity on one curve; failures are data."""
     if tags is None:
         tags = IDENTITY_SETS["all"]
     fns = G2Functions(params)
     report = VerifyReport(params)
     for tag in tags:
-        report.results.append(verify_identity(tag, fns, witness_seed=witness_seed))
+        report.results.append(verify_identity(tag, fns))
     return report

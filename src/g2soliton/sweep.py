@@ -93,13 +93,7 @@ def locus_groups(config: SweepConfig, tags) -> tuple[list, list]:
     return list(groups.items()), excluded
 
 
-def _sweep_worker(args) -> VerifyReport:
-    lam_strings, tags, witness_seed = args
-    params = CurveParams(tuple(lam_strings))
-    return verify_all(params, tags, witness_seed=witness_seed)
-
-
-def run_sweep(config: SweepConfig, tags=None, jobs: int = 1, witness_seed: int = 0) -> list[VerifyReport]:
+def run_sweep(config: SweepConfig, tags=None, jobs: int = 1) -> list[VerifyReport]:
     """Verify each locus group of the tags on its own sampled curves.
 
     Reports are ordered by group, then by curve index; excluded tags are
@@ -109,12 +103,12 @@ def run_sweep(config: SweepConfig, tags=None, jobs: int = 1, witness_seed: int =
     if tags is None:
         tags = IDENTITY_SETS["all"]
     groups, _ = locus_groups(config, tags)
-    work = [(c.as_strings(), group_tags, witness_seed) for group, group_tags in groups for c in sample_curves(group)]
+    work = [(c, group_tags) for group, group_tags in groups for c in sample_curves(group)]
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers <= 1:
-        return [_sweep_worker(w) for w in work]
+        return [verify_all(curve, group_tags) for curve, group_tags in work]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_worker, work))
+        return list(pool.map(verify_all, *zip(*work)))
 
 
 @dataclass

@@ -43,7 +43,7 @@ def _ladder(z, k):
     kp = cmath.sqrt((1 - k) * (1 + k))
     ladder = []
     for _ in range(64):
-        if abs(k) < _LANDEN_BASE:
+        if ladder and abs(k) < _LANDEN_BASE:
             break
         k1 = k * k / (1 + kp) ** 2
         kp = 2 * cmath.sqrt(kp) / (1 + kp)

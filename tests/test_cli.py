@@ -1,9 +1,11 @@
 """Command-line surface: exit codes, report files, determinism."""
 
+import argparse
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -171,8 +173,8 @@ def test_sweep_starts_no_more_workers_than_work_or_cores(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, work):
-            return map(fn, work)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -341,12 +343,12 @@ def test_pde_run_csv_has_one_real_sample_column(tmp_path):
     csv_path = tmp_path / "traj.csv"
     code = run_cli(
         "pde-run", "--n", "64", "--L", "20", "--t-end", "0.01", "--init", "soliton:c=4,x0=5",
-        "--snapshots", "3", "--csv", str(csv_path), "--out", str(tmp_path / "run.json"),
+        "--csv", str(csv_path), "--out", str(tmp_path / "run.json"),
     )
     assert code == 0
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "t,x,re_u"
-    assert len(lines) == 1 + 3 * 64
+    assert len(lines) == 1 + cli.PDE_SNAPSHOTS * 64  # 10 steps: t = 0, 0.001, ..., 0.01
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
     assert all(len(row) == 3 for row in rows)
     assert min(row[2] for row in rows) < -1.9  # the depth-2 soliton trough
@@ -394,11 +396,13 @@ def test_modulus_within_1e8_of_one_passes(argv, tmp_path):
     [
         (("--k", "1e-4", "--re", "0.1:2.0:5", "--im=-0.8:0.8:5"), 25),
         (("--k", "0.6+0.3j", "--re", "1000:2000:5"), 100),
+        (("--k", "1e-9"), 400),
     ],
 )
 def test_far_imaginary_arguments_pass(argv, points, tmp_path):
     # z + 3iK' at k = 1e-4, and z reduced by the complex period 4K, lie far from
-    # the real axis, where the half-period and sn ODE residuals were 1.0
+    # the real axis, where the half-period and sn ODE residuals were 1.0; at
+    # k = 1e-9 the ladder took no Landen rung, and the half-period residual was 0.95
     out = tmp_path / "run.json"
     assert run_cli("elliptic-check", *argv, "--out", str(out)) == 0
     assert json.loads(out.read_text())["grid_points"] == points
@@ -444,7 +448,7 @@ def test_pde_run_drift_alone_fails_the_gate(tmp_path, monkeypatch):
     out = tmp_path / "run.json"
     code = run_cli(
         "pde-run", "--n", "64", "--L", "20", "--t-end", "0.01", "--init", "soliton:c=4,x0=5",
-        "--snapshots", "3", "--out", str(out),
+        "--out", str(out),
     )
     assert code == 1
     summary = json.loads(out.read_text())
@@ -494,6 +498,10 @@ def test_miura_pipeline_command(tmp_path):
         ("elliptic-check", "--re", "0:inf:3"),
         ("elliptic-check", "--k", "0.7", "--re", "0.1:1:3", "--im=-1e308:0.5:2"),
         ("elliptic-check", "--k", "0.7", "--re", "1e17:1e17:1", "--im", "0:0:1"),
+        ("elliptic-check", "--k", "0.7", "--re", "0:0:1", "--im", "1.8626408023327385:1.8626408023327385:1"),
+        ("pde-run", "--t-end", "0.01", "--init", "soliton:speed=9"),
+        ("pde-run", "--t-end", "0.01", "--init", "cnoidal:K=0.5,m=2"),
+        ("pde-run", "--t-end", "0.01", "--init", "soliton:c=4,c=5"),
     ],
 )
 def test_vacuous_or_degenerate_runs_are_usage_errors(argv, capsys):
@@ -524,3 +532,18 @@ def test_miura_pipeline_unstable_run_fails_without_traceback(capsys):
 def test_miura_pipeline_short_run_names_minimum(capsys):
     assert run_cli("miura-pipeline", "--t-end", "0.001", "--dt", "1e-3") == 2
     assert "at least 4*dt = 0.004" in capsys.readouterr().err
+
+
+def test_readme_names_every_option():
+    # an option no README command or sentence names has no documented caller
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    missing = [
+        f"{name} {option}"
+        for name, parser in commands.choices.items()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+        and not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme)
+    ]
+    assert missing == []

@@ -224,6 +224,7 @@ def test_far_real_argument_is_an_error_but_not_a_pole(k):
         (0.3 - 52j, 1e-6),
         (0.4 + 20j, 1.5),
         (-37.5 + 11j, 0.6 + 0.3j),
+        (0.5 + 20j, 1e-9),
     ],
 )
 def test_far_imaginary_part_against_mpmath(z, k):
@@ -236,6 +237,21 @@ def test_far_imaginary_part_against_mpmath(z, k):
         want = [complex(mp.ellipfun(f, mp.mpc(z), m=mp.mpc(k) ** 2)) for f in ("sn", "cn", "dn")]
     for g, w in zip(got, want):
         assert abs(g - w) < 1e-12 * max(1.0, abs(w))
+
+
+@pytest.mark.parametrize("k", [1e-9, 5e-9, 1e-12])
+def test_tiny_modulus_against_mpmath(k):
+    """Below |k| = 1e-8 the ladder took no rung, and its trigonometric base
+    case was off by up to O(1) from Im z = 0.6 K' on (0.95 at K', k = 1e-9)."""
+    with mp.workdps(40):
+        m = mp.mpf(k) ** 2
+        kq_prime = float(mp.ellipk(1 - m))
+        for re in (0.1, 0.5, 1.2, 3.0):
+            for j in range(9):
+                z = complex(re, (0.3 + 0.2 * j) * kq_prime)
+                want = [complex(mp.ellipfun(f, mp.mpc(z), m=m)) for f in ("sn", "cn", "dn")]
+                for g, w in zip(sncndn(z, k), want):
+                    assert abs(g - w) < 1e-13 * max(1.0, abs(w)), (z, k)
 
 
 @pytest.mark.parametrize("k", [0.7, 1e-4, 0.6 + 0.3j])
@@ -287,8 +303,10 @@ def test_halfperiod_zero_is_guarded():
 
 def test_both_odd_shifts_satisfy_relation():
     # 2iK' is a period, so the single and triple imaginary shifts agree
-    for m in (1, 3):
-        assert abs(halfperiod_residual_g1(0.4 + 0.1j, 0.6, shift_multiple=m)) < 1e-9
+    z, k = 0.4 + 0.1j, 0.6
+    kq_prime = quarter_period(math.sqrt(1 - k * k)).real
+    assert abs(sn(z + 1j * kq_prime, k) * k * sn(z, k) - 1) < 1e-9
+    assert abs(halfperiod_residual_g1(z, k)) < 1e-9
 
 
 # -- Weierstrass function -----------------------------------------------------------

@@ -12,9 +12,6 @@ from g2soliton.transforms import sn_profile_jet
 
 import genus_one_reference as ref
 
-# 0.7 and 1e-9 with both signs of a zero imaginary part: at 1e-9 (no Landen
-# rung) the two give cn with different signed zeros, so a memo that mixed them
-# up would show
 REAL_MODULI = (complex(0.7, 0.0), complex(0.7, -0.0), complex(1e-9, 0.0), complex(1e-9, -0.0), 0.99, 1 - 1e-12,
                -(1 - 1e-12), 1e-4, -0.3, 0, 1, -1, math.sqrt(2), 1.5)
 COMPLEX_MODULI = (0.6 + 0.3j, 0.999 + 0.001j, 3 - 0.5j, complex(-0.0, 0.5))
@@ -42,12 +39,22 @@ def test_sncndn_and_quarter_period_match_reference(k):
         assert repr(sncndn(z, k)) == repr(ref.sncndn(z, k)), (z, k)
 
 
+MEMOS = (elliptic._landen_descent, elliptic._agm_quarter_period, elliptic._imaginary_quarter_period)
+
+
 def test_signed_zero_moduli_are_kept_apart():
-    z = complex(9.497236059319324, -0.0)
-    plus, minus = complex(1e-9, 0.0), complex(1e-9, -0.0)
-    assert repr(ref.sncndn(z, plus)) != repr(ref.sncndn(z, minus))
-    for k in (plus, minus, plus):
-        assert repr(sncndn(z, k)) == repr(ref.sncndn(z, k))
+    # +-0 + 0.5i compare equal, but reduce 0.3 + 20i over their lattices with
+    # different rounding, so a memo that mixed them up would show
+    z = complex(0.3, 20)
+    moduli = (complex(0.0, 0.5), complex(-0.0, 0.5))
+    fresh = []
+    for k in moduli:
+        for memo in MEMOS:
+            memo.cache_clear()
+        fresh.append(repr(sncndn(z, k)))
+    assert fresh[0] != fresh[1]
+    for i in (0, 1, 0):
+        assert repr(sncndn(z, moduli[i])) == fresh[i]
 
 
 @pytest.mark.parametrize("k", [complex(0.7, -0.0), 0.99, 1 - 1e-12, math.sqrt(2), 0.6 + 0.3j, 3 - 0.5j])
@@ -74,9 +81,6 @@ def test_jet_powers_match_reference():
         # turned a -0.0 part into +0.0, so only the values agree
         assert v**1 is v and v.coef == ref.jet_power(v.coef, 1)
         assert repr((v * jets[1]).coef) == repr(ref.jet_product(v.coef, jets[1].coef))
-
-
-MEMOS = (elliptic._landen_descent, elliptic._agm_quarter_period, elliptic._imaginary_quarter_period)
 
 
 def test_memo_stays_at_its_size():

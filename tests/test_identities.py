@@ -1,6 +1,5 @@
 """The genus-two identity catalog: probe oracles, exact zeros, and witnesses."""
 
-import functools
 import json
 import random
 
@@ -150,8 +149,7 @@ def test_quintic_curve_specializations():
 def test_mixed_integrability_gap_nonzero_for_sextic(generic_fns):
     gap = residuals_unchecked("INT-W2", generic_fns)[0]
     assert not gap.is_zero()
-    point, value = find_witness((gap,), generic_fns, seed=1)
-    assert point is not None and value is not None
+    assert find_witness((gap,), generic_fns) == PINNED_WITNESSES["INT-W2"]
 
 
 def test_dual_integrability_gap_nonzero_when_l0_nonzero(generic_fns):
@@ -307,7 +305,7 @@ def test_generated_quintic_entries_match_the_written_out_forms(name):
         want = reference(ExactContext(fns))
         assert got.num == want.num and got.struct == want.struct, tag
     with mp.workdps(probe_digits()):
-        point = fns.probe_point(0, 0)
+        point = fns.probe_point(0)
         for tag, reference in QUINTIC_REFERENCES.items():
             assert probe_identity(tag, fns, point) == (reference(NumericContext(fns, point)),), tag
 
@@ -331,34 +329,29 @@ def test_corrupted_identity_yields_witness(generic_fns):
     (good,) = residuals("W1", generic_fns)
     corrupted = good + 12 * generic_fns.p22**2
     assert not corrupted.is_zero()
-    point, value = find_witness((corrupted,), generic_fns, seed=0)
+    point, value = find_witness((corrupted,), generic_fns)
     assert point is not None
     with mp.workdps(30):
         assert abs(corrupted.eval_mp(point[0], point[1], point[2], point[3])) > mp.mpf("1e-10")
 
 
-# witnesses found before the probe stream was shared: (tag, seed) -> (point, |residual|)
-_POINT_SEED0 = [2.17, 2.35, (-27.882167013749935 + 0j), (34.77731426631627 + 0j)]
-_POINT_SEED1 = [0.88, 3.11, (3.2575235165874092 + 0j), (76.73682170573137 + 0j)]
+# witnesses found before the probe stream was shared: tag -> (point, |residual|)
+_POINT = [2.17, 2.35, (-27.882167013749935 + 0j), (34.77731426631627 + 0j)]
 PINNED_WITNESSES = {
-    ("INT-W2", 0): (_POINT_SEED0, "9961.34"),
-    ("INT-W2", 1): (_POINT_SEED1, "51.2254"),
-    ("WS4", 0): (_POINT_SEED0, "1327.12"),
-    ("WS4", 1): (_POINT_SEED1, "205.988"),
-    ("KUM1", 0): (_POINT_SEED0, "3.17531e+8"),
-    ("KUM1", 1): (_POINT_SEED1, "8396.94"),
-    ("JS3", 0): (_POINT_SEED0, "0.0340844"),
-    ("JS3", 1): (_POINT_SEED1, "0.194645"),
+    "INT-W2": (_POINT, "9961.34"),
+    "WS4": (_POINT, "1327.12"),
+    "KUM1": (_POINT, "3.17531e+8"),
+    "JS3": (_POINT, "0.0340844"),
 }
 
 
 def test_pinned_witness_points_and_values():
     fns = G2Functions(GENERIC)
-    for (tag, seed), (point, value) in PINNED_WITNESSES.items():
-        assert find_witness(residuals_unchecked(tag, fns), fns, seed=seed) == (point, value), (tag, seed)
+    for tag, (point, value) in PINNED_WITNESSES.items():
+        assert find_witness(residuals_unchecked(tag, fns), fns) == (point, value), tag
 
 
-def test_probe_stream_is_drawn_once_per_seed_and_precision(monkeypatch):
+def test_probe_stream_is_drawn_once_per_precision(monkeypatch):
     draws = []
 
     def counting(params, rng, dps=None):
@@ -370,27 +363,24 @@ def test_probe_stream_is_drawn_once_per_seed_and_precision(monkeypatch):
     comps = [residuals_unchecked(tag, fns) for tag in ("INT-W2", "WS4", "KUM1", "JS3")]
     dps = probe_digits()
     for c in comps:
-        find_witness(c, fns, seed=0)
+        find_witness(c, fns)
     assert draws == [dps]  # every identity took the first point, drawn once
-    find_witness(comps[0], fns, seed=1)
-    assert draws == [dps, dps]  # another seed walks its own stream
     monkeypatch.setenv("PROBE_DIGITS", str(dps + 10))
-    point, _ = find_witness(comps[0], fns, seed=0)
-    assert draws == [dps, dps, dps + 10]  # and so does another precision
-    assert point[:2] == PINNED_WITNESSES[("INT-W2", 0)][0][:2]
-    for seed in (0, 1, 5):
-        for digits in (dps, dps + 10):
-            rng = random.Random(seed)
-            with mp.workdps(digits):
-                fresh = [random_probe_point(GENERIC, rng, digits) for _ in range(4)]
-                assert [fns.probe_point(seed, i) for i in range(4)] == fresh
+    point, _ = find_witness(comps[0], fns)
+    assert draws == [dps, dps + 10]  # another precision walks its own stream
+    assert point[:2] == PINNED_WITNESSES["INT-W2"][0][:2]
+    for digits in (dps, dps + 10):
+        rng = random.Random(0)
+        with mp.workdps(digits):
+            fresh = [random_probe_point(GENERIC, rng, digits) for _ in range(4)]
+            assert [fns.probe_point(i) for i in range(4)] == fresh
 
 
 def test_missing_witness_is_unresolved_and_fails(monkeypatch, generic_fns):
     corrupted = residuals("W1", generic_fns)[0] + 12 * generic_fns.p22**2
     monkeypatch.setattr(identities, "residuals_unchecked", lambda tag, fns: (corrupted,))
-    assert find_witness((corrupted,), generic_fns, tries=0) == (None, None)
-    monkeypatch.setattr(identities, "find_witness", functools.partial(find_witness, tries=0))
+    monkeypatch.setattr(identities, "WITNESS_TRIES", 0)
+    assert find_witness((corrupted,), generic_fns) == (None, None)
     res = verify_identity("W1", generic_fns)
     assert res.status == "unresolved" and res.witness_point is None and res.millis >= 0
     report = verify_all(GENERIC, ["W1", "W2"])
