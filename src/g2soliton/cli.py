@@ -316,6 +316,8 @@ def _initial_field(spec: str, grid: Grid1D) -> tuple:
             if key not in keys or key in options:
                 raise ValueError(f"--init {kind} takes the keys {' and '.join(keys)}, each at most once, got {item!r}")
             options[key] = float(value)
+            if not math.isfinite(options[key]):
+                raise ValueError(f"--init {kind} key {key} must be finite, got {value.strip()!r}")
     if kind == "soliton":
         c = options.get("c", 4.0)
         x0 = options.get("x0", grid.length / 4)
@@ -446,13 +448,20 @@ def _cmd_miura_pipeline(args) -> int:
     return 0 if res_u < PDE_RESIDUAL_TOL else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line on stderr and exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"usage error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="g2soliton",
         description="Exact genus-two identity verification and soliton-PDE checks",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("verify-g2", help="reduce an identity set on one curve")
     p.add_argument("--lambda", dest="lam", required=True, help="l0,l1,...,l6 (p/q entries allowed)")

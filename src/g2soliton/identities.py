@@ -16,10 +16,14 @@ context, which gives two independent evaluation routes: exact reduction in
 the function field, and high-precision numeric evaluation at random curve
 points (the Schwartz-Zippel style probe used both as a development oracle
 and to certify nonzero witnesses).  As in the paper, the derived identities
-are not written out: a Jacobi-type one is a Weierstrass builder run through
-the dual involution (`_DualContext`), a quintic one a sextic builder with l6
-(and l0) pinned to zero (`_PinnedContext`), each on its partner's locus
-transformed.  Every function is a numerator over x1^a * x2^b * (x1-x2)^k.
+are not written out: each is a route, one of the written-out builders run
+with curve coefficients pinned to zero (`_PinnedContext`; the quintic
+entries pin l6, and l0), then read through the dual involution when it is a
+Jacobi-type entry (`_DualContext`), on its root's locus transformed.  Exact
+residuals are memoized per curve by route, with the pins the curve already
+meets dropped: on l0 = l6 = 0, where the two systems coincide, WS1-WS5, KUM1
+and JS1-JS5 are their partners' residuals, assembled once.  Every function is
+a numerator over x1^a * x2^b * (x1-x2)^k.
 """
 
 from __future__ import annotations
@@ -147,9 +151,9 @@ class G2Functions:
 
     Every family is built on every curve: p22 and p21 vanish when l5 = 0,
     hp11 and hp21 when l1 = 0, and the catalog loci keep the identities
-    that divide by those coefficients off such curves.  The derivative
-    table memoizes lazily under single-assignment semantics (entries are
-    pure values, recomputation is harmless), and curve sweeps parallelize
+    that divide by those coefficients off such curves.  The derivative and
+    residual tables memoize lazily under single-assignment semantics (entries
+    are pure values, recomputation is harmless), and curve sweeps parallelize
     across processes, one instance per worker.
     """
 
@@ -179,6 +183,8 @@ class G2Functions:
         self.hq = Fld(q_num, 1, 1, 2)
 
         self._derivs: dict = {}
+        # residual tuples by route, filled by residuals_unchecked
+        self._residuals: dict = {}
         self._probe_streams: dict = {}
 
     def probe_point(self, index: int):
@@ -512,49 +518,44 @@ def _kum2(c):
     return _kummer_quartic(c) + _kummer_correction(c)
 
 
-# Derived entries: a partner's builder run in another context, on a locus
-# computed from the partner's, so no formula or locus is stated twice.
-def _derive(tag, partner, view, locus):
-    build = _BUILDERS[partner]
-    _identity(tag, *locus)(lambda c: build(view(c)))
-
-
-# quintic entries: the listed coefficients pinned to zero, the locus gaining l<j>=0
-_QUINTIC_PINS = (
-    ("WS1", "W1", (6,)),  # quintic-curve u2^4 closure for p22
-    ("WS2", "W2", (6,)),  # quintic-curve mixed closure with q as p11
-    ("WS3", "W3", (6,)),  # quintic-curve (u2 u1)^2 closure
-    ("WS4", "W4", (0, 6)),  # quintic-curve u1^3 u2 closure
-    ("WS5", "W5", (0, 6)),  # quintic-curve u1^4 closure
-    ("KUM1", "KUM2", (6,)),  # quartic kernel determinant (quintic curves)
-)
-for _tag, _partner, _zeros in _QUINTIC_PINS:
-    _locus = _IDENTITY_IDS[_partner].constraints + tuple(Constraint(j, "=", Rat(0)) for j in _zeros)
-    _derive(_tag, _partner, lambda c, zeros=_zeros: _PinnedContext(c, zeros), _locus)
-
-# Jacobi-type entries: read through the dual involution, the locus reflected
-# l_j -> l_(6-j); JS1-JS5 pin the dual view, as the images of WS5-WS1
-_JACOBI_DUALS = (
-    ("J1", "W4"),  # dual-triple u2^3 u1 closure
-    ("J2", "W3"),  # dual-triple u2^2 u1^2 closure
-    ("J3", "W2"),  # dual-triple u2 u1^3 closure
-    ("J4", "W1"),  # dual-triple u1^4 closure
-    ("J5", "W7"),  # dual-triple u1^2 closure for hq
-    ("J6", "W6"),  # dual-triple mixed u2 u1 closure for hq
-    ("J7", "W5"),  # dual-triple u2^2 closure for hq
-    ("INT-J", "INT-W"),  # second integrability relation of the dual triple
-    ("INT-J2", "INT-W2"),  # first dual integrability relation; closes only for l0=0
-    ("JS1", "WS5"),  # dual triple satisfies the quintic u2^4 closure
-    ("JS2", "WS4"),  # dual triple, mixed u2^3 u1 closure
-    ("JS3", "WS3"),  # dual triple, (u2 u1)^2 closure
-    ("JS4", "WS2"),  # dual triple, u1^3 u2 closure
-    ("JS5", "WS1"),  # dual triple, u1^4 closure
-)
-for _tag, _partner in _JACOBI_DUALS:
-    _derive(_tag, _partner, _DualContext, [replace(c, index=6 - c.index) for c in _IDENTITY_IDS[_partner].constraints])
+# Derived entries are routes: (root builder, dual view or not, curve
+# coefficients pinned to zero).  The pins apply before the dual view, so they
+# name the curve's own coefficients.  A derived locus is computed from its
+# route, so no formula or locus is stated twice.
+_ROUTES = {tag: (tag, False, ()) for tag in _BUILDERS}
+for _tag, _root, _dual, _pins in (
+    # quintic entries: the sextic partner with l6 (and l0) pinned to zero
+    ("WS1", "W1", False, (6,)),  # quintic-curve u2^4 closure for p22
+    ("WS2", "W2", False, (6,)),  # quintic-curve mixed closure with q as p11
+    ("WS3", "W3", False, (6,)),  # quintic-curve (u2 u1)^2 closure
+    ("WS4", "W4", False, (0, 6)),  # quintic-curve u1^3 u2 closure
+    ("WS5", "W5", False, (0, 6)),  # quintic-curve u1^4 closure
+    ("KUM1", "KUM2", False, (6,)),  # quartic kernel determinant (quintic curves)
+    # Jacobi-type entries: the Weierstrass partner read through the dual involution
+    ("J1", "W4", True, ()),  # dual-triple u2^3 u1 closure
+    ("J2", "W3", True, ()),  # dual-triple u2^2 u1^2 closure
+    ("J3", "W2", True, ()),  # dual-triple u2 u1^3 closure
+    ("J4", "W1", True, ()),  # dual-triple u1^4 closure
+    ("J5", "W7", True, ()),  # dual-triple u1^2 closure for hq
+    ("J6", "W6", True, ()),  # dual-triple mixed u2 u1 closure for hq
+    ("J7", "W5", True, ()),  # dual-triple u2^2 closure for hq
+    ("INT-J", "INT-W", True, ()),  # second integrability relation of the dual triple
+    ("INT-J2", "INT-W2", True, ()),  # first dual integrability relation; closes only for l0=0
+    # JS1-JS5 are the dual images of WS5-WS1: their pins, reflected into curve coordinates
+    ("JS1", "W5", True, (0, 6)),  # dual triple satisfies the quintic u2^4 closure
+    ("JS2", "W4", True, (0, 6)),  # dual triple, mixed u2^3 u1 closure
+    ("JS3", "W3", True, (0,)),  # dual triple, (u2 u1)^2 closure
+    ("JS4", "W2", True, (0,)),  # dual triple, u1^3 u2 closure
+    ("JS5", "W1", True, (0,)),  # dual triple, u1^4 closure
+):
+    _ROUTES[_tag] = (_root, _dual, _pins)
+    _locus = _IDENTITY_IDS[_root].constraints
+    if _dual:  # the dual view reads l_j as l_(6-j)
+        _locus = tuple(replace(c, index=6 - c.index) for c in _locus)
+    _IDENTITY_IDS[_tag] = IdentityId(_tag, merge_constraints(_locus + tuple(Constraint(j, "=", Rat(0)) for j in _pins)))
 
 for _tag in ("KUM1", "KUM2"):  # the catalog closes with the Kummer pair
-    _BUILDERS[_tag], _IDENTITY_IDS[_tag] = _BUILDERS.pop(_tag), _IDENTITY_IDS.pop(_tag)
+    _IDENTITY_IDS[_tag] = _IDENTITY_IDS.pop(_tag)
 
 
 def identity_ids() -> dict:
@@ -569,11 +570,21 @@ IDENTITY_SETS = {
     "kummer": ["KUM2", "KUM1"],
     "integrability": ["INT-R", "INT-W", "INT-J"],
 }
-IDENTITY_SETS["all"] = list(_BUILDERS)
+IDENTITY_SETS["all"] = list(_IDENTITY_IDS)
 
 
 def _as_tuple(value):
     return value if isinstance(value, tuple) else (value,)
+
+
+def _assemble(ctx, root, dual, pins) -> tuple:
+    """The residual components of `root`'s builder run on `ctx` with `pins`
+    read as zero, seen through the dual involution when `dual` is set."""
+    if pins:
+        ctx = _PinnedContext(ctx, pins)
+    if dual:
+        ctx = _DualContext(ctx)
+    return _as_tuple(_BUILDERS[root](ctx))
 
 
 def residuals(tag: str, fns: G2Functions) -> tuple:
@@ -585,8 +596,18 @@ def residuals(tag: str, fns: G2Functions) -> tuple:
 
 
 def residuals_unchecked(tag: str, fns: G2Functions) -> tuple:
-    """Assemble residuals without the constraint guard (for witness studies)."""
-    return _as_tuple(_BUILDERS[tag](ExactContext(fns)))
+    """Assemble residuals without the constraint guard (for witness studies).
+
+    Memoized on `fns` by route, keeping only the pins whose coefficient is
+    nonzero on the curve: an entry whose pins the curve already meets
+    returns its partner's tuple, assembled once.
+    """
+    root, dual, pins = _ROUTES[tag]
+    key = (root, dual, tuple(j for j in pins if fns.params.lambdas[j]))
+    found = fns._residuals.get(key)
+    if found is None:
+        found = fns._residuals[key] = _assemble(ExactContext(fns), *key)
+    return found
 
 
 def probe_identity(tag: str, fns: G2Functions, point) -> tuple:
@@ -595,7 +616,7 @@ def probe_identity(tag: str, fns: G2Functions, point) -> tuple:
     Every sum and product is evaluated in mpmath arithmetic; the only shared
     machinery with the exact route is the symbolic flow-derivative table.
     """
-    return _as_tuple(_BUILDERS[tag](NumericContext(fns, point)))
+    return _assemble(NumericContext(fns, point), *_ROUTES[tag])
 
 
 # -- verification driver --------------------------------------------------------

@@ -83,10 +83,28 @@ def test_kummer_command(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["kummer", "half-period"])
-def test_removed_subcommands_are_usage_errors(command):
+def test_removed_subcommands_are_usage_errors(command, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(command, "--lambda", "0,4,1,1,1,4,0")
     assert exc.value.code == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("sweep", "--count", "abc"), ("verify-g2",)])
+def test_argument_errors_are_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"usage error: g2soliton {argv[0]}: ")
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "-h")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: g2soliton sweep ")
 
 
 def test_sweep_all_checks_every_identity_on_its_locus(tmp_path):
@@ -502,6 +520,9 @@ def test_miura_pipeline_command(tmp_path):
         ("pde-run", "--t-end", "0.01", "--init", "soliton:speed=9"),
         ("pde-run", "--t-end", "0.01", "--init", "cnoidal:K=0.5,m=2"),
         ("pde-run", "--t-end", "0.01", "--init", "soliton:c=4,c=5"),
+        ("pde-run", "--t-end", "0.01", "--init", "soliton:x0=inf"),
+        ("pde-run", "--t-end", "0.01", "--init", "soliton:c=nan"),
+        ("pde-run", "--t-end", "0.01", "--init", "cnoidal:k=nan"),
     ],
 )
 def test_vacuous_or_degenerate_runs_are_usage_errors(argv, capsys):

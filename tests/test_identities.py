@@ -321,6 +321,84 @@ def test_generated_js_entries_are_dual_images_of_the_references():
         assert not got.is_zero() and (got - dual_transform(want)).is_zero(), tag
 
 
+# -- routes and the residual memo -----------------------------------------------------
+
+# each quintic entry's sextic partner and the coefficients its builder pins
+QUINTIC_PARTNERS = {
+    "WS1": ("W1", (6,)), "WS2": ("W2", (6,)), "WS3": ("W3", (6,)),
+    "WS4": ("W4", (0, 6)), "WS5": ("W5", (0, 6)), "KUM1": ("KUM2", (6,)),
+}
+
+
+def closure(tag):
+    """A catalog entry's builder composed as before derived entries were routes:
+    the Jacobi-type ones are the partner's closure on the dual view, so JS1-JS5
+    pin the dual view's coefficients."""
+    if tag in DUAL_PARTNERS:
+        partner = closure(DUAL_PARTNERS[tag])
+        return lambda c: partner(identities._DualContext(c))
+    if tag in QUINTIC_PARTNERS:
+        root, zeros = QUINTIC_PARTNERS[tag]
+        return lambda c: identities._BUILDERS[root](identities._PinnedContext(c, zeros))
+    return identities._BUILDERS[tag]
+
+
+def exact_form(comps):
+    return [(c.num.terms, c.num.scale, c.struct) for c in comps]
+
+
+ROUTE_CURVES = {
+    "sextic": CurveParams((3, 2, 1, 5, 7, 4, 9)),
+    "l6=0": CurveParams((2, 2, 1, 5, 7, 4, 0)),
+    "l0=0": CurveParams((0, 2, 1, 5, 7, 4, 9)),
+    "l0=l6=0": CurveParams((0, 2, 1, 5, 7, 4, 0)),
+    "fractional sextic": CurveParams(("59/5", "89/6", "76/9", "-93/8", "49/2", "66", "-30")),
+}
+# an entry and the entry that is its route with no pins
+PIN_PARTNERS = {
+    "WS1": "W1", "WS2": "W2", "WS3": "W3", "WS4": "W4", "WS5": "W5", "KUM1": "KUM2",
+    "JS1": "J7", "JS2": "J1", "JS3": "J2", "JS4": "J3", "JS5": "J4",
+}
+# the entries that return their pin partner's residual: those whose pins the curve meets
+SHARED = {
+    "sextic": set(),
+    "l6=0": {"WS1", "WS2", "WS3", "KUM1"},
+    "l0=0": {"JS3", "JS4", "JS5"},
+    "l0=l6=0": set(PIN_PARTNERS),
+    "fractional sextic": set(),
+}
+
+
+def test_route_curves_cover_every_catalog_locus():
+    for ident in identity_ids().values():
+        assert any(not ident.violated(params) for params in ROUTE_CURVES.values()), ident.tag
+
+
+@pytest.mark.parametrize("name", list(ROUTE_CURVES))
+def test_routes_assemble_the_closures_they_replace(name):
+    # exact: the same numerator terms, scale and denominator; numeric: the same mpf values
+    fns = G2Functions(ROUTE_CURVES[name])
+    tags = [tag for tag in IDENTITY_SETS["all"] if tag in DUAL_PARTNERS or tag in QUINTIC_PARTNERS]
+    assert len(tags) == 20
+    for tag in tags:
+        want = identities._as_tuple(closure(tag)(ExactContext(fns)))
+        assert exact_form(residuals_unchecked(tag, fns)) == exact_form(want), tag
+    with mp.workdps(probe_digits()):
+        point = fns.probe_point(0)
+        for tag in tags:
+            assert probe_identity(tag, fns, point) == identities._as_tuple(closure(tag)(NumericContext(fns, point))), tag
+
+
+@pytest.mark.parametrize("name", list(ROUTE_CURVES))
+def test_entries_whose_pins_the_curve_meets_share_their_partners_residual(name):
+    fns = G2Functions(ROUTE_CURVES[name])
+    found = {tag: residuals_unchecked(tag, fns) for tag in IDENTITY_SETS["all"]}
+    shared = {tag for tag, partner in PIN_PARTNERS.items() if found[tag] is found[partner]}
+    assert shared == SHARED[name]
+    assert len({id(comps) for comps in found.values()}) == len(found) - len(shared)
+    assert all(residuals_unchecked(tag, fns) is comps for tag, comps in found.items())
+
+
 # -- mutation control and witnesses ------------------------------------------------
 
 
