@@ -315,18 +315,29 @@ def _initial_field(spec: str, grid: Grid1D) -> tuple:
             key = key.strip()
             if key not in keys or key in options:
                 raise ValueError(f"--init {kind} takes the keys {' and '.join(keys)}, each at most once, got {item!r}")
-            options[key] = float(value)
+            try:
+                options[key] = float(value)
+            except ValueError:
+                options[key] = math.nan
             if not math.isfinite(options[key]):
-                raise ValueError(f"--init {kind} key {key} must be finite, got {value.strip()!r}")
+                raise ValueError(f"--init {kind} key {key} must be a finite number, got {value.strip()!r}")
     if kind == "soliton":
         c = options.get("c", 4.0)
         x0 = options.get("x0", grid.length / 4)
+        if c < 0:
+            raise ValueError(f"--init soliton key c (the speed) must not be negative, got {c:g}")
         field, info = one_soliton(grid, c, x0), {"kind": "soliton", "c": c, "x0": x0}
     elif kind == "cnoidal":
         k, m = options.get("k", 0.9), options.get("m", 1.0)
         if not (m >= 1 and m.is_integer()):
-            raise ValueError(f"cnoidal m (the number of periods) must be a positive integer, got {m:g}")
-        field, speed = cnoidal_wave(grid, k, n_periods=int(m))
+            raise ValueError(f"--init cnoidal key m (the number of periods) must be a positive integer, got {m:g}")
+        if abs(k) == 1:
+            raise ValueError(f"--init cnoidal key k must not be 1 or -1, where the sn^2 period is infinite, got {k:g}")
+        try:
+            field, speed = cnoidal_wave(grid, k, n_periods=int(m))
+        except (EllipticError, OverflowError) as exc:
+            reason = "the sn^2 amplitude overflows" if isinstance(exc, OverflowError) else exc
+            raise ValueError(f"--init cnoidal keys k={k:g}, m={m:g}: {reason}") from None
         info = {"kind": "cnoidal", "k": k, "m": int(m), "speed": speed}
     elif kind == "file":
         data = np.loadtxt(rest, delimiter=",", ndmin=2)

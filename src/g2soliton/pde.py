@@ -42,25 +42,44 @@ BLOWUP_NORM = 1e8
 # contour points of the phi-coefficient averages, ETDRK4 micro-steps per dt
 _N_CONTOUR = 32
 _SUBSTEPS = 2
+# snapshots per stacked block of the trajectory residuals
+_RESIDUAL_BLOCK = 16
 
 
 # numpy.fft.rfft/irfft end in these pocketfft gufuncs; calling them directly
 # gives the same bits without the wrappers' per-call argument handling, which
-# costs more than the transform itself at n = 256.  n is even on every Grid1D.
+# costs more than the transform itself at n = 256.  The scale factors go in as
+# prebuilt 0-d float64 arrays, which the gufunc takes without converting a
+# Python float on each call.  Both transform along the last axis, so a stack of
+# rows is one call whose rows equal the per-row calls.  n is even on every Grid1D.
+_UNIT_FACTOR = np.array(1.0)
+_UNIT_FACTOR.flags.writeable = False
+
+
+class _InverseFactors(dict):
+    """1/n as a read-only 0-d array, built on the first lookup of each n."""
+
+    def __missing__(self, n: int) -> np.ndarray:
+        factor = self[n] = np.array(1.0 / n)
+        factor.flags.writeable = False
+        return factor
+
+
+_INVERSE_FACTORS = _InverseFactors()
 
 
 def _rfft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The n/2 + 1 rfft modes of n (even) real samples, as np.fft.rfft."""
+    """The n/2 + 1 rfft modes of each row of n (even) real samples, as np.fft.rfft."""
     if out is None:
-        out = np.empty(len(values) // 2 + 1, dtype=complex)
-    return _pocketfft.rfft_n_even(values, 1.0, out=out)
+        out = np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,), dtype=complex)
+    return _pocketfft.rfft_n_even(values, _UNIT_FACTOR, out=out)
 
 
 def _irfft(hat: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The n real samples of the rfft modes `hat`, as np.fft.irfft(hat, n)."""
+    """The n real samples of each row of rfft modes `hat`, as np.fft.irfft(hat, n)."""
     if out is None:
-        out = np.empty(n)
-    return _pocketfft.irfft(hat, 1.0 / n, out=out)
+        out = np.empty(hat.shape[:-1] + (n,))
+    return _pocketfft.irfft(hat, _INVERSE_FACTORS[n], out=out)
 
 
 @dataclass
@@ -173,7 +192,7 @@ class _Etdrk4:
         exp_full, exp_half, q, f1, f2_twice, f3 = self.coefficients
         half, a1, b1, n0, n1, n2, n3 = self.half, self.a1, self.b1, self.n0, self.n1, self.n2, self.n3
         u, power, n, cube = self.u, self.power, len(self.u), self.cube
-        irfft, rfft, multiply = _irfft, _rfft, np.multiply
+        irfft, rfft, multiply, add = _irfft, _rfft, np.multiply, np.add
         multiply(exp_half, hat, out=half)
         irfft(hat, n, out=u)
         multiply(u, u, out=power)
@@ -196,7 +215,7 @@ class _Etdrk4:
         rfft(power, out=n2)
         c1 = a1
         c1 *= exp_half
-        multiply(n2, 2, out=b1)
+        add(n2, n2, out=b1)  # 2 n2 exactly, with no scalar to convert
         b1 -= n0
         b1 *= q
         c1 += b1
@@ -217,9 +236,11 @@ class _Etdrk4:
 
 
 def _check_state(u: np.ndarray) -> None:
-    if not np.all(np.isfinite(u)):
+    """One max reduction: NaN propagates through it and |inf| is inf."""
+    peak = float(np.max(np.abs(u)))
+    if not math.isfinite(peak):
         raise UnstableStep("non-finite values in the evolved field")
-    if np.max(np.abs(u)) > BLOWUP_NORM:
+    if peak > BLOWUP_NORM:
         raise BlowUp("field norm exceeded 1e8")
 
 
@@ -261,8 +282,11 @@ def _flow_residual(traj, dt: float, cubic: bool, a: float = 0.0) -> float:
     the interior of a snapshot sequence.
 
     w_t uses the fourth-order centered stencil, so at least five consecutive
-    snapshots (spacing dt) are required.  Each snapshot costs 4 FFTs: its
+    snapshots (spacing dt) are required.  Each snapshot costs 4 FFT rows: its
     spectrum, w_x, the dealiased product and one inverse transform of the sum.
+    The interior runs in blocks of at most _RESIDUAL_BLOCK snapshots, stacked
+    with the two neighbours on each side, so each stage is one transform call
+    per block and the stack stays bounded however long the sequence is.
     """
     traj = list(traj)
     if len(traj) < 5:
@@ -272,15 +296,15 @@ def _flow_residual(traj, dt: float, cubic: bool, a: float = 0.0) -> float:
     linear = ik**3 + a * ik
     nonlinear = np.where(grid.dealias_mask, -6.0, 0.0)
     worst = 0.0
-    for i in range(2, len(traj) - 2):
-        w = traj[i]
-        hat = w.spectrum()
+    for start in range(2, len(traj) - 2, _RESIDUAL_BLOCK):
+        stop = min(start + _RESIDUAL_BLOCK, len(traj) - 2)
+        rows = np.array([w.values for w in traj[start - 2: stop + 2]])
+        w = rows[2:-2]
+        hat = _rfft(w)
         w_x = _irfft(ik * hat, grid.n)
         rhs = linear * hat
-        rhs += nonlinear * _rfft(w.values * w.values * w_x if cubic else w.values * w_x)
-        w_t = (
-            -traj[i + 2].values + 8 * traj[i + 1].values - 8 * traj[i - 1].values + traj[i - 2].values
-        ) / (12 * dt)
+        rhs += nonlinear * _rfft(w * w * w_x if cubic else w * w_x)
+        w_t = (-rows[4:] + 8 * rows[3:-1] - 8 * rows[1:-3] + rows[:-4]) / (12 * dt)
         worst = max(worst, float(np.max(np.abs(w_t + _irfft(rhs, grid.n)))))
     return worst
 

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -530,6 +531,30 @@ def test_vacuous_or_degenerate_runs_are_usage_errors(argv, capsys):
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "init, named",
+    [
+        ("soliton:c=abc", "--init soliton key c "),
+        ("soliton:c=", "--init soliton key c "),
+        ("soliton:x0=1e", "--init soliton key x0 "),
+        ("soliton:c=-4", "--init soliton key c "),
+        ("cnoidal:k=1", "--init cnoidal key k "),
+        ("cnoidal:k=-1,m=2", "--init cnoidal key k "),
+        ("cnoidal:k=0.9,m=0", "--init cnoidal key m "),
+        ("cnoidal:k=1e200", "--init cnoidal keys k=1e+200, m=1: "),
+        ("cnoidal:m=1e300", "--init cnoidal keys k=0.9, m=1e+300: "),
+    ],
+)
+def test_pde_run_init_value_errors_name_the_option_and_key(init, named, capsys):
+    # each used to print a bare float() or math error, a numpy warning, or a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("pde-run", "--t-end", "0.01", "--init", init) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"usage error: {named}")
 
 
 def test_pde_run_zero_file_init_is_usage_error(tmp_path, capsys):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from g2soliton.pde import (
+    BlowUp,
     Field1D,
     Grid1D,
     InsufficientSnapshots,
-    PdeError,
+    UnstableStep,
     cnoidal_wave,
     conserved_quantities,
     evolve_trajectory,
@@ -19,7 +20,9 @@ from g2soliton.pde import (
     miura_map,
     one_soliton,
     soliton_peak_travel,
+    _RESIDUAL_BLOCK,
     _Etdrk4,
+    _check_state,
     _etdrk4_coefficients,
     _irfft,
     _rfft,
@@ -159,6 +162,15 @@ def test_pocketfft_helpers_equal_numpy_fft_bit_for_bit(n):
     assert np.array_equal(spectrum, np.fft.rfft(values))
     assert _irfft(hat, n, out=samples) is samples
     assert np.array_equal(samples, np.fft.irfft(hat, n))
+    # a stack of rows is one call, and each of its rows is the per-row call
+    rows = rng.standard_normal((5, n))
+    hats = rng.standard_normal((5, n // 2 + 1)) + 1j * rng.standard_normal((5, n // 2 + 1))
+    stacked_spectra, stacked_samples = _rfft(rows), _irfft(hats, n)
+    assert np.array_equal(stacked_spectra, np.fft.rfft(rows, axis=-1))
+    assert np.array_equal(stacked_samples, np.fft.irfft(hats, n, axis=-1))
+    for i in range(5):
+        assert np.array_equal(stacked_spectra[i], _rfft(rows[i]))
+        assert np.array_equal(stacked_samples[i], _irfft(hats[i], n))
 
 
 def test_dealias_mask_is_the_two_thirds_band_of_the_half_spectrum(grid):
@@ -210,6 +222,45 @@ def test_single_spectrum_residuals_match_the_former_forms(grid):
         assert abs(new(traj, 1e-3) - reference(traj, 1e-3)) <= 1e-12 * scale
         corrupted = traj[:4] + [Field1D(grid, 0.9 * traj[4].values, traj[4].role)] + traj[5:]
         assert abs(new(corrupted, 1e-3) - reference(corrupted, 1e-3)) <= 1e-12 * reference(corrupted, 1e-3)
+
+
+def _per_snapshot_residual(traj, dt, cubic, a=0.0):
+    """The residual one snapshot at a time, four transform calls each: the
+    reference for the stacked blocks."""
+    grid = traj[0].grid
+    ik = 1j * grid.wavenumbers
+    linear = ik**3 + a * ik
+    nonlinear = np.where(grid.dealias_mask, -6.0, 0.0)
+    worst = 0.0
+    for i in range(2, len(traj) - 2):
+        w = traj[i]
+        hat = _rfft(w.values)
+        w_x = _irfft(ik * hat, grid.n)
+        rhs = linear * hat
+        rhs += nonlinear * _rfft(w.values * w.values * w_x if cubic else w.values * w_x)
+        w_t = (
+            -traj[i + 2].values + 8 * traj[i + 1].values - 8 * traj[i - 1].values + traj[i - 2].values
+        ) / (12 * dt)
+        worst = max(worst, float(np.max(np.abs(w_t + _irfft(rhs, grid.n)))))
+    return worst
+
+
+@pytest.mark.parametrize("length", [5, _RESIDUAL_BLOCK + 4, 2 * _RESIDUAL_BLOCK + 5])
+def test_blocked_residuals_equal_the_per_snapshot_form(grid, length):
+    # one block with one interior snapshot, one full block, and two full
+    # blocks plus a block of one; corrupting the final snapshot enters only the
+    # time stencil of the last interior one, so the worst residual is in the last block
+    a, dt = 1.5, 1e-3
+    phase = 2 * np.pi * grid.x / grid.length
+    v0 = Field1D(grid, 0.4 * np.sin(phase) + 0.1 * np.cos(2 * phase), "v")
+    vtraj = evolve_trajectory("gmkdv", v0, (length - 1) * dt, dt, a=a, save_every=1)
+    assert len(vtraj) == length
+    utraj = [miura_map(v, a) for v in vtraj]
+    for traj, cubic, residual in ((utraj, False, kdv_residual), (vtraj, True, partial(gmkdv_residual, a=a))):
+        corrupted = traj[:-1] + [Field1D(grid, 0.9 * traj[-1].values, traj[-1].role)]
+        for case in (traj, corrupted):
+            assert residual(case, dt) == _per_snapshot_residual(case, dt, cubic, a if cubic else 0.0)
+        assert residual(corrupted, dt) > 1e-1
 
 
 def test_three_transform_miura_map_matches_the_former_form(grid):
@@ -389,9 +440,25 @@ def test_time_step_convergence_at_least_third_order(grid):
 
 
 def test_blowup_detection(grid):
+    # a constant field is a fixed point, so it stays above the norm bound
     u0 = Field1D(grid, 1e9 * np.ones(grid.n))
-    with pytest.raises(PdeError):
+    with pytest.raises(BlowUp):
         evolve_trajectory("kdv", u0, 0.01, 1e-3, save_every=10)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [(np.nan, UnstableStep), (np.inf, UnstableStep), (-np.inf, UnstableStep), (1.5e8, BlowUp), (-1.5e8, BlowUp)],
+)
+def test_state_check_outcomes(grid, bad, error):
+    u = np.linspace(-1.0, 1.0, grid.n)
+    _check_state(u)
+    u[17] = bad
+    with pytest.raises(error):
+        _check_state(u)
+    u[3] = 2e8 if error is UnstableStep else np.nan  # a non-finite entry wins over a large one
+    with pytest.raises(UnstableStep):
+        _check_state(u)
 
 
 def test_unknown_equation(grid):
