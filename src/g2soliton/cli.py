@@ -1,7 +1,9 @@
 """Command-line entry point for verification sweeps, elliptic checks, PDE runs.
 
-Exit codes: 0 all requested checks passed, 1 a check failed (nonzero or
-unresolved residual, tolerance violation), 2 usage error.  An identity whose
+Exit codes: 0 all requested checks passed, 1 a check failed or a PDE run
+failed, 2 usage error.  Each subcommand returns its report, and `main` emits
+it and decides the code: the checks are the exact entries (a status in
+`FAILING_STATUSES` fails) and the numbers `GATES` bounds.  An identity whose
 locus the curve misses is reported as skipped and fails nothing; an exact run
 that checks no identity at all is a usage error.
 """
@@ -27,7 +29,7 @@ from .elliptic import (
     sncndn,
     weierstrass_ode_residual,
 )
-from .identities import IDENTITY_SETS, verify_all
+from .identities import FAILING_STATUSES, IDENTITY_SETS, verify_all
 from .jets import Jet, trig_jet
 from .sweep import SweepConfig, locus_groups, run_sweep, summarize
 from .transforms import (
@@ -46,6 +48,43 @@ DRIFT_TOL = 1e-7
 MAX_STEPS = 100_000
 # snapshots in the pde-run CSV, t = 0 and t_end included, when 10 divides the step count
 PDE_SNAPSHOTS = 11
+# the smallest peak |u0| a pde-run checks.  With the dispersion sign flipped in
+# the solver, the window residual of a one-period sine on the README grid
+# (n = 256, L = 40) is 7.75e-3 times its peak (measured from 1e-5 to 1e-2), so
+# the gate passes that wrong solve below a peak of 1.3e-4; the floor is 7.7
+# times that.  Longer domains need more: the residual goes as L^-3.
+MIN_INIT_PEAK = 1e-3
+
+# The bounds behind exit 1: each numeric subcommand's gated report keys.  A
+# check passes when value < bound, so NaN fails; a dict-valued key gates each
+# of its values.  Every other number in a report is a diagnostic.
+GATES = {
+    "elliptic-check": {
+        "worst_sn_ode_residual": 1e-10,
+        "worst_sn_cn_identity": 1e-10,
+        "worst_halfperiod_residual": 1e-9,
+        "worst_weierstrass_ode_residual": 1e-9,
+    },
+    "static-transforms": {"factorization_worst": 1e-8, "sn_profile_worst": 1e-8},
+    "akns-check": {"worst_diagonal": 1e-13, "worst_offdiagonal_vs_D": 1e-12, "worst_antisymmetry": 1e-13},
+    "pde-run": {"pde_residual_window": PDE_RESIDUAL_TOL, "invariant_drifts": DRIFT_TOL},
+    "miura-pipeline": {"mapped_kdv_residual": PDE_RESIDUAL_TOL},
+}
+
+
+def failed_checks(report: dict) -> list:
+    """One line per failed check of a report: an exact entry whose status
+    fails, or a gated number that is not below its bound."""
+    failed = [
+        f"{e['identity']} is {e['status']} on lambda = [{','.join(e['curve'])}]"
+        for e in report.get("entries", ())
+        if e["status"] in FAILING_STATUSES
+    ]
+    for key, bound in GATES.get(report["command"], {}).items():
+        value = report[key]
+        named = {f"{key}.{name}": v for name, v in value.items()} if isinstance(value, dict) else {key: value}
+        failed.extend(f"{name} = {v:.3g}, bound {bound:g}" for name, v in named.items() if not v < bound)
+    return failed
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -73,42 +112,37 @@ def _identity_set(name: str) -> list:
     return tags
 
 
-def _check_finite_a(a: float) -> None:
-    if not math.isfinite(a):
-        raise ValueError(f"--a must be finite, got {a}")
+def _check_finite(**options) -> None:
+    for name, value in options.items():
+        if not math.isfinite(value):
+            raise ValueError(f"--{name} must be finite, got {value}")
 
 
-def _exact_exit_code(results, what: str) -> int:
-    """1 if an identity is nonzero or unresolved, else 0; skips fail nothing.
-
-    ValueError (exit 2) when no identity was on its locus: nothing was checked.
-    """
-    statuses = {r.status for r in results}
-    if statuses <= {"skipped"}:
+def _require_checked(results, what: str) -> None:
+    """ValueError (exit 2) when no identity was on its locus: nothing was checked."""
+    if all(r.status == "skipped" for r in results):
         raise ValueError(f"{what}: no identity is on its locus, so nothing was checked")
-    return 1 if statuses & {"nonzero", "unresolved"} else 0
 
 
 # -- subcommand runners ---------------------------------------------------------
 
 
-def _cmd_verify_g2(args) -> int:
+def _cmd_verify_g2(args) -> dict:
     params = CurveParams.from_text(args.lam)
     report = verify_all(params, _identity_set(args.set))
-    code = _exact_exit_code(report.results, f"set {args.set!r} on curve {params}")
+    _require_checked(report.results, f"set {args.set!r} on curve {params}")
     print(report.table())
-    _emit({"command": "verify-g2", "entries": report.to_json_entries()}, args.out)
-    return code
+    return {"command": "verify-g2", "entries": report.to_json_entries()}
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> dict:
     constraints = [c for c in args.constraints.split(",") if c.strip()]
     config = SweepConfig(count=args.count, seed=args.seed, constraints=constraints)
     tags = _identity_set(args.set)
     _, excluded = locus_groups(config, tags)
     reports = run_sweep(config, tags, jobs=args.jobs)
     results = [r for rep in reports for r in rep.results]
-    code = _exact_exit_code(results, f"set {args.set!r} under --constraints {args.constraints!r}")
+    _require_checked(results, f"set {args.set!r} under --constraints {args.constraints!r}")
     summary = summarize(reports, excluded)
     entries = []
     for rep in reports:
@@ -123,28 +157,24 @@ def _cmd_sweep(args) -> int:
         f"sweep: {summary.n_curves} curves, {summary.n_zero} zero, "
         f"{summary.n_nonzero} nonzero, {summary.n_skipped} skipped"
     )
-    _emit(
-        {
-            "command": "sweep",
-            "seed": args.seed,
-            "count": args.count,
-            "constraints": [str(c) for c in config.constraints],
-            "set": args.set,
-            "entries": entries,
-            "excluded": [{"identity": tag, "reason": reason} for tag, reason in excluded],
-            "summary": {
-                "zero": summary.n_zero,
-                "nonzero": summary.n_nonzero,
-                "skipped": summary.n_skipped,
-                "failing_curves": summary.failing_curves,
-            },
+    return {
+        "command": "sweep",
+        "seed": args.seed,
+        "count": args.count,
+        "constraints": [str(c) for c in config.constraints],
+        "set": args.set,
+        "entries": entries,
+        "excluded": [{"identity": tag, "reason": reason} for tag, reason in excluded],
+        "summary": {
+            "zero": summary.n_zero,
+            "nonzero": summary.n_nonzero,
+            "skipped": summary.n_skipped,
+            "failing_curves": summary.failing_curves,
         },
-        args.out,
-    )
-    return code
+    }
 
 
-def _cmd_elliptic_check(args) -> int:
+def _cmd_elliptic_check(args) -> dict:
     import numpy as np
 
     re_lo, re_hi, re_n = _range_spec(args.re_range)
@@ -193,7 +223,7 @@ def _cmd_elliptic_check(args) -> int:
             fh.write("z_re,z_im,residual_abs\n")
             for re, im, ode in rows:
                 fh.write(f"{re},{im},{ode}\n")
-    summary = {
+    return {
         "command": "elliptic-check",
         "k": str(k),
         "grid_points": len(rows),
@@ -202,15 +232,12 @@ def _cmd_elliptic_check(args) -> int:
         "worst_halfperiod_residual": worst_hp,
         "worst_weierstrass_ode_residual": worst_wp,
     }
-    _emit(summary, args.out)
-    ok = worst_ode < 1e-10 and worst_sq < 1e-10 and worst_hp < 1e-9 and worst_wp < 1e-9
-    return 0 if ok else 1
 
 
-def _cmd_static_transforms(args) -> int:
+def _cmd_static_transforms(args) -> dict:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    _check_finite_a(args.a)
+    _check_finite(a=args.a)
     rng = random.Random(args.seed)
     worst = {name: 0.0 for name in TRANSFORMATIONS}
     checked = 0
@@ -247,18 +274,15 @@ def _cmd_static_transforms(args) -> int:
             sn_worst["pair_product"], abs(math.sqrt(2) * v1.value(0) * v2.value(0) - 1)
         )
         count += 1
-    summary = {
+    return {
         "command": "static-transforms",
         "samples": args.samples,
         "factorization_worst": worst,
         "sn_profile_worst": sn_worst,
     }
-    _emit(summary, args.out)
-    ok = all(v < 1e-8 for v in worst.values()) and all(v < 1e-8 for v in sn_worst.values())
-    return 0 if ok else 1
 
 
-def _cmd_akns_check(args) -> int:
+def _cmd_akns_check(args) -> dict:
     # bounded uniform draws keep the absolute roundoff of the exactly-zero
     # diagonal below 1e-13; gaussian tails would not
     if args.draws < 1 or args.jets < 1:
@@ -284,7 +308,7 @@ def _cmd_akns_check(args) -> int:
             worst_diag = max(worst_diag, abs(res[0, 0]), abs(res[1, 1]))
             worst_off = max(worst_off, abs(res[0, 1] - d_val) / scale, abs(res[1, 0] + d_val) / scale)
             worst_asym = max(worst_asym, abs(res[0, 1] + res[1, 0]) / scale)
-    summary = {
+    return {
         "command": "akns-check",
         "jets": args.jets,
         "draws": args.draws,
@@ -292,9 +316,6 @@ def _cmd_akns_check(args) -> int:
         "worst_offdiagonal_vs_D": worst_off,
         "worst_antisymmetry": worst_asym,
     }
-    _emit(summary, args.out)
-    ok = worst_diag < 1e-13 and worst_off < 1e-12 and worst_asym < 1e-13
-    return 0 if ok else 1
 
 
 _INIT_KEYS = {"soliton": ("c", "x0"), "cnoidal": ("k", "m")}
@@ -348,8 +369,12 @@ def _initial_field(spec: str, grid: Grid1D) -> tuple:
         field, info = Field1D(grid, data[:, 0]), {"kind": "file", "path": rest}
     else:
         raise ValueError(f"unknown --init kind {kind!r}")
-    if not np.any(field.values):
-        raise ValueError(f"--init {spec} is identically zero, so the run would check nothing")
+    peak = field.max_abs()
+    if peak < MIN_INIT_PEAK:
+        raise ValueError(
+            f"--init {spec} is identically zero or nearly (peak |u0| {peak:.3g} < {MIN_INIT_PEAK:g}), "
+            "so the residual gate would check nothing"
+        )
     return field, info
 
 
@@ -369,19 +394,15 @@ def _time_steps(args, min_steps: int) -> int:
     return steps
 
 
-def _cmd_pde_run(args) -> int:
-    from .pde import Grid1D, PdeError, conserved_quantities, evolve_trajectory, gmkdv_residual, kdv_residual
+def _cmd_pde_run(args) -> dict:
+    from .pde import Grid1D, conserved_quantities, evolve_trajectory, gmkdv_residual, kdv_residual
 
     steps = _time_steps(args, min_steps=1)
-    _check_finite_a(args.a)
+    _check_finite(a=args.a, L=args.length)
     grid = Grid1D(args.n, args.length)
     u0, init_info = _initial_field(args.init, grid)
     save_every = max(1, steps // (PDE_SNAPSHOTS - 1))
-    try:
-        traj = evolve_trajectory(args.eq, u0, args.t_end, args.dt, a=args.a, save_every=save_every)
-    except PdeError as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
+    traj = evolve_trajectory(args.eq, u0, args.t_end, args.dt, a=args.a, save_every=save_every)
     # residual needs five consecutive snapshots; rerun densely over a short window
     window = evolve_trajectory(args.eq, u0, 8 * args.dt, args.dt, a=args.a, save_every=1)
     if args.eq == "kdv":
@@ -400,7 +421,7 @@ def _cmd_pde_run(args) -> int:
             for t, snap in zip(times, traj):
                 for xv, uv in zip(grid.x, snap.values):
                     fh.write(f"{t},{xv},{uv}\n")
-    summary = {
+    return {
         "command": "pde-run",
         "eq": args.eq,
         "a": args.a,
@@ -413,8 +434,6 @@ def _cmd_pde_run(args) -> int:
         "invariant_drifts": {"mass": drifts[0], "momentum": drifts[1], "energy": drifts[2]},
         "final_max_abs": traj[-1].max_abs(),
     }
-    _emit(summary, args.out)
-    return 0 if residual < PDE_RESIDUAL_TOL and all(d < DRIFT_TOL for d in drifts) else 1
 
 
 def _invariant_magnitudes(u: Field1D, eq: str) -> tuple:
@@ -427,13 +446,13 @@ def _invariant_magnitudes(u: Field1D, eq: str) -> tuple:
     return tuple(float(np.sum(f) * dx) for f in integrands)
 
 
-def _cmd_miura_pipeline(args) -> int:
+def _cmd_miura_pipeline(args) -> dict:
     import numpy as np
 
-    from .pde import Field1D, Grid1D, PdeError, evolve_trajectory, gmkdv_residual, kdv_residual, miura_map
+    from .pde import Field1D, Grid1D, evolve_trajectory, gmkdv_residual, kdv_residual, miura_map
 
     _time_steps(args, min_steps=4)
-    _check_finite_a(args.a)
+    _check_finite(a=args.a, L=args.length)
     grid = Grid1D(args.n, args.length)
     v0 = Field1D(
         grid,
@@ -441,22 +460,16 @@ def _cmd_miura_pipeline(args) -> int:
         + 0.1 * np.cos(4 * np.pi * grid.x / grid.length),
         "v",
     )
-    try:
-        vtraj = evolve_trajectory("gmkdv", v0, args.t_end, args.dt, a=args.a, save_every=1)
-    except PdeError as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
+    vtraj = evolve_trajectory("gmkdv", v0, args.t_end, args.dt, a=args.a, save_every=1)
     utraj = [miura_map(v, args.a) for v in vtraj]
     res_v = gmkdv_residual(vtraj, args.dt, args.a)
     res_u = kdv_residual(utraj, args.dt)
-    summary = {
+    return {
         "command": "miura-pipeline",
         "a": args.a,
         "gmkdv_residual": res_v,
         "mapped_kdv_residual": res_u,
     }
-    _emit(summary, args.out)
-    return 0 if res_u < PDE_RESIDUAL_TOL else 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -541,10 +554,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
+        _emit(report, args.out)
     except (ValueError, OSError, EllipticError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        from .pde import PdeError  # imported here, so the exact subcommands start without numpy
+
+        if not isinstance(exc, PdeError):
+            raise
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
+    failed = failed_checks(report)
+    for line in failed:
+        print(f"check failed: {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

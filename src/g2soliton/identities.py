@@ -622,6 +622,9 @@ def probe_identity(tag: str, fns: G2Functions, point) -> tuple:
 # -- verification driver --------------------------------------------------------
 
 WITNESS_TRIES = 25
+# the statuses that fail a check: an unresolved residual is exactly nonzero,
+# only its witness is missing
+FAILING_STATUSES = frozenset({"nonzero", "unresolved"})
 
 
 @dataclass
@@ -648,10 +651,6 @@ class IdentityResult:
 class VerifyReport:
     curve: CurveParams
     results: list = field(default_factory=list)
-
-    @property
-    def has_nonzero(self) -> bool:
-        return any(r.status in ("nonzero", "unresolved") for r in self.results)
 
     def to_json_entries(self) -> list:
         return [r.to_json(self.curve) for r in self.results]

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .curvering import CurveParams, Rat
-from .identities import IDENTITY_SETS, VerifyReport, identity_ids, merge_constraints, verify_all
+from .identities import FAILING_STATUSES, IDENTITY_SETS, VerifyReport, identity_ids, merge_constraints, verify_all
 
 # coefficients are drawn as p/q with |p| <= NUM_BOUND and 1 <= q <= DEN_BOUND
 NUM_BOUND = 100
@@ -121,17 +121,16 @@ class SweepSummary:
 
 
 def summarize(reports, excluded=()) -> SweepSummary:
-    """Status counts of the reports; `excluded` tags count as skipped."""
+    """Status counts of the reports: a status in `FAILING_STATUSES` counts as
+    nonzero, and `excluded` tags count as skipped."""
     summary = SweepSummary(n_curves=len(reports), n_skipped=len(excluded))
     for rep in reports:
-        for r in rep.results:
-            if r.status == "zero":
-                summary.n_zero += 1
-            elif r.status in ("nonzero", "unresolved"):
-                # an unresolved residual is exactly nonzero; only its witness is missing
-                summary.n_nonzero += 1
-            else:
-                summary.n_skipped += 1
-        if rep.has_nonzero:
+        statuses = [r.status for r in rep.results]
+        zero = statuses.count("zero")
+        failing = sum(status in FAILING_STATUSES for status in statuses)
+        summary.n_zero += zero
+        summary.n_nonzero += failing
+        summary.n_skipped += len(statuses) - zero - failing
+        if failing:
             summary.failing_curves.append(str(rep.curve))
     return summary

@@ -1,17 +1,22 @@
 """Command-line surface: exit codes, report files, determinism."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import g2soliton
 from g2soliton import cli, identities, pde, sweep
@@ -524,6 +529,9 @@ def test_miura_pipeline_command(tmp_path):
         ("pde-run", "--t-end", "0.01", "--init", "soliton:x0=inf"),
         ("pde-run", "--t-end", "0.01", "--init", "soliton:c=nan"),
         ("pde-run", "--t-end", "0.01", "--init", "cnoidal:k=nan"),
+        ("pde-run", "--t-end", "0.01", "--init", "soliton:c=1e-300"),
+        ("pde-run", "--n", "32", "--L", "inf", "--t-end", "0.01"),
+        ("miura-pipeline", "--L", "nan"),
     ],
 )
 def test_vacuous_or_degenerate_runs_are_usage_errors(argv, capsys):
@@ -575,6 +583,23 @@ def test_miura_pipeline_unstable_run_fails_without_traceback(capsys):
         assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--init", "soliton:c=1e4"),
+        ("--init", "soliton:c=1e10"),
+        ("--init", "soliton:c=1e300"),
+        ("--n", "32", "--L", "1e-300"),
+    ],
+)
+def test_overflowing_pde_runs_fail_in_one_line(argv, capsys):
+    # the soliton's cosh, the step or k^3 overflows; each printed numpy warnings first
+    assert run_cli("pde-run", "--t-end", "0.01", *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("run failed: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_miura_pipeline_short_run_names_minimum(capsys):
     assert run_cli("miura-pipeline", "--t-end", "0.001", "--dt", "1e-3") == 2
     assert "at least 4*dt = 0.004" in capsys.readouterr().err
@@ -593,3 +618,168 @@ def test_readme_names_every_option():
         and not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme)
     ]
     assert missing == []
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# every number a report holds besides its checks, by subcommand
+DIAGNOSTICS = {
+    "verify-g2": {"millis", "witness_point"},
+    "sweep": {"seed", "count", "millis", "witness_point", "summary"},
+    "elliptic-check": {"grid_points"},
+    "static-transforms": {"samples"},
+    "akns-check": {"jets", "draws"},
+    "pde-run": {"a", "n", "L", "dt", "t_end", "init", "final_max_abs"},
+    "miura-pipeline": {"a", "gmkdv_residual"},
+}
+
+
+def _number_paths(value, path=()):
+    """The dict keys enclosing each number of a report."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _number_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for item in value:
+            yield from _number_paths(item, path)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path
+
+
+@pytest.fixture(scope="module")
+def readme_reports(tmp_path_factory):
+    """(argv, report) of each README command, run in-process; no worker process starts."""
+    commands = [shlex.split(line, comments=True)[1:] for line in README.read_text(encoding="utf-8").splitlines()
+                if line.startswith("g2soliton ")]
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path_factory.mktemp("readme"))
+        mp.setattr(sweep, "ProcessPoolExecutor", None)  # the --jobs sweep must fall back to in-process
+        mp.setattr(sweep.os, "cpu_count", lambda: 1)
+        for argv in commands:
+            out = Path(f"{len(runs)}.json")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*argv, "--out", str(out)]) == 0, argv
+            runs.append((argv, json.loads(out.read_text())))
+    assert len({argv[0] for argv, _ in runs}) == 7
+    return runs
+
+
+def test_every_reported_number_is_a_check_or_a_diagnostic(readme_reports):
+    for argv, report in readme_reports:
+        command = report["command"]
+        named = set(cli.GATES.get(command, ())) | DIAGNOSTICS[command]
+        stray = [path for path in _number_paths(report) if not named & set(path)]
+        assert stray == [], argv
+    assert set(DIAGNOSTICS) == {argv[0] for argv, _ in readme_reports}
+    assert set(cli.GATES) < set(DIAGNOSTICS)
+
+
+def test_each_gate_alone_fails_the_run(readme_reports, monkeypatch, capsys, tmp_path):
+    # the runner hands back its README report; a bound at the largest reported
+    # value of one gate must fail exactly that value, and nothing else
+    monkeypatch.chdir(tmp_path)  # where the README's --out report.json goes
+    checked = set()
+    for argv, report in readme_reports:
+        monkeypatch.setattr(cli, f"_cmd_{report['command'].replace('-', '_')}", lambda args, r=report: r)
+        for key in cli.GATES.get(report["command"], ()):
+            value = report[key]
+            named = {f"{key}.{n}": v for n, v in value.items()} if isinstance(value, dict) else {key: value}
+            name, worst = max(named.items(), key=lambda item: item[1])
+            with monkeypatch.context() as m:
+                m.setitem(cli.GATES[report["command"]], key, worst)
+                assert main(argv) == 1, (argv, key)
+            err = capsys.readouterr().err
+            assert err.startswith(f"check failed: {name} = ") and err.count("\n") == 1, (argv, err)
+            checked.add((report["command"], key))
+        assert main(argv) == 0 and capsys.readouterr().err == ""
+    assert checked == {(command, key) for command, gates in cli.GATES.items() for key in gates}
+    # NaN is not below any bound
+    nan_report = {"command": "miura-pipeline", "mapped_kdv_residual": math.nan}
+    assert cli.failed_checks(nan_report) == ["mapped_kdv_residual = nan, bound 1e-06"]
+
+
+def test_corrupted_builder_fails_and_names_the_entry(monkeypatch, capsys):
+    w1 = identities._BUILDERS["W1"]
+    monkeypatch.setitem(identities._BUILDERS, "W1", lambda c: w1(c) + c.p22**2)
+    assert run_cli("verify-g2", "--lambda", "1,2,1,3,1,4,5", "--set", "weierstrass") == 1
+    assert capsys.readouterr().err == "check failed: W1 is nonzero on lambda = [1,2,1,3,1,4,5]\n"
+
+
+def test_readme_states_every_gate():
+    # the README's exit-1 table has one row per subcommand
+    lines = README.read_text(encoding="utf-8").splitlines()
+    for command, diagnostics in DIAGNOSTICS.items():
+        (row,) = [line for line in lines if line.startswith(f"| `{command}` |")]
+        stated = [f"`{key}` < {bound:g}" for key, bound in cli.GATES.get(command, {}).items()]
+        stated += [f"`{key}`" for key in diagnostics]
+        assert [text for text in stated if text not in row] == [], command
+
+
+@st.composite
+def _argv_with_one_edge(draw, command, valid, edges):
+    """A valid argv for `command`, with at most one option set to an edge value."""
+    options = {name: draw(values) for name, values in valid.items()}
+    edge = draw(st.sampled_from([None, *edges]))
+    if edge:
+        options[edge] = draw(edges[edge])
+    return [command, *(f"{name}={value}" for name, value in options.items())]
+
+
+_PDE_VALID = {
+    "--eq": st.sampled_from(["kdv", "gmkdv"]),
+    "--a": st.sampled_from(["0", "1.5", "-2"]),
+    "--n": st.sampled_from(["32", "64"]),
+    "--L": st.sampled_from(["20", "40"]),
+    "--dt": st.sampled_from(["1e-3", "2e-3", "5e-3"]),
+    "--t-end": st.sampled_from(["0.02", "0.01", "0.004"]),
+    "--init": st.sampled_from(["soliton:c=4,x0=5", "soliton:c=1", "cnoidal:k=0.9,m=2", "cnoidal:k=0.3"]),
+}
+_PDE_EDGES = {
+    "--a": st.sampled_from(["1e3", "1e300", "nan", "-inf"]),
+    "--n": st.sampled_from(["48", "16", "0"]),
+    "--L": st.sampled_from(["1", "1e4", "1e-300", "1e300", "0", "-5", "inf", "nan"]),
+    "--dt": st.sampled_from(["0.02", "1e-9", "1e-320", "0", "nan"]),
+    "--t-end": st.sampled_from(["0.0004", "0", "nan"]),
+    "--init": st.one_of(
+        st.builds("soliton:c={},x0={}".format,
+                  st.sampled_from(["0", "1e-300", "1e-4", "1e4", "1e10", "1e300", "-4", "nan", "abc"]),
+                  st.sampled_from(["0", "-1e300", "1e300", "inf"])),
+        st.builds("cnoidal:k={},m={}".format,
+                  st.sampled_from(["0", "1e-9", "0.99999999", "1", "-0.5", "1.5", "1e200"]),
+                  st.sampled_from(["1", "0", "1.5", "1e300"])),
+        st.sampled_from(["bogus", "soliton:", "cnoidal:", "file:missing.csv"]),
+    ),
+}
+_ELLIPTIC_VALID = {
+    "--k": st.sampled_from(["0.7", "0.3", "0.6+0.3j", "1.5"]),
+    "--re": st.sampled_from(["0.1:2.0:3", "0.2:1.8:2"]),
+    "--im": st.sampled_from(["-0.8:0.8:3", "0:0:1"]),
+    "--seed": st.integers(0, 5).map(str),
+}
+_ELLIPTIC_EDGES = {
+    "--k": st.sampled_from(["0", "1", "-1", "1e-9", "0.99999999", "1e8", "1j", "nan", "inf", "abc"]),
+    "--re": st.sampled_from(["0:0:1", "-1e17:1e17:2", "0:inf:2", "1:1:0", "1e300:1e300:1", "a:b:c"]),
+    "--im": st.sampled_from(["400:400:1", "-1e308:0.5:2", "1.8626408023327385:1.8626408023327385:1"]),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_argv_with_one_edge("pde-run", _PDE_VALID, _PDE_EDGES),
+                 _argv_with_one_edge("elliptic-check", _ELLIPTIC_VALID, _ELLIPTIC_EDGES)))
+def test_edge_values_take_the_one_gate_path(argv):
+    # in-process on tiny grids: no traceback or warning, one line on exit 2,
+    # and exit 1 exactly when a check fails or the run does
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2 or err.startswith("run failed: "):
+        assert out == "" and err.count("\n") == 1, (argv, err)
+        return
+    checks = cli.failed_checks(json.loads(out))
+    assert (code == 1) == bool(checks), (argv, code, checks)
+    assert err.splitlines() == [f"check failed: {line}" for line in checks], argv
