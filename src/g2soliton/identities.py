@@ -11,23 +11,24 @@ The symmetric two-point functions of the curve come in three families:
 
 Every catalogued identity is a rational-function combination of these
 functions and their flow derivatives that must reduce to the exact zero
-field element.  Each identity is stored once as a builder over an abstract
-context, which gives two independent evaluation routes: exact reduction in
-the function field, and high-precision numeric evaluation at random curve
-points (the Schwartz-Zippel style probe used both as a development oracle
-and to certify nonzero witnesses).  As in the paper, the derived identities
-are not written out: each is a route, one of the written-out builders run
-with curve coefficients pinned to zero (`_PinnedContext`; the quintic
-entries pin l6, and l0), then read through the dual involution when it is a
-Jacobi-type entry (`_DualContext`), on its root's locus transformed.  Exact
-residuals are memoized per curve by route, with the pins the curve already
-meets dropped: on l0 = l6 = 0, where the two systems coincide, WS1-WS5, KUM1
-and JS1-JS5 are their partners' residuals, assembled once.  Every function is
-a numerator over x1^a * x2^b * (x1-x2)^k.
+field element.  Each identity is stored once as a builder over one context
+class, `_Context`, which gives two independent evaluation routes: exact
+reduction in the function field, and high-precision numeric evaluation at
+random curve points (the Schwartz-Zippel style probe used both as a
+development oracle and to certify nonzero witnesses).  As in the paper, the
+derived identities are not written out: each is a route, one of the
+written-out builders run on a context with curve coefficients pinned to zero
+(the quintic entries pin l6, and l0) and, for a Jacobi-type entry, the dual
+view, on its root's locus transformed.  Exact residuals are memoized per
+curve by route, with the pins the curve already meets dropped: on
+l0 = l6 = 0, where the two systems coincide, WS1-WS5, KUM1 and JS1-JS5 are
+their partners' residuals, assembled once.  Every function is a numerator
+over x1^a * x2^b * (x1-x2)^k.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 import time
@@ -201,9 +202,6 @@ class G2Functions:
             points.append(random_probe_point(self.params, rng, dps))
         return points[index]
 
-    def base(self, name: str) -> Fld:
-        return getattr(self, name)
-
     def deriv(self, name: str, dirs: str = "") -> Fld:
         """Flow derivative of a named base function; dirs like '1', '22', '12'.
 
@@ -215,7 +213,7 @@ class G2Functions:
         if cached is not None:
             return cached
         if not dirs:
-            value = self.base(name)
+            value = getattr(self, name)
         else:
             inner = self.deriv(name, dirs[:-1])
             value = flow_derivative(inner, int(dirs[-1]))
@@ -223,58 +221,21 @@ class G2Functions:
         return value
 
 
-# -- dual-route contexts --------------------------------------------------------
-
-
-class ExactContext:
-    """Builder context producing exact Fld residuals."""
-
-    def __init__(self, fns: G2Functions):
-        self._fns = fns
-        for i, v in enumerate(fns.params.lambdas):
-            setattr(self, f"l{i}", v)
-        self.one = Fld.const(fns.params, 1)
-
-    def __getattr__(self, name):
-        # base function names fall through to the family table
-        return self._fns.base(name)
-
-    def d(self, name: str, dirs: str) -> Fld:
-        return self._fns.deriv(name, dirs)
-
-
-class NumericContext:
-    """Builder context evaluating residual expressions at one probe point.
-
-    Independent of exact reduction: every sum/product in the identity is
-    carried out in mpmath arithmetic rather than in the polynomial ring.
-    """
-
-    def __init__(self, fns: G2Functions, point):
-        self._fns = fns
-        self._point = point
-        self._cache: dict = {}
-        for i, v in enumerate(fns.params.lambdas):
-            setattr(self, f"l{i}", rat_to_mp(v))
-        self.one = mp.mpf(1)
-
-    def __getattr__(self, name):
-        return self.d(name, "")
-
-    def d(self, name: str, dirs: str):
-        key = (name, "".join(sorted(dirs)))
-        if key not in self._cache:
-            self._cache[key] = self._fns.deriv(name, dirs).eval_mp(*self._point)
-        return self._cache[key]
-
+# -- the builder context ----------------------------------------------------------
 
 _DUAL_NAMES = {"p22": "hp11", "p21": "hp21", "q": "hq"}
 _DUAL_FLOWS = str.maketrans("12", "21")
 
 
-class _DualContext:
-    """An exact or numeric context seen through the dual involution.
+class _Context:
+    """What a builder reads: the curve coefficients l0..l6, `one`, the
+    families by name and their flow derivatives d(name, dirs) = value(name, dirs).
 
+    The exact route reads Fld elements, the numeric one their mpmath values
+    at a probe point.  Each l<j>, j in `pins`, reads as 0 * l<j>, a zero of
+    its own type, so a sextic builder assembles its l6 = 0 or l0 = l6 = 0
+    form.  Pins name the curve's own coefficients, so they apply before the
+    dual view.  A `dual` context shows the curve through the dual involution:
     x_i -> 1/x_i, y_i -> y_i/x_i^3 maps the curve with reversed coefficients
     onto this one, its Weierstrass triple (p22, p21, q) onto (hp11, hp21, hq)
     and its flow u1 onto -u2.  The catalog's residuals are linear in second
@@ -283,32 +244,23 @@ class _DualContext:
     identity on the reversed curve, the matching Jacobi identity.
     """
 
-    def __init__(self, ctx):
-        self._ctx = ctx
-        for j in range(7):
-            setattr(self, f"l{j}", getattr(ctx, f"l{6 - j}"))
-        self.one = ctx.one
+    def __init__(self, lams, one, value, dual=False, pins=()):
+        lams = [0 * l if j in pins else l for j, l in enumerate(lams)]
+        for j, l in enumerate(reversed(lams) if dual else lams):
+            setattr(self, f"l{j}", l)
+        self.one = one
+        self._value = value
+        self._dual = dual
 
     def __getattr__(self, name):
         return self.d(name, "")
 
     def d(self, name: str, dirs: str):
-        if name not in _DUAL_NAMES:
-            raise AttributeError(f"{name} has no image under the dual involution")
-        return self._ctx.d(_DUAL_NAMES[name], dirs.translate(_DUAL_FLOWS))
-
-
-class _PinnedContext:
-    """A context whose l<j>, j in `zeros`, read as 0 * l<j>, a zero of its own
-    type; a sextic builder run here assembles its l6 = 0 or l0 = l6 = 0 form."""
-
-    def __init__(self, ctx, zeros):
-        self._ctx = ctx
-        for j in zeros:
-            setattr(self, f"l{j}", 0 * getattr(ctx, f"l{j}"))
-
-    def __getattr__(self, name):
-        return getattr(self._ctx, name)
+        if self._dual:
+            if name not in _DUAL_NAMES:
+                raise AttributeError(f"{name} has no image under the dual involution")
+            name, dirs = _DUAL_NAMES[name], dirs.translate(_DUAL_FLOWS)
+        return self._value(name, dirs)
 
 
 # -- identity builders ---------------------------------------------------------
@@ -577,14 +529,9 @@ def _as_tuple(value):
     return value if isinstance(value, tuple) else (value,)
 
 
-def _assemble(ctx, root, dual, pins) -> tuple:
-    """The residual components of `root`'s builder run on `ctx` with `pins`
-    read as zero, seen through the dual involution when `dual` is set."""
-    if pins:
-        ctx = _PinnedContext(ctx, pins)
-    if dual:
-        ctx = _DualContext(ctx)
-    return _as_tuple(_BUILDERS[root](ctx))
+def _assemble(lams, one, value, root, dual, pins) -> tuple:
+    """The residual components of `root`'s builder on one `_Context`."""
+    return _as_tuple(_BUILDERS[root](_Context(lams, one, value, dual, pins)))
 
 
 def residuals(tag: str, fns: G2Functions) -> tuple:
@@ -606,7 +553,7 @@ def residuals_unchecked(tag: str, fns: G2Functions) -> tuple:
     key = (root, dual, tuple(j for j in pins if fns.params.lambdas[j]))
     found = fns._residuals.get(key)
     if found is None:
-        found = fns._residuals[key] = _assemble(ExactContext(fns), *key)
+        found = fns._residuals[key] = _assemble(fns.params.lambdas, Fld.const(fns.params, 1), fns.deriv, *key)
     return found
 
 
@@ -616,7 +563,8 @@ def probe_identity(tag: str, fns: G2Functions, point) -> tuple:
     Every sum and product is evaluated in mpmath arithmetic; the only shared
     machinery with the exact route is the symbolic flow-derivative table.
     """
-    return _assemble(NumericContext(fns, point), *_ROUTES[tag])
+    value = functools.cache(lambda name, dirs: fns.deriv(name, dirs).eval_mp(*point))
+    return _assemble([rat_to_mp(v) for v in fns.params.lambdas], mp.mpf(1), value, *_ROUTES[tag])
 
 
 # -- verification driver --------------------------------------------------------

@@ -370,15 +370,3 @@ def cnoidal_wave(grid: Grid1D, k: float, n_periods: int = 1) -> tuple:
     speed = -4 * beta**2 * (1 + k**2)
     return Field1D(grid, vals, "u"), speed
 
-
-def soliton_peak_travel(u: Field1D, x0: float) -> float:
-    """Distance traveled by the soliton trough, with parabolic refinement."""
-    vals = u.values
-    i = int(np.argmin(vals))
-    n = u.grid.n
-    y0, y1, y2 = vals[(i - 1) % n], vals[i], vals[(i + 1) % n]
-    denom = y0 - 2 * y1 + y2
-    frac = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
-    dx = u.grid.length / n
-    pos = (i + frac) * dx
-    return float(np.mod(pos - x0, u.grid.length))

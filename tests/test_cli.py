@@ -443,6 +443,30 @@ def test_pde_run_under_resolved_exits_1(tmp_path):
     assert json.loads(out.read_text())["pde_residual_window"] >= cli.PDE_RESIDUAL_TOL
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "32", "--L", "1e300", "--init", "soliton:c=1"),  # one grid point on the trough
+        ("--n", "32", "--L", "100"),
+        ("--n", "32"),
+    ],
+)
+def test_pde_run_under_resolved_init_is_usage_error(argv, capsys):
+    # the run would evolve the field without its modes above n/3, which no gate sees
+    assert run_cli("pde-run", "--t-end", "0.01", *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("usage error: --init ") and "under-resolved" in captured.err
+
+
+def test_pde_run_reports_the_soliton_closed_form_error(readme_reports):
+    # only a KdV soliton run has a closed form to compare with
+    errors = {argv[argv.index("--eq") + 1]: report.get("closed_form_error")
+              for argv, report in readme_reports if report["command"] == "pde-run"}
+    assert errors["gmkdv"] is None
+    assert 0 < errors["kdv"] < 1e-7
+
+
 def test_pde_run_zero_mean_field_reports_small_drifts(tmp_path):
     # mass is 0 up to rounding: its drift is measured against int |u| dx, not |mass|
     data = tmp_path / "sine.csv"
@@ -628,7 +652,7 @@ DIAGNOSTICS = {
     "elliptic-check": {"grid_points"},
     "static-transforms": {"samples"},
     "akns-check": {"jets", "draws"},
-    "pde-run": {"a", "n", "L", "dt", "t_end", "init", "final_max_abs"},
+    "pde-run": {"a", "n", "L", "dt", "t_end", "init", "final_max_abs", "closed_form_error"},
     "miura-pipeline": {"a", "gmkdv_residual"},
 }
 

@@ -8,15 +8,13 @@ import pytest
 
 from g2soliton import identities
 from g2soliton.cli import main
-from g2soliton.curvering import CurveParams, Fld, Poly, Rat, probe_digits, random_probe_point
+from g2soliton.curvering import CurveParams, Fld, Poly, Rat, probe_digits, random_probe_point, rat_to_mp
 from g2soliton.flows import flow_derivative
 from g2soliton.identities import (
     Constraint,
-    ExactContext,
     G2Functions,
     IDENTITY_SETS,
     MissingConstraint,
-    NumericContext,
     find_witness,
     identity_ids,
     merge_constraints,
@@ -92,15 +90,15 @@ def test_build_functions_guards():
     # every family is built on an l5 = 0 curve; the catalog locus guards W1
     no_w = CurveParams((1, 2, 1, 3, 1, 0, 5))
     fns = G2Functions(no_w)
-    assert fns.base("p22").is_zero() and fns.base("p21").is_zero()
-    assert not fns.base("hp11").is_zero()
+    assert fns.p22.is_zero() and fns.p21.is_zero()
+    assert not fns.hp11.is_zero()
     with pytest.raises(MissingConstraint):
         residuals("W1", fns)
 
 
 def test_symmetry_under_point_swap(generic_fns):
     for name in ("p22", "p21", "q", "hp11", "hp21", "hq"):
-        f = generic_fns.base(name)
+        f = getattr(generic_fns, name)
         assert (f - swap_points(f)).is_zero()
 
 
@@ -277,6 +275,68 @@ def test_jacobi_loci_imply_reflected_partner_loci():
 
 # -- quintic entries generated by pinning -----------------------------------------
 
+# The builder contexts as they were composed before one context class served
+# every route, kept apart from the catalog as references: a plain exact and a
+# plain numeric context, and the pinned and dual views stacked on either.
+
+
+class ExactContext:
+    def __init__(self, fns):
+        self._fns = fns
+        for i, v in enumerate(fns.params.lambdas):
+            setattr(self, f"l{i}", v)
+        self.one = Fld.const(fns.params, 1)
+
+    def __getattr__(self, name):
+        return getattr(self._fns, name)
+
+    def d(self, name, dirs):
+        return self._fns.deriv(name, dirs)
+
+
+class NumericContext:
+    def __init__(self, fns, point):
+        self._fns, self._point = fns, point
+        for i, v in enumerate(fns.params.lambdas):
+            setattr(self, f"l{i}", rat_to_mp(v))
+        self.one = mp.mpf(1)
+
+    def __getattr__(self, name):
+        return self.d(name, "")
+
+    def d(self, name, dirs):
+        return self._fns.deriv(name, dirs).eval_mp(*self._point)
+
+
+class DualContext:
+    """l_j read as l_(6-j), (p22, p21, q) as (hp11, hp21, hq), the flows swapped."""
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+        for j in range(7):
+            setattr(self, f"l{j}", getattr(ctx, f"l{6 - j}"))
+        self.one = ctx.one
+
+    def __getattr__(self, name):
+        return self.d(name, "")
+
+    def d(self, name, dirs):
+        names = {"p22": "hp11", "p21": "hp21", "q": "hq"}
+        return self._ctx.d(names[name], dirs.translate(str.maketrans("12", "21")))
+
+
+class PinnedContext:
+    """l_j, j in `zeros`, read as 0 * l_j."""
+
+    def __init__(self, ctx, zeros):
+        self._ctx = ctx
+        for j in zeros:
+            setattr(self, f"l{j}", 0 * getattr(ctx, f"l{j}"))
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+
 # the quintic entries as written out before they were generated from their
 # sextic partners with l6 (and l0) pinned to zero: references for the pin
 QUINTIC_REFERENCES = {
@@ -336,10 +396,10 @@ def closure(tag):
     pin the dual view's coefficients."""
     if tag in DUAL_PARTNERS:
         partner = closure(DUAL_PARTNERS[tag])
-        return lambda c: partner(identities._DualContext(c))
+        return lambda c: partner(DualContext(c))
     if tag in QUINTIC_PARTNERS:
         root, zeros = QUINTIC_PARTNERS[tag]
-        return lambda c: identities._BUILDERS[root](identities._PinnedContext(c, zeros))
+        return lambda c: identities._BUILDERS[root](PinnedContext(c, zeros))
     return identities._BUILDERS[tag]
 
 
@@ -387,6 +447,17 @@ def test_routes_assemble_the_closures_they_replace(name):
         point = fns.probe_point(0)
         for tag in tags:
             assert probe_identity(tag, fns, point) == identities._as_tuple(closure(tag)(NumericContext(fns, point))), tag
+
+
+def test_a_dual_route_has_no_image_of_the_r_family(generic_fns):
+    # only the Weierstrass triple has a dual image, so INT-R has no dual route
+    one = Fld.const(GENERIC, 1)
+    ctx = identities._Context(GENERIC.lambdas, one, generic_fns.deriv, True, ())
+    with pytest.raises(AttributeError, match="r22 has no image"):
+        ctx.r22
+    with pytest.raises(AttributeError, match="r22 has no image"):
+        identities._assemble(GENERIC.lambdas, one, generic_fns.deriv, "INT-R", True, ())
+    assert ctx.p22 is generic_fns.hp11
 
 
 @pytest.mark.parametrize("name", list(ROUTE_CURVES))

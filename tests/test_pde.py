@@ -19,7 +19,6 @@ from g2soliton.pde import (
     kdv_residual,
     miura_map,
     one_soliton,
-    soliton_peak_travel,
     _RESIDUAL_BLOCK,
     _Etdrk4,
     _check_state,
@@ -300,9 +299,9 @@ def test_shared_coefficients_are_read_only(grid):
 
 
 def test_soliton_travel_and_shape(grid):
+    # the closed form at t = 0.5 is the initial trough moved by c * t = 2
     u0 = one_soliton(grid, 4.0, 10.0)
     u1 = evolve_trajectory("kdv", u0, 0.5, 1e-3, save_every=500)[-1]
-    assert abs(soliton_peak_travel(u1, 10.0) - 2.0) < 0.05
     assert np.max(np.abs(u1.values - exact_soliton(grid, 4.0, 10.0, 0.5))) < 1e-3
 
 

@@ -1,19 +1,21 @@
-"""Every module-level public name of the package has a reader in the program.
+"""Every module-level public name of the package has a reader in the program,
+and every annotation in the package resolves.
 
-The program is `src/g2soliton`, `scripts` and `perfbench`; the tests do not
-count, so a name that only tests read is dead code unless it is listed in
-TEST_REFERENCES with the reason it is kept.
+The program is `src/g2soliton` and `perfbench`; the tests do not count, so a
+name that only tests read is dead code unless it is listed in TEST_REFERENCES
+with the reason it is kept.
 """
 
 import ast
+import importlib
 import importlib.util
 import inspect
+import typing
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "g2soliton"
-PROGRAM = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py")),
-           *sorted((ROOT / "perfbench").glob("*.py"))]
+PROGRAM = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
 
 # names kept for the tests alone, each a route the tests check the program against
 TEST_REFERENCES = {
@@ -108,3 +110,32 @@ def test_benchmark_patch_points_resolve_to_program_functions():
         assert inspect.isfunction(fn) and fn.__module__.startswith("g2soliton"), (owner, attr)
         checked += 1
     assert checked == len(tracing.PATCH_POINTS) - 2
+
+
+def _functions_and_methods(module):
+    """The functions a module defines and the methods of its classes."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            for member in vars(obj).values():
+                member = getattr(member, "__func__", member)  # staticmethod, classmethod
+                member = getattr(member, "fget", member)  # property
+                if inspect.isfunction(member):
+                    yield member
+
+
+def test_every_annotation_resolves():
+    # under `from __future__ import annotations` an annotation is text until
+    # read, so a name the module never imports fails only its readers
+    unresolved = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"g2soliton.{path.stem}")
+        for fn in _functions_and_methods(module):
+            try:
+                typing.get_type_hints(fn)
+            except NameError as exc:
+                unresolved.append(f"{fn.__module__}.{fn.__qualname__}: {exc}")
+    assert unresolved == []
