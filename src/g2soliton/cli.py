@@ -388,13 +388,15 @@ def _initial_field(spec: str, grid) -> tuple:
 
 
 def _time_steps(args, min_steps: int) -> int:
-    """Steps of size --dt up to --t-end; ValueError unless both are positive
-    and there are at least `min_steps` and at most MAX_STEPS of them."""
+    """Steps of size --dt up to --t-end; ValueError unless both are positive and
+    --t-end is a whole number (to a relative 1e-9) of `min_steps` to MAX_STEPS steps."""
     if not (args.dt > 0 and args.t_end > 0):
         raise ValueError(f"--dt and --t-end must be positive, got {args.dt:g} and {args.t_end:g}")
     if args.t_end / args.dt > MAX_STEPS:
         raise ValueError(f"--t-end / --dt must be at most {MAX_STEPS} steps, got {args.t_end:g} / {args.dt:g}")
     steps = int(round(args.t_end / args.dt))
+    if abs(args.t_end / args.dt - steps) > 1e-9 * steps:
+        raise ValueError(f"--t-end must be a whole number of --dt steps, got {args.t_end:g} / {args.dt:g}")
     if steps < min_steps:
         raise ValueError(
             f"--t-end must be at least {min_steps}*dt = {min_steps * args.dt:g}, got {args.t_end:g}: "

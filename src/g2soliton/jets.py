@@ -79,19 +79,19 @@ class Jet:
         return NotImplemented
 
     def __mul__(self, other):
+        if type(other) is Jet:
+            a, b = self.coef, other.coef
+            out = []
+            for m in range(min(len(a), len(b))):
+                acc = 0
+                for i in range(m + 1):
+                    acc += a[i] * b[m - i]
+                out.append(acc)
+            return Jet._of(tuple(out))
         if isinstance(other, (int, float, complex)):
             other = complex(other)
             return Jet._of(tuple(c * other for c in self.coef))
-        if not isinstance(other, Jet):
-            return NotImplemented
-        a, b = self.coef, other.coef
-        out = []
-        for m in range(min(len(a), len(b))):
-            acc = 0
-            for i in range(m + 1):
-                acc += a[i] * b[m - i]
-            out.append(acc)
-        return Jet._of(tuple(out))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -107,16 +107,6 @@ class Jet:
                 acc += coef[i] * out[m - i]
             out.append(-inv0 * acc)
         return Jet._of(tuple(out))
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        if n == 0:
-            return Jet.constant(1, self.order)
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
 
     def deriv(self, times: int = 1) -> "Jet":
         """Jet of f^(times), `times` orders shorter."""

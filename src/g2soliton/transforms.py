@@ -10,6 +10,8 @@ the v-side profile residual.  The four maps:
     inv_power   u = 1/v  - a/6
 
 All evaluation is jet-based, so both sides use analytic derivatives of v.
+Each side forms only the orders it reads, and the v-side residual forms v^2
+once, for v^3, v^4 and a v^2.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ TRANSFORMATIONS = ("miura", "square", "inv_square", "inv_power")
 _DENOM_FLOOR = 1e-8
 
 _MIN_ORDER = {"miura": 4, "square": 3, "inv_square": 3, "inv_power": 3}
+# the highest derivative of v in each map's v-side profile expression
+_RESIDUAL_DERIV = {"miura": 3, "square": 2, "inv_square": 1, "inv_power": 1}
 
 
 def kdv_profile_operator(u: Jet) -> complex:
@@ -35,7 +39,8 @@ def transformed_profile(v: Jet, which: str, a) -> Jet:
     """The u-jet induced by the chosen transformation."""
     a = complex(a)
     if which == "miura":
-        return v * v + v.deriv() - a / 6
+        w = v.truncate(v.order - 1)  # the order of v_x
+        return w * w + v.deriv() - a / 6
     if which == "square":
         return 2 * v * v - 2 * a / 3
     if which == "inv_square":
@@ -46,18 +51,21 @@ def transformed_profile(v: Jet, which: str, a) -> Jet:
 
 
 def source_residual_jet(v: Jet, which: str, a) -> Jet:
-    """Jet of the v-side profile expression annihilated by the transformation."""
+    """Jet of the v-side profile expression annihilated by the transformation,
+    to the order of its highest derivative of v: all the factorization reads."""
+    if which not in _RESIDUAL_DERIV:
+        raise ValueError(f"unknown transformation {which!r}")
     a = complex(a)
-    v1 = v.deriv()
+    top = v.deriv(_RESIDUAL_DERIV[which])
+    w = v.truncate(top.order)
     if which == "miura":
-        return v.deriv(3) - 6 * v * v * v1 + a * v1
+        v1 = v.deriv().truncate(top.order)
+        return top - 6 * w * w * v1 + a * v1
+    w2 = w * w
     if which == "square":
-        return v.deriv(2) - 2 * v**3 + a * v
-    if which == "inv_square":
-        return v1 * v1 - v**4 + a * v * v - 0.5
-    if which == "inv_power":
-        return v1 * v1 - v**4 + a * v * v - 2 * v
-    raise ValueError(f"unknown transformation {which!r}")
+        return top - 2 * (w2 * w) + a * w
+    g = top * top - w2 * w2 + a * w2  # the inverse maps: top is v'
+    return g - 0.5 if which == "inv_square" else g - 2 * w
 
 
 def static_transformation_residuals(v: Jet, which: str, a) -> tuple:

@@ -83,14 +83,6 @@ def jet_product(a, b):
     return tuple(sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(min(len(a), len(b))))
 
 
-def jet_power(a, n):
-    """a ** n as n products, starting from the constant 1."""
-    result = (1 + 0j,) + (0j,) * (len(a) - 1)
-    for _ in range(n):
-        result = jet_product(result, a)
-    return result
-
-
 def sn_jet_triple(x0, k, order, scale=1.0):
     """Coefficient tuples of the sn, cn and dn jets of scale*x around x0."""
     s0, c0, d0 = sncndn(complex(scale) * complex(x0), k)

@@ -556,6 +556,8 @@ def test_miura_pipeline_command(tmp_path):
         ("pde-run", "--t-end", "0.01", "--init", "soliton:c=1e-300"),
         ("pde-run", "--n", "32", "--L", "inf", "--t-end", "0.01"),
         ("miura-pipeline", "--L", "nan"),
+        ("pde-run", "--t-end", "0.0104"),
+        ("miura-pipeline", "--t-end", "0.0205"),
     ],
 )
 def test_vacuous_or_degenerate_runs_are_usage_errors(argv, capsys):

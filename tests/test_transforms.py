@@ -185,7 +185,7 @@ def test_jet_operations_match_reference_bit_for_bit(order):
             (v + w, rv + rw), (v - w, rv - rw), (v * w, rv * rw),
             (v + s, rv + s), (s + v, s + rv), (v - s, rv - s),
             (v * s, rv * s), (3 * v, 3 * rv),
-            (v**3, rv**3), (v.reciprocal(), rv.reciprocal()),
+            (v.reciprocal(), rv.reciprocal()),
             (v.deriv(), rv.deriv()), (v.deriv(3), rv.deriv(3)),
         ]
         for got, want in pairs:
@@ -217,6 +217,49 @@ def test_static_transforms_match_reference_on_sn_profiles():
                     assert static_transformation_residuals(v, which, 1.5) == static_transformation_residuals(
                         ref_v, which, 1.5
                     )
+
+
+# both jets in their long form: every product at the full order of v, and the
+# sums cut to their shortest term, which gives the order each jet must have
+_LONG_U = {
+    "miura": lambda v, a: v * v + v.deriv() - a / 6,
+    "square": lambda v, a: 2 * v * v - 2 * a / 3,
+    "inv_square": lambda v, a: (v * v).reciprocal() - 2 * a / 3,
+    "inv_power": lambda v, a: v.reciprocal() - a / 6,
+}
+_LONG_RESIDUAL = {
+    "miura": lambda v, v1, a: v.deriv(3) - 6 * v * v * v1 + a * v1,
+    "square": lambda v, v1, a: v.deriv(2) - 2 * v**3 + a * v,
+    "inv_square": lambda v, v1, a: v1 * v1 - v**4 + a * v * v - 0.5,
+    "inv_power": lambda v, v1, a: v1 * v1 - v**4 + a * v * v - 2 * v,
+}
+
+
+def _assert_close_to_long_form(v, a):
+    rv = _ReferenceJet(v.coef)
+    for which in TRANSFORMATIONS:
+        pairs = (
+            (transformed_profile(v, which, a), _LONG_U[which](rv, a)),
+            (source_residual_jet(v, which, a), _LONG_RESIDUAL[which](rv, rv.deriv(), a)),
+        )
+        for got, want in pairs:
+            assert len(got.coef) == len(want.coef), (which, got.order, want.order)
+            for g, w in zip(got.coef, want.coef):
+                assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (which, g, w)
+
+
+@pytest.mark.parametrize("order", range(3, 9))
+def test_residual_jets_match_long_form_on_trig_jets(order):
+    rng = random.Random(300 + order)
+    for _ in range(10):
+        _assert_close_to_long_form(_seeded_trig_jet(rng, order), 1.3)
+
+
+def test_residual_jets_match_long_form_on_sn_profiles():
+    for x in (0.7, 1.1 + 0.2j, 2.3, 0.9 - 0.3j):
+        for order in (3, 5, 6):
+            _assert_close_to_long_form(sn_profile_jet(x, order), 1.5)
+            _assert_close_to_long_form(paired_profile_jet(x, order), 1.5)
 
 
 def test_static_transforms_read_only_the_minimum_order():
@@ -339,5 +382,6 @@ def test_pair_check_guard_at_sn_zero():
 
 
 def test_kdv_profile_operator():
-    u = Jet((1.0, 1.0, 0.0, 0.0, 0.0)) ** 2  # u = x^2 at x0 = 1: u_xxx = 0, u u_x = 2x^3
+    x = Jet((1.0, 1.0, 0.0, 0.0, 0.0))
+    u = x * x  # u = x^2 at x0 = 1: u_xxx = 0, u u_x = 2x^3
     assert kdv_profile_operator(u) == pytest.approx(-12.0)
