@@ -17,7 +17,7 @@ import random
 import sys
 
 # numpy and the PDE and AKNS modules are imported by the subcommands that use
-# them, so the exact subcommands start without numpy
+# them, so the exact and genus-one subcommands start without numpy
 from . import __version__
 from .curvering import CurveParams
 from .elliptic import (
@@ -41,28 +41,16 @@ from .transforms import (
 )
 
 
-# acceptance criterion 10: PDE residual over a dense window, invariant drift over its magnitude
+# acceptance criterion 10: the PDE residual over a dense window against the terms
+# it balances (`pde.flow_scale`), and invariant drift over its magnitude.  The
+# residual bound also bounds what dealiasing moves the --init field by, over its
+# peak: measured at most 1.4e-8 on resolved grids, at least 2.3e-6 on others.
 PDE_RESIDUAL_TOL = 1e-6
 DRIFT_TOL = 1e-7
 # 100x the README pde-run; a miura-pipeline at n = 256 then holds about 0.4 GB of snapshots
 MAX_STEPS = 100_000
 # snapshots in the pde-run CSV, t = 0 and t_end included, when 10 divides the step count
 PDE_SNAPSHOTS = 11
-# the smallest peak |u0| a pde-run checks.  With the dispersion sign flipped in
-# the solver, the window residual of a one-period sine on the README grid
-# (n = 256, L = 40) is 7.75e-3 times its peak (measured from 1e-5 to 1e-2), so
-# the gate passes that wrong solve below a peak of 1.3e-4; the floor is 7.7
-# times that.  Longer domains need more: the residual goes as L^-3.
-MIN_INIT_PEAK = 1e-3
-# the largest share of the --init field's energy (int u^2 dx) the run may drop
-# before its first step, where the 2/3-rule zeroes the modes above n/3.  The
-# gates start from the dealiased field and cannot see that loss.  It equals
-# the relative momentum lost (measured equal to 3 digits from 2.6e-12 to
-# 0.34), so it takes the momentum drift bound.  Measured shares: README
-# soliton 2.7e-16, README cnoidal 7.1e-32, a c = 4 soliton on --n 64 --L 20
-# 8.9e-8 (the drop is then 2.3e-4 of its peak), on --n 32 --L 40 9.5e-2, and
-# soliton:c=1 on --n 32 --L 1e300, a single grid point, 0.34.
-MAX_DROPPED_SHARE = DRIFT_TOL
 
 # The bounds behind exit 1: each numeric subcommand's gated report keys.  A
 # check passes when value < bound, so NaN fails; a dict-valued key gates each
@@ -76,8 +64,8 @@ GATES = {
     },
     "static-transforms": {"factorization_worst": 1e-8, "sn_profile_worst": 1e-8},
     "akns-check": {"worst_diagonal": 1e-13, "worst_offdiagonal_vs_D": 1e-12, "worst_antisymmetry": 1e-13},
-    "pde-run": {"pde_residual_window": PDE_RESIDUAL_TOL, "invariant_drifts": DRIFT_TOL},
-    "miura-pipeline": {"mapped_kdv_residual": PDE_RESIDUAL_TOL},
+    "pde-run": {"relative_residual_window": PDE_RESIDUAL_TOL, "invariant_drifts": DRIFT_TOL},
+    "miura-pipeline": {"relative_mapped_residual": PDE_RESIDUAL_TOL},
 }
 
 
@@ -105,13 +93,18 @@ def _emit(report: dict, out_path: str | None) -> None:
         print(payload)
 
 
-def _range_spec(text: str) -> tuple:
+def _range_points(text: str) -> list:
+    """The points of an a:b:n range, as np.linspace(a, b, n) gives them bit for bit."""
     lo, hi, n = text.split(":")
     if int(n) < 1:
         raise ValueError(f"range {text!r} must have at least one point")
-    if not math.isfinite(float(hi) - float(lo)):
+    delta = float(hi) - float(lo)
+    if not math.isfinite(delta):
         raise ValueError(f"range {text!r} must have finite ends a finite distance apart")
-    return float(lo), float(hi), int(n)
+    lo, n, div = float(lo), int(n), max(int(n) - 1, 1)
+    step = delta / div
+    points = [lo + (i / div * delta if step == 0 else i * step) for i in range(n)]
+    return points[:-1] + [float(hi)] if n > 1 else points
 
 
 def _identity_set(name: str) -> list:
@@ -184,15 +177,12 @@ def _cmd_sweep(args) -> dict:
 
 
 def _cmd_elliptic_check(args) -> dict:
-    import numpy as np
-
-    re_lo, re_hi, re_n = _range_spec(args.re_range)
-    im_lo, im_hi, im_n = _range_spec(args.im_range)
+    re_points, im_points = _range_points(args.re_range), _range_points(args.im_range)
     k = complex(args.k)
     rows = []
     worst_ode = worst_sq = 0.0
-    for re in np.linspace(re_lo, re_hi, re_n):
-        for im in np.linspace(im_lo, im_hi, im_n):
+    for re in re_points:
+        for im in im_points:
             z = complex(re, im)
             try:
                 s, c, d = sncndn(z, k)
@@ -378,12 +368,6 @@ def _initial_field(spec: str, grid) -> tuple:
         field, info = Field1D(grid, data[:, 0]), {"kind": "file", "path": rest}
     else:
         raise ValueError(f"unknown --init kind {kind!r}")
-    peak = field.max_abs()
-    if peak < MIN_INIT_PEAK:
-        raise ValueError(
-            f"--init {spec} is identically zero or nearly (peak |u0| {peak:.3g} < {MIN_INIT_PEAK:g}), "
-            "so the residual gate would check nothing"
-        )
     return field, info
 
 
@@ -408,7 +392,8 @@ def _time_steps(args, min_steps: int) -> int:
 def _cmd_pde_run(args) -> dict:
     import numpy as np
 
-    from .pde import Grid1D, conserved_quantities, evolve_trajectory, exact_soliton, gmkdv_residual, kdv_residual
+    from .pde import (Grid1D, conserved_quantities, evolve_trajectory, exact_soliton, flow_scale, gmkdv_residual,
+                      kdv_residual)
 
     steps = _time_steps(args, min_steps=1)
     _check_finite(a=args.a, L=args.length)
@@ -416,23 +401,22 @@ def _cmd_pde_run(args) -> dict:
     u0, init_info = _initial_field(args.init, grid)
     save_every = max(1, steps // (PDE_SNAPSHOTS - 1))
     traj = evolve_trajectory(args.eq, u0, args.t_end, args.dt, a=args.a, save_every=save_every)
-    # checked after the run, so a run that blows up fails as such whatever its grid
-    dropped = float(np.sum((u0.values - traj[0].values) ** 2) / np.sum(u0.values**2))
-    if not dropped < MAX_DROPPED_SHARE:
-        raise ValueError(
-            f"--init {args.init} is under-resolved on --n {args.n} --L {args.length:g}: the run drops "
-            f"{dropped:.3g} of its energy in the modes above n/3 (bound {MAX_DROPPED_SHARE:g})"
-        )
     # residual needs five consecutive snapshots; rerun densely over a short window
     window = evolve_trajectory(args.eq, u0, 8 * args.dt, args.dt, a=args.a, save_every=1)
-    if args.eq == "kdv":
-        residual = kdv_residual(window, args.dt)
-    else:
-        residual = gmkdv_residual(window, args.dt, args.a)
-    q0 = conserved_quantities(traj[0], args.eq)
-    q1 = conserved_quantities(traj[-1], args.eq)
-    scales = _invariant_magnitudes(traj[0], args.eq)
-    drifts = [abs(b - a) / max(1e-30, m) for a, b, m in zip(q0, q1, scales)]
+    # the field is checked after the runs, so a run that blows up fails as such whatever its field
+    scale = flow_scale(window[2], args.eq, args.a)
+    loss = float(np.max(np.abs(u0.values - traj[0].values))) / u0.max_abs()
+    if not loss < PDE_RESIDUAL_TOL:
+        raise ValueError(
+            f"--init {args.init} is under-resolved on --n {args.n} --L {args.length:g}: dropping its modes "
+            f"above n/3 moves it by {loss:.3g} of its peak (bound {PDE_RESIDUAL_TOL:g})"
+        )
+    residual = kdv_residual(window, args.dt) if args.eq == "kdv" else gmkdv_residual(window, args.dt, args.a)
+    q0, q1 = conserved_quantities(traj[0], args.eq), conserved_quantities(traj[-1], args.eq)
+    magnitudes = _invariant_magnitudes(traj[0], args.eq)
+    if not all(magnitudes):
+        raise ValueError(f"--init {args.init}: an invariant's magnitude underflows to 0, so its drift checks nothing")
+    drifts = [abs(b - a) / m for a, b, m in zip(q0, q1, magnitudes)]
     if args.csv:
         times = [i * save_every * args.dt for i in range(len(traj))]
         times[-1] = args.t_end
@@ -451,6 +435,8 @@ def _cmd_pde_run(args) -> dict:
         "t_end": args.t_end,
         "init": init_info,
         "pde_residual_window": residual,
+        "residual_scale": scale,
+        "relative_residual_window": residual / scale,
         "invariant_drifts": {"mass": drifts[0], "momentum": drifts[1], "energy": drifts[2]},
         "final_max_abs": traj[-1].max_abs(),
     }
@@ -473,26 +459,25 @@ def _invariant_magnitudes(u, eq: str) -> tuple:
 def _cmd_miura_pipeline(args) -> dict:
     import numpy as np
 
-    from .pde import Field1D, Grid1D, evolve_trajectory, gmkdv_residual, kdv_residual, miura_map
+    from .pde import Field1D, Grid1D, evolve_trajectory, flow_scale, gmkdv_residual, kdv_residual, miura_map
 
     _time_steps(args, min_steps=4)
     _check_finite(a=args.a, L=args.length)
     grid = Grid1D(args.n, args.length)
-    v0 = Field1D(
-        grid,
-        0.4 * np.sin(2 * np.pi * grid.x / grid.length)
-        + 0.1 * np.cos(4 * np.pi * grid.x / grid.length),
-        "v",
-    )
+    phase = 2 * np.pi * grid.x / grid.length
+    v0 = Field1D(grid, 0.4 * np.sin(phase) + 0.1 * np.cos(2 * phase), "v")
     vtraj = evolve_trajectory("gmkdv", v0, args.t_end, args.dt, a=args.a, save_every=1)
     utraj = [miura_map(v, args.a) for v in vtraj]
     res_v = gmkdv_residual(vtraj, args.dt, args.a)
     res_u = kdv_residual(utraj, args.dt)
+    scale = flow_scale(utraj[2], "kdv")
     return {
         "command": "miura-pipeline",
         "a": args.a,
         "gmkdv_residual": res_v,
         "mapped_kdv_residual": res_u,
+        "residual_scale": scale,
+        "relative_mapped_residual": res_u / scale,
     }
 
 

@@ -312,6 +312,20 @@ def _flow_residual(traj, dt: float, cubic: bool, a: float = 0.0) -> float:
     return worst
 
 
+def flow_scale(w: Field1D, eq: str, a: float = 0.0) -> float:
+    """max|w_xxx| + max|6 w^p w_x| + |a| max|w_x| at one snapshot, with p = 1 and no a
+    term for kdv and p = 2 for gmkdv: the terms whose balance `_flow_residual` measures.
+    ValueError unless it is positive and finite: a residual then has nothing to scale by."""
+    w_x = w.deriv(1)
+    power = w.values * w.values if eq == "gmkdv" else w.values
+    scale = float(np.max(np.abs(w.deriv(3))) + 6 * np.max(np.abs(power * w_x)))
+    if eq == "gmkdv":
+        scale += abs(a) * float(np.max(np.abs(w_x)))
+    if not 0 < scale < math.inf:
+        raise ValueError(f"the terms of the {eq} flow sum to {scale:g} on this field, so there is nothing to check")
+    return scale
+
+
 def kdv_residual(u_traj, dt: float) -> float:
     """Max norm of u_t + u_xxx - 6 u u_x along a snapshot sequence.
 

@@ -263,6 +263,8 @@ def test_exact_subcommands_start_without_numpy():
         "from g2soliton.cli import main\n"
         "assert main(['verify-g2', '--lambda', '1,2,1,3,1,4,5', '--set', 'weierstrass']) == 0\n"
         "assert main(['sweep', '--count', '1', '--set', 'integrability']) == 0\n"
+        "assert main(['elliptic-check', '--re', '0.1:2.0:5', '--im=-0.8:0.8:5']) == 0\n"
+        "assert main(['static-transforms', '--samples', '3']) == 0\n"
         "print('numpy' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -316,7 +318,8 @@ def test_pde_run_soliton(tmp_path):
     )
     assert code == 0
     summary = json.loads(out.read_text())
-    assert summary["pde_residual_window"] < 1e-6
+    assert summary["relative_residual_window"] < 1e-6
+    assert summary["relative_residual_window"] == summary["pde_residual_window"] / summary["residual_scale"]
     assert all(v < 1e-7 for v in summary["invariant_drifts"].values())
     header = csv_path.read_text().splitlines()[0]
     assert header == "t,x,re_u"
@@ -324,7 +327,7 @@ def test_pde_run_soliton(tmp_path):
 
 def test_pde_run_file_init(tmp_path):
     data = tmp_path / "init.csv"
-    data.write_text("\n".join(f"{0.1},{0.0}" for _ in range(64)))
+    data.write_text("\n".join(f"{0.1 + 0.05 * math.cos(2 * math.pi * i / 64)},{0.0}" for i in range(64)))
     out = tmp_path / "run.json"
     code = run_cli(
         "pde-run", "--eq", "gmkdv", "--a", "1.5", "--n", "64", "--L", "20",
@@ -366,13 +369,13 @@ def test_pde_run_csv_has_one_real_sample_column(tmp_path):
     # fields are real, so the former im_u column (always 0.0) is gone
     csv_path = tmp_path / "traj.csv"
     code = run_cli(
-        "pde-run", "--n", "64", "--L", "20", "--t-end", "0.01", "--init", "soliton:c=4,x0=5",
+        "pde-run", "--n", "128", "--L", "20", "--t-end", "0.01", "--init", "soliton:c=4,x0=5",
         "--csv", str(csv_path), "--out", str(tmp_path / "run.json"),
     )
     assert code == 0
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "t,x,re_u"
-    assert len(lines) == 1 + cli.PDE_SNAPSHOTS * 64  # 10 steps: t = 0, 0.001, ..., 0.01
+    assert len(lines) == 1 + cli.PDE_SNAPSHOTS * 128  # 10 steps: t = 0, 0.001, ..., 0.01
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
     assert all(len(row) == 3 for row in rows)
     assert min(row[2] for row in rows) < -1.9  # the depth-2 soliton trough
@@ -391,14 +394,17 @@ def test_pde_run_gmkdv_conserves_its_invariants(tmp_path):
 
 
 def test_pde_run_cnoidal_near_unit_modulus(tmp_path):
-    # at m = 2, n = 64, L = 20 a grid point falls on z = 3K(0.99), where cn = 0
+    # at m = 2, L = 20 a grid point of n = 64, and so of n = 128, falls on
+    # z = 3K(0.99), where cn = 0.  n = 64 under-resolves the wave (dealiasing
+    # moves it by 2.3e-6 of its peak); at n = 128 the stiffer top modes need
+    # dt = 2.5e-4 (relative residual 7.4e-9; 1.7e-6 at dt = 1e-3)
     out = tmp_path / "run.json"
     code = run_cli(
-        "pde-run", "--eq", "gmkdv", "--a", "1.5", "--n", "64", "--L", "20", "--t-end", "0.01",
-        "--init", "cnoidal:k=0.99,m=2", "--out", str(out),
+        "pde-run", "--eq", "gmkdv", "--a", "1.5", "--n", "128", "--L", "20", "--dt", "2.5e-4",
+        "--t-end", "0.01", "--init", "cnoidal:k=0.99,m=2", "--out", str(out),
     )
     assert code == 0
-    assert json.loads(out.read_text())["pde_residual_window"] < cli.PDE_RESIDUAL_TOL
+    assert json.loads(out.read_text())["relative_residual_window"] < cli.PDE_RESIDUAL_TOL
 
 
 @pytest.mark.parametrize(
@@ -433,14 +439,14 @@ def test_far_imaginary_arguments_pass(argv, points, tmp_path):
 
 
 def test_pde_run_under_resolved_exits_1(tmp_path):
-    # dt = 1e-2 on a c = 4 soliton: the window residual is about 3.6e-3
+    # dt = 1e-2 on a c = 4 soliton: the window residual is 5.8e-5 of the flow's terms
     out = tmp_path / "run.json"
     code = run_cli(
-        "pde-run", "--eq", "kdv", "--n", "64", "--L", "20", "--dt", "1e-2", "--t-end", "0.1",
+        "pde-run", "--eq", "kdv", "--n", "128", "--L", "20", "--dt", "1e-2", "--t-end", "0.1",
         "--init", "soliton:c=4,x0=5", "--out", str(out),
     )
     assert code == 1
-    assert json.loads(out.read_text())["pde_residual_window"] >= cli.PDE_RESIDUAL_TOL
+    assert json.loads(out.read_text())["relative_residual_window"] >= cli.PDE_RESIDUAL_TOL
 
 
 @pytest.mark.parametrize(
@@ -449,6 +455,8 @@ def test_pde_run_under_resolved_exits_1(tmp_path):
         ("--n", "32", "--L", "1e300", "--init", "soliton:c=1"),  # one grid point on the trough
         ("--n", "32", "--L", "100"),
         ("--n", "32"),
+        ("--n", "64", "--L", "20", "--init", "soliton:c=4,x0=5"),  # moved 2.3e-4 of its peak
+        ("--init", "soliton:c=1e-4"),  # wider than the domain, with a kink where it wraps
     ],
 )
 def test_pde_run_under_resolved_init_is_usage_error(argv, capsys):
@@ -482,7 +490,7 @@ def test_pde_run_zero_mean_field_reports_small_drifts(tmp_path):
 
 
 def test_pde_run_drift_alone_fails_the_gate(tmp_path, monkeypatch):
-    # the csv-column settings pass both gates (residual 6.9e-7); a final mass
+    # the csv-column settings pass both gates (relative residual 1.7e-8); a final mass
     # 1e-6 off its start must then fail on the drift alone
     calls = []
 
@@ -495,20 +503,50 @@ def test_pde_run_drift_alone_fails_the_gate(tmp_path, monkeypatch):
     monkeypatch.setattr(pde, "conserved_quantities", drifting)
     out = tmp_path / "run.json"
     code = run_cli(
-        "pde-run", "--n", "64", "--L", "20", "--t-end", "0.01", "--init", "soliton:c=4,x0=5",
+        "pde-run", "--n", "128", "--L", "20", "--t-end", "0.01", "--init", "soliton:c=4,x0=5",
         "--out", str(out),
     )
     assert code == 1
     summary = json.loads(out.read_text())
-    assert summary["pde_residual_window"] < cli.PDE_RESIDUAL_TOL
+    assert summary["relative_residual_window"] < cli.PDE_RESIDUAL_TOL
     assert summary["invariant_drifts"]["mass"] == pytest.approx(1e-6, rel=1e-3)
+
+
+def test_flipped_dispersion_fails_the_relative_residual_gate(tmp_path, monkeypatch):
+    # a solver with the sign of w_xxx flipped must fail the residual gate on each
+    # field, also on a long domain, where dispersion is 1e-6 of the flow's terms
+    # and the absolute residual (3.9e-9) passed it, and on a 1e-4 sine
+    monkeypatch.chdir(tmp_path)
+    for name, amplitude in (("long.csv", 0.5), ("small.csv", 1e-4)):
+        Path(name).write_text("".join(f"{amplitude * math.sin(2 * math.pi * i / 256)}\n" for i in range(256)))
+    runs = [
+        ("pde-run", "--eq", "kdv", "--init", "soliton:c=4,x0=10"),
+        ("pde-run", "--eq", "gmkdv", "--a", "1.5", "--init", "cnoidal:k=0.9,m=2"),
+        ("miura-pipeline",),
+        ("pde-run", "--L", "4000", "--init", "file:long.csv"),
+        ("pde-run", "--init", "file:small.csv"),
+    ]
+    linear_symbol = pde._linear_symbol
+    try:
+        for flipped in (False, True):
+            if flipped:
+                monkeypatch.setattr(pde, "_linear_symbol", lambda grid, eq, a: -linear_symbol(grid, eq, a))
+            pde._etdrk4_coefficients.cache_clear()  # the coefficients hold the symbol
+            for argv in runs:
+                assert run_cli(*argv, "--t-end", "0.01", "--out", "run.json") == int(flipped), (argv, flipped)
+                report = json.loads(Path("run.json").read_text())
+                relative = report.get("relative_residual_window", report.get("relative_mapped_residual"))
+                assert (not relative < cli.PDE_RESIDUAL_TOL) == flipped, (argv, relative)
+    finally:
+        monkeypatch.undo()
+        pde._etdrk4_coefficients.cache_clear()
 
 
 def test_miura_pipeline_command(tmp_path):
     out = tmp_path / "m.json"
     assert run_cli("miura-pipeline", "--t-end", "0.02", "--out", str(out)) == 0
     summary = json.loads(out.read_text())
-    assert summary["mapped_kdv_residual"] < 1e-6
+    assert summary["relative_mapped_residual"] < 1e-6
 
 
 @pytest.mark.parametrize(
@@ -558,10 +596,13 @@ def test_miura_pipeline_command(tmp_path):
         ("miura-pipeline", "--L", "nan"),
         ("pde-run", "--t-end", "0.0104"),
         ("miura-pipeline", "--t-end", "0.0205"),
+        ("pde-run", "--n", "64", "--L", "20", "--t-end", "0.01", "--init", "file:constant.csv"),
     ],
 )
-def test_vacuous_or_degenerate_runs_are_usage_errors(argv, capsys):
+def test_vacuous_or_degenerate_runs_are_usage_errors(argv, capsys, tmp_path, monkeypatch):
     # each used to pass having checked nothing, or to end in a traceback
+    monkeypatch.chdir(tmp_path)
+    Path("constant.csv").write_text("0.5\n" * 64)  # no x-derivative, so no flow term to check
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
@@ -597,7 +638,7 @@ def test_pde_run_zero_file_init_is_usage_error(tmp_path, capsys):
     assert run_cli("pde-run", "--n", "64", "--L", "20", "--t-end", "0.02", "--init", f"file:{data}") == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
-    assert "identically zero" in captured.err
+    assert "the terms of the kdv flow sum to 0 on this field, so there is nothing to check" in captured.err
 
 
 def test_miura_pipeline_unstable_run_fails_without_traceback(capsys):
@@ -654,8 +695,9 @@ DIAGNOSTICS = {
     "elliptic-check": {"grid_points"},
     "static-transforms": {"samples"},
     "akns-check": {"jets", "draws"},
-    "pde-run": {"a", "n", "L", "dt", "t_end", "init", "final_max_abs", "closed_form_error"},
-    "miura-pipeline": {"a", "gmkdv_residual"},
+    "pde-run": {"a", "n", "L", "dt", "t_end", "init", "pde_residual_window", "residual_scale", "final_max_abs",
+                "closed_form_error"},
+    "miura-pipeline": {"a", "gmkdv_residual", "mapped_kdv_residual", "residual_scale"},
 }
 
 
@@ -720,8 +762,8 @@ def test_each_gate_alone_fails_the_run(readme_reports, monkeypatch, capsys, tmp_
         assert main(argv) == 0 and capsys.readouterr().err == ""
     assert checked == {(command, key) for command, gates in cli.GATES.items() for key in gates}
     # NaN is not below any bound
-    nan_report = {"command": "miura-pipeline", "mapped_kdv_residual": math.nan}
-    assert cli.failed_checks(nan_report) == ["mapped_kdv_residual = nan, bound 1e-06"]
+    nan_report = {"command": "miura-pipeline", "relative_mapped_residual": math.nan}
+    assert cli.failed_checks(nan_report) == ["relative_mapped_residual = nan, bound 1e-06"]
 
 
 def test_corrupted_builder_fails_and_names_the_entry(monkeypatch, capsys):
@@ -743,22 +785,25 @@ def test_readme_states_every_gate():
 
 @st.composite
 def _argv_with_one_edge(draw, command, valid, edges):
-    """A valid argv for `command`, with at most one option set to an edge value."""
+    """(argv, edged): a valid argv for `command`, with at most one option set to
+    an edge value, and whether one was."""
     options = {name: draw(values) for name, values in valid.items()}
     edge = draw(st.sampled_from([None, *edges]))
     if edge:
         options[edge] = draw(edges[edge])
-    return [command, *(f"{name}={value}" for name, value in options.items())]
+    return [command, *(f"{name}={value}" for name, value in options.items())], edge is not None
 
 
+# every combination is a whole number of steps, and every field is resolved:
+# dealiasing moves it by at most 1.2e-7 of its peak, under cli.PDE_RESIDUAL_TOL
 _PDE_VALID = {
     "--eq": st.sampled_from(["kdv", "gmkdv"]),
     "--a": st.sampled_from(["0", "1.5", "-2"]),
-    "--n": st.sampled_from(["32", "64"]),
-    "--L": st.sampled_from(["20", "40"]),
+    "--n": st.sampled_from(["128", "256"]),
+    "--L": st.sampled_from(["20", "24"]),
     "--dt": st.sampled_from(["1e-3", "2e-3", "5e-3"]),
-    "--t-end": st.sampled_from(["0.02", "0.01", "0.004"]),
-    "--init": st.sampled_from(["soliton:c=4,x0=5", "soliton:c=1", "cnoidal:k=0.9,m=2", "cnoidal:k=0.3"]),
+    "--t-end": st.sampled_from(["0.02", "0.01", "0.04"]),
+    "--init": st.sampled_from(["soliton:c=3,x0=5", "soliton:c=2", "cnoidal:k=0.9,m=2", "cnoidal:k=0.3"]),
 }
 _PDE_EDGES = {
     "--a": st.sampled_from(["1e3", "1e300", "nan", "-inf"]),
@@ -792,9 +837,10 @@ _ELLIPTIC_EDGES = {
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(_argv_with_one_edge("pde-run", _PDE_VALID, _PDE_EDGES),
                  _argv_with_one_edge("elliptic-check", _ELLIPTIC_VALID, _ELLIPTIC_EDGES)))
-def test_edge_values_take_the_one_gate_path(argv):
-    # in-process on tiny grids: no traceback or warning, one line on exit 2,
-    # and exit 1 exactly when a check fails or the run does
+def test_edge_values_take_the_one_gate_path(drawn):
+    # in-process on small grids: no traceback or warning, one line on exit 2,
+    # exit 1 exactly when a check fails or the run does, and no exit 2 without an edge
+    argv, edged = drawn
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -803,6 +849,7 @@ def test_edge_values_take_the_one_gate_path(argv):
             code = exc.code
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2), (argv, code)
+    assert edged or code != 2, (argv, err)
     if code == 2 or err.startswith("run failed: "):
         assert out == "" and err.count("\n") == 1, (argv, err)
         return
