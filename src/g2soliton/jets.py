@@ -23,6 +23,14 @@ from .elliptic import SingularDenominator, sncndn
 _RECIPROCAL_FLOOR = 1e-12
 # n! for every n whose n! is a float; value(n) with 171! would overflow anyway
 _FACTORIALS = tuple(float(math.factorial(n)) for n in range(171))
+_new = object.__new__
+
+
+def _jet(coef: tuple) -> "Jet":
+    """A jet on a nonempty tuple of complex coefficients, taken as is."""
+    jet = _new(Jet)
+    jet.coef = coef
+    return jet
 
 
 class Jet:
@@ -34,13 +42,6 @@ class Jet:
         self.coef = tuple(complex(c) for c in coef)
         if not self.coef:
             raise ValueError("a jet needs at least the value coefficient")
-
-    @classmethod
-    def _of(cls, coef: tuple) -> "Jet":
-        """A jet on a nonempty tuple of complex coefficients, taken as is."""
-        jet = object.__new__(cls)
-        jet.coef = coef
-        return jet
 
     @property
     def order(self) -> int:
@@ -54,9 +55,9 @@ class Jet:
 
     def truncate(self, order: int) -> "Jet":
         """The same jet, keeping coefficients up to `order`."""
-        if not 0 <= order <= self.order:
+        if not 0 <= order < len(self.coef):
             raise ValueError(f"cannot truncate a jet of order {self.order} to order {order}")
-        return Jet._of(self.coef[: order + 1])
+        return _jet(self.coef[: order + 1])
 
     @classmethod
     def constant(cls, value, order: int) -> "Jet":
@@ -64,18 +65,18 @@ class Jet:
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet._of(tuple(map(operator.add, self.coef, other.coef)))
+            return _jet(tuple(map(operator.add, self.coef, other.coef)))
         if isinstance(other, (int, float, complex)):
-            return Jet._of((self.coef[0] + complex(other),) + self.coef[1:])
+            return _jet((self.coef[0] + complex(other),) + self.coef[1:])
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return Jet._of(tuple(map(operator.sub, self.coef, other.coef)))
+            return _jet(tuple(map(operator.sub, self.coef, other.coef)))
         if isinstance(other, (int, float, complex)):
-            return Jet._of((self.coef[0] - complex(other),) + self.coef[1:])
+            return _jet((self.coef[0] - complex(other),) + self.coef[1:])
         return NotImplemented
 
     def __mul__(self, other):
@@ -87,10 +88,10 @@ class Jet:
                 for i in range(m + 1):
                     acc += a[i] * b[m - i]
                 out.append(acc)
-            return Jet._of(tuple(out))
+            return _jet(tuple(out))
         if isinstance(other, (int, float, complex)):
             other = complex(other)
-            return Jet._of(tuple(c * other for c in self.coef))
+            return _jet(tuple([c * other for c in self.coef]))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -106,7 +107,7 @@ class Jet:
             for i in range(1, m + 1):
                 acc += coef[i] * out[m - i]
             out.append(-inv0 * acc)
-        return Jet._of(tuple(out))
+        return _jet(tuple(out))
 
     def deriv(self, times: int = 1) -> "Jet":
         """Jet of f^(times), `times` orders shorter."""
@@ -115,7 +116,7 @@ class Jet:
         coef = self.coef
         for _ in range(times):
             coef = tuple(map(operator.mul, range(1, len(coef)), coef[1:]))
-        return Jet._of(coef)
+        return _jet(coef)
 
 
 def sn_jet_triple(x0, k, order: int, scale=1.0):
@@ -135,7 +136,7 @@ def sn_jet_triple(x0, k, order: int, scale=1.0):
         s.append(sc * conv_cd / (n + 1))
         c.append(-sc * conv_sd / (n + 1))
         d.append(-k2 * sc * conv_sc / (n + 1))
-    return Jet._of(tuple(s)), Jet._of(tuple(c)), Jet._of(tuple(d))
+    return _jet(tuple(s)), _jet(tuple(c)), _jet(tuple(d))
 
 
 def sn_jet(x0, k, order: int, scale=1.0) -> Jet:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .curvering import CurveParams, Rat
@@ -107,6 +106,8 @@ def run_sweep(config: SweepConfig, tags=None, jobs: int = 1) -> list[VerifyRepor
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers <= 1:
         return [verify_all(curve, group_tags) for curve, group_tags in work]
+    from concurrent.futures import ProcessPoolExecutor  # most of this module's import time, so only for a pool
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(verify_all, *zip(*work)))
 

@@ -10,8 +10,13 @@ the v-side profile residual.  The four maps:
     inv_power   u = 1/v  - a/6
 
 All evaluation is jet-based, so both sides use analytic derivatives of v.
-Each side forms only the orders it reads, and the v-side residual forms v^2
-once, for v^3, v^4 and a v^2.
+Each side forms only the orders it reads.  The maps share v^2, v', v'' and
+v''' (the inverse maps also v'^2 - v^4).  `static_transformation_residuals`
+cuts v to the order each map reads and keeps the shared jets of the last cut
+in a one-entry memo, with the jet they came from, so a caller checking
+several maps on one jet object in a row forms them once per cut order, and
+cuts a shorter set from a longer one.  Any other jet object forms its own,
+and so does a direct call of `transformed_profile` or `source_residual_jet`.
 """
 
 from __future__ import annotations
@@ -35,36 +40,103 @@ def kdv_profile_operator(u: Jet) -> complex:
     return u.value(3) - 6 * u.value(0) * u.value(1)
 
 
+class _Shared:
+    """A profile jet v with the jets of it that the maps share: v^2 at the
+    order of v, v', v'', v''' as far as that order allows, and, on first
+    read, the inverse maps' v'^2 - v^4."""
+
+    __slots__ = ("v", "vv", "d", "_q")
+
+    def __init__(self, v, vv, d: tuple):
+        self.v, self.vv, self.d, self._q = v, vv, d, None
+
+    @classmethod
+    def of(cls, v) -> "_Shared":
+        d = [v]
+        for _ in range(min(3, v.order)):
+            d.append(d[-1].deriv())  # one order at a time, as Jet.deriv(times) runs
+        return cls(v, v * v, tuple(d[1:]))
+
+    def cut(self, order: int) -> "_Shared":
+        """The shared jets of v.truncate(order): coefficient m of each reads v
+        only up to m plus its number of derivatives, so cutting them is enough."""
+        d = tuple([d.truncate(order - n) for n, d in enumerate(self.d[:order], 1)])
+        return _Shared(self.v.truncate(order), self.vv.truncate(order), d)
+
+    def quartic(self):
+        """v'^2 - v^4 at the order of v', which the inverse maps' residual reads."""
+        if self._q is None:
+            top = self.d[0]
+            w2 = self.vv.truncate(top.order)
+            self._q = top * top - w2 * w2
+        return self._q
+
+
+# The last jet the static check read, and the shared jets of the cut of it
+# that the last map read.  Holding the jet keeps its id from passing to
+# another object, so any other jet, even one with the same coefficients,
+# starts afresh and runs its own arithmetic.
+_memo = (None, _Shared(None, None, ()))
+
+
+def _shared_cut(v, order: int) -> _Shared:
+    """The shared jets of v cut to `order`: the memo's, or cut from the memo's
+    longer cut of v, or formed from v."""
+    global _memo
+    held, shared = _memo
+    if held is not v or shared.v.order < order:
+        shared = _Shared.of(v.truncate(order))
+    elif shared.v.order > order:
+        shared = shared.cut(order)
+    else:
+        return shared
+    _memo = (v, shared)
+    return shared
+
+
+def _shared(v) -> _Shared:
+    """The shared jets of v: the memo's when v is the cut it holds."""
+    shared = _memo[1]
+    return shared if shared.v is v else _Shared.of(v)
+
+
 def transformed_profile(v: Jet, which: str, a) -> Jet:
     """The u-jet induced by the chosen transformation."""
     a = complex(a)
-    if which == "miura":
-        w = v.truncate(v.order - 1)  # the order of v_x
-        return w * w + v.deriv() - a / 6
-    if which == "square":
-        return 2 * v * v - 2 * a / 3
-    if which == "inv_square":
-        return (v * v).reciprocal() - 2 * a / 3
     if which == "inv_power":
         return v.reciprocal() - a / 6
+    s = _shared(v)
+    if which == "miura":
+        if not s.d:
+            raise ValueError("jet too short to differentiate")
+        return s.vv + s.d[0] - a / 6  # the sum is cut to the order of v_x
+    if which == "square":
+        return 2 * s.vv - 2 * a / 3
+    if which == "inv_square":
+        return s.vv.reciprocal() - 2 * a / 3
     raise ValueError(f"unknown transformation {which!r}")
 
 
 def source_residual_jet(v: Jet, which: str, a) -> Jet:
     """Jet of the v-side profile expression annihilated by the transformation,
     to the order of its highest derivative of v: all the factorization reads."""
-    if which not in _RESIDUAL_DERIV:
+    times = _RESIDUAL_DERIV.get(which)
+    if times is None:
         raise ValueError(f"unknown transformation {which!r}")
     a = complex(a)
-    top = v.deriv(_RESIDUAL_DERIV[which])
-    w = v.truncate(top.order)
+    s = _shared(v)
+    if times > len(s.d):
+        raise ValueError("jet too short to differentiate")
+    top = s.d[times - 1]
+    n = top.order
+    w = v.truncate(n)
     if which == "miura":
-        v1 = v.deriv().truncate(top.order)
+        v1 = s.d[0].truncate(n)
         return top - 6 * w * w * v1 + a * v1
-    w2 = w * w
+    w2 = s.vv.truncate(n)
     if which == "square":
         return top - 2 * (w2 * w) + a * w
-    g = top * top - w2 * w2 + a * w2  # the inverse maps: top is v'
+    g = s.quartic() + a * w2  # the inverse maps: top is v'
     return g - 0.5 if which == "inv_square" else g - 2 * w
 
 
@@ -76,13 +148,14 @@ def static_transformation_residuals(v: Jet, which: str, a) -> tuple:
     agree for any smooth v; lhs additionally vanishes when v solves its own
     profile equation.
     """
-    if which not in TRANSFORMATIONS:
+    order = _MIN_ORDER.get(which)
+    if order is None:
         raise ValueError(f"unknown transformation {which!r}")
-    if v.order < _MIN_ORDER[which]:
-        raise ValueError(f"{which} needs a jet of order >= {_MIN_ORDER[which]}")
+    if v.order < order:
+        raise ValueError(f"{which} needs a jet of order >= {order}")
     a = complex(a)
     # both sides read v only to this order, and coefficient m of a product needs only those <= m
-    v = v.truncate(_MIN_ORDER[which])
+    v = _shared_cut(v, order).v
     v0, vx = v.value(0), v.value(1)
     if which in ("inv_square", "inv_power"):
         if abs(v0) < _DENOM_FLOOR or abs(vx) < _DENOM_FLOOR:

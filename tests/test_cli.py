@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report files, determinism."""
 
 import argparse
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -200,7 +201,7 @@ def test_sweep_starts_no_more_workers_than_work_or_cores(tmp_path, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ("sweep", "--count", "3", "--seed", "5", "--set", "weierstrass")
     assert run_cli(*args, "--jobs", "1", "--out", str(out1)) == 0
@@ -263,6 +264,7 @@ def test_exact_subcommands_start_without_numpy():
         "from g2soliton.cli import main\n"
         "assert main(['verify-g2', '--lambda', '1,2,1,3,1,4,5', '--set', 'weierstrass']) == 0\n"
         "assert main(['sweep', '--count', '1', '--set', 'integrability']) == 0\n"
+        "assert not {'multiprocessing', 'concurrent.futures.process'} & set(sys.modules), 'a pool module'\n"
         "assert main(['elliptic-check', '--re', '0.1:2.0:5', '--im=-0.8:0.8:5']) == 0\n"
         "assert main(['static-transforms', '--samples', '3']) == 0\n"
         "print('numpy' in sys.modules)\n"
@@ -597,15 +599,35 @@ def test_miura_pipeline_command(tmp_path):
         ("pde-run", "--t-end", "0.0104"),
         ("miura-pipeline", "--t-end", "0.0205"),
         ("pde-run", "--n", "64", "--L", "20", "--t-end", "0.01", "--init", "file:constant.csv"),
+        # invariants of subnormal size: a right solve exited 1 (energy drift 4.0e-7) and 0 (every drift 0.0)
+        ("pde-run", "--t-end", "0.01", "--init", "file:sine1e-158.csv"),
+        ("pde-run", "--t-end", "0.01", "--init", "file:sine1e-160.csv"),
+        # the time stencil's roundoff reaches the relative bound: a right solve exited 1
+        ("pde-run", "--L", "1e8", "--t-end", "0.01", "--init", "file:sine0.5.csv"),
+        ("miura-pipeline", "--L", "1e300", "--t-end", "0.01"),
     ],
 )
 def test_vacuous_or_degenerate_runs_are_usage_errors(argv, capsys, tmp_path, monkeypatch):
     # each used to pass having checked nothing, or to end in a traceback
     monkeypatch.chdir(tmp_path)
     Path("constant.csv").write_text("0.5\n" * 64)  # no x-derivative, so no flow term to check
+    for amplitude in ("1e-158", "1e-160", "0.5"):
+        samples = (float(amplitude) * math.sin(2 * math.pi * i / 256) for i in range(256))
+        Path(f"sine{amplitude}.csv").write_text("".join(f"{u}\n" for u in samples))
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
+
+
+def test_a_tiny_sine_with_normal_invariants_reaches_the_gates(tmp_path, monkeypatch):
+    # its energy magnitude (0.247 A^2 = 2.5e-301) is just above float_info.min / DRIFT_TOL,
+    # the smallest one the drift gate accepts, and a right solve passes both gates
+    monkeypatch.chdir(tmp_path)
+    Path("tiny.csv").write_text("".join(f"{1e-150 * math.sin(2 * math.pi * i / 256)}\n" for i in range(256)))
+    assert run_cli("pde-run", "--t-end", "0.01", "--init", "file:tiny.csv", "--out", "run.json") == 0
+    report = json.loads(Path("run.json").read_text())
+    assert report["relative_residual_window"] < cli.PDE_RESIDUAL_TOL
+    assert max(report["invariant_drifts"].values()) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -721,7 +743,7 @@ def readme_reports(tmp_path_factory):
     runs = []
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(tmp_path_factory.mktemp("readme"))
-        mp.setattr(sweep, "ProcessPoolExecutor", None)  # the --jobs sweep must fall back to in-process
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # the --jobs sweep must fall back to in-process
         mp.setattr(sweep.os, "cpu_count", lambda: 1)
         for argv in commands:
             out = Path(f"{len(runs)}.json")

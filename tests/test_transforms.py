@@ -276,6 +276,96 @@ def test_static_transforms_read_only_the_minimum_order():
         v.truncate(7)
 
 
+# -- the jets the four maps share, through a one-entry memo -----------------------
+
+
+def _exact(results):
+    """The results as text, so that equal means equal in every bit, signed zeros included."""
+    return repr(results)
+
+
+def _checked(v, a, maps=TRANSFORMATIONS):
+    return _exact([static_transformation_residuals(v, which, a) for which in maps])
+
+
+class _CountingJet(_ReferenceJet):
+    """A reference jet that counts the products taken with it."""
+
+    __slots__ = ("products",)
+
+    def __init__(self, coef):
+        super().__init__(coef)
+        self.products = 0
+
+    def __mul__(self, other):
+        self.products += 1
+        return _ReferenceJet.__mul__(self, other)
+
+    __rmul__ = __mul__
+
+
+def test_a_new_jet_object_gets_its_own_results():
+    v = sn_profile_jet(0.9 + 0.2j, 6)
+    want = _checked(_ReferenceJet(v.coef), 1.5)
+    assert _checked(v, 1.5) == want
+    assert _checked(Jet(v.coef), 1.5) == want
+    # equal coefficients but for the sign of one zero, which reaches the square map's rhs
+    maps = ("miura", "square")
+    plus, minus = Jet((-1.0, 0.0, 0.0, 0.0, 0.0)), Jet((-1.0, -0.0, 0.0, 0.0, 0.0))
+    assert plus.coef == minus.coef and _checked(_ReferenceJet(plus.coef), 1.5, maps) != _checked(
+        _ReferenceJet(minus.coef), 1.5, maps
+    )
+    for jet in (plus, minus, plus):
+        assert _checked(jet, 1.5, maps) == _checked(_ReferenceJet(jet.coef), 1.5, maps)
+
+
+@pytest.mark.parametrize("maps", [TRANSFORMATIONS, TRANSFORMATIONS[::-1]])
+def test_the_four_maps_in_a_row_match_the_reference(maps):
+    # the later maps read jets the earlier ones formed, some cut from a longer cut
+    rng = random.Random(13)
+    jets = [_seeded_trig_jet(rng, order) for order in range(4, 9) for _ in range(4)]
+    jets += [sn_profile_jet(x, 6) for x in (0.7, 1.1 + 0.2j)] + [paired_profile_jet(x, 6) for x in (0.7, 2.3)]
+    want = [_checked(_ReferenceJet(v.coef), 1.3, maps) for v in jets]
+    assert [_checked(v, 1.3, maps) for v in jets] == want
+
+
+def test_two_jets_interleaved_across_the_maps_get_their_own_results():
+    rng = random.Random(11)
+    jets = [_seeded_trig_jet(rng, 6) for _ in range(2)]
+    want = [[_checked(_ReferenceJet(v.coef), 1.3, (which,)) for which in TRANSFORMATIONS] for v in jets]
+    got = [[], []]
+    for which in TRANSFORMATIONS:
+        for i, v in enumerate(jets):
+            got[i].append(_checked(v, 1.3, (which,)))
+    assert got == want
+
+
+def test_fresh_jets_at_reused_addresses_get_their_own_results():
+    # each jet is dropped after one map, so CPython hands its address to a later jet
+    rng = random.Random(12)
+    coefs = [_seeded_trig_jet(rng, 6).coef for _ in range(40)]
+    maps = [TRANSFORMATIONS[i % len(TRANSFORMATIONS)] for i in range(len(coefs))]
+    want = [_checked(_ReferenceJet(c), 1.3, (which,)) for c, which in zip(coefs, maps)]
+    addresses, got = [], []
+    for c, which in zip(coefs, maps):
+        v = Jet(c)
+        addresses.append(id(v))
+        got.append(_checked(v, 1.3, (which,)))
+        del v
+    assert len(set(addresses)) < len(addresses)
+    assert got == want
+
+
+def test_a_reference_jet_after_an_equal_jet_runs_its_own_products():
+    v = sn_profile_jet(0.9 + 0.2j, 6)
+    for which in TRANSFORMATIONS:
+        static_transformation_residuals(v, which, 1.5)
+        counting = _CountingJet(v.coef)
+        got = _checked(counting, 1.5, (which,))
+        assert counting.products > 0, which
+        assert got == _checked(_ReferenceJet(v.coef), 1.5, (which,))
+
+
 # -- factorization identities -------------------------------------------------------
 
 
