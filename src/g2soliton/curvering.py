@@ -18,14 +18,13 @@ result.  The curve coefficients are held as integers l_j * D over their
 least common denominator D, and each y_i^2 -> f(x_i) substitution moves a
 factor 1/D into the scale.  Numeric probes sum the integer terms per y-sector
 against mpmath power tables of x1 and x2 and take the denominator from its
-exponents, at PROBE_DIGITS digits (environment variable, default 30).
+exponents, at the fixed precision PROBE_DIGITS = 30 digits.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction as Rat
@@ -35,7 +34,7 @@ from typing import Mapping
 
 import mpmath as mp
 
-DEFAULT_PROBE_DIGITS = 30
+PROBE_DIGITS = 30
 
 
 class CurveRingError(Exception):
@@ -47,11 +46,8 @@ class PoleAtPoint(CurveRingError):
 
 
 def probe_digits() -> int:
-    """Working precision (decimal digits) for numeric probes."""
-    try:
-        return max(15, int(os.environ.get("PROBE_DIGITS", DEFAULT_PROBE_DIGITS)))
-    except ValueError:
-        return DEFAULT_PROBE_DIGITS
+    """PROBE_DIGITS, as perfbench's run manifest records it."""
+    return PROBE_DIGITS
 
 
 def _to_rat(value) -> Rat:
@@ -587,9 +583,9 @@ def _normalise(num: Poly, a: int, b: int, k: int) -> tuple:
     return num, (a, b, k - j)
 
 
-def random_probe_point(params: CurveParams, rng, dps: int | None = None):
+def random_probe_point(params: CurveParams, rng, dps: int = PROBE_DIGITS):
     """A random admissible float-mode curve point (x1, x2, y1, y2)."""
-    with mp.workdps(dps or probe_digits()):
+    with mp.workdps(dps):
         while True:
             x1 = mp.mpf(rng.randint(20, 400)) / 100
             x2 = mp.mpf(rng.randint(20, 400)) / 100

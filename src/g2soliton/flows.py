@@ -37,7 +37,8 @@ Per branch of P_i, the point-i part of that numerator is c*w/(2D) * m
 times x2*((E - 2a - 2k)*x1 - (E - 2a)*x2) for i = 1 and x1*((E - 2b)*x1 -
 (E - 2b - 2k)*x2) for i = 2, then the flow's coefficient of P_i.  Both
 numerators are written term by term in one pass, with no ring product,
-and normalised like any product.
+and normalised like any product.  For a polynomial (a = b = k = 0) the
+numerator is x1*x2*B times B * D p, which the normalisation cancels.
 """
 
 from __future__ import annotations
@@ -54,12 +55,9 @@ def flow_derivative(g: Fld, direction: int) -> Fld:
         raise ValueError("flow direction must be 1 (u1) or 2 (u2)")
     params = g.params
     a, b, k = g.struct
-    # per point, the monomials a branch adds, each c*w*sign*(E + offset) times m
-    # shifted by x1^s1 * x2^s2: P_i alone, or the closed form's numerator
-    if a or b or k:
-        parts = (((1, 1, 1, -2 * a - 2 * k), (0, 2, -1, -2 * a)), ((2, 0, 1, -2 * b), (1, 1, -1, -2 * b - 2 * k)))
-    else:
-        parts = (((-1, 0, 1, 0),), ((0, -1, 1, 0),))
+    # per point, the monomials a branch adds to the closed form's numerator,
+    # each c*w*sign*(E + offset) times m shifted by x1^s1 * x2^s2
+    parts = (((1, 1, 1, -2 * a - 2 * k), (0, 2, -1, -2 * a)), ((2, 0, 1, -2 * b), (1, 1, -1, -2 * b - 2 * k)))
     rules = [  # times the flow's coefficient of P_i
         [(s1 + v1, s2 + v2, sign * vs, off) for s1, s2, sign, off in part]
         for part, (v1, v2, vs) in zip(parts, _VELOCITY[direction])
@@ -83,4 +81,4 @@ def flow_derivative(g: Fld, direction: int) -> Fld:
                         key = (m1 + s1, m2 + s2, n1, n2)
                         out[key] = out.get(key, 0) + cw * coef
     num = Poly.scaled(params, {m: c for m, c in out.items() if c}, g.num.scale / (2 * den))
-    return Fld(num, a + 1, b + 1, k + 2) if a or b or k else Fld(num, 0, 0, 1)
+    return Fld(num, a + 1, b + 1, k + 2)

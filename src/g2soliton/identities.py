@@ -37,13 +37,13 @@ from dataclasses import dataclass, field, replace
 import mpmath as mp
 
 from .curvering import (
+    PROBE_DIGITS,
     CurveParams,
     CurveRingError,
     Fld,
     PoleAtPoint,
     Poly,
     Rat,
-    probe_digits,
     random_probe_point,
     rat_to_mp,
     _to_rat,
@@ -186,20 +186,15 @@ class G2Functions:
         self._derivs: dict = {}
         # residual tuples by route, filled by residuals_unchecked
         self._residuals: dict = {}
-        self._probe_streams: dict = {}
+        self._probe_points: list = []
+        self._probe_rng = random.Random(0)
 
     def probe_point(self, index: int):
-        """Point `index` of the probe stream at the working precision.
-
-        The stream is the draws of random_probe_point(params, Random(0)),
-        made once per precision and extended lazily.
-        """
-        dps = mp.mp.dps
-        if dps not in self._probe_streams:
-            self._probe_streams[dps] = ([], random.Random(0))
-        points, rng = self._probe_streams[dps]
+        """Point `index` of the probe stream: the draws of random_probe_point(params,
+        Random(0)) at PROBE_DIGITS, made once and extended lazily."""
+        points = self._probe_points
         while len(points) <= index:
-            points.append(random_probe_point(self.params, rng, dps))
+            points.append(random_probe_point(self.params, self._probe_rng))
         return points[index]
 
     def deriv(self, name: str, dirs: str = "") -> Fld:
@@ -621,8 +616,8 @@ def find_witness(comps, fns: G2Functions):
     The points are the first WITNESS_TRIES of `fns`'s probe stream, so every
     identity witnessed on one curve walks the same draws, made once.
     """
-    with mp.workdps(probe_digits()):
-        threshold = mp.mpf(10) ** (-(mp.mp.dps // 2))
+    with mp.workdps(PROBE_DIGITS):
+        threshold = mp.mpf(10) ** (-(PROBE_DIGITS // 2))
         for i in range(WITNESS_TRIES):
             point = fns.probe_point(i)
             for comp in comps:

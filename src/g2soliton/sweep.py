@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .curvering import CurveParams, Rat
-from .identities import FAILING_STATUSES, IDENTITY_SETS, VerifyReport, identity_ids, merge_constraints, verify_all
+from .identities import FAILING_STATUSES, VerifyReport, identity_ids, merge_constraints, verify_all
 
 # coefficients are drawn as p/q with |p| <= NUM_BOUND and 1 <= q <= DEN_BOUND
 NUM_BOUND = 100
@@ -92,15 +92,15 @@ def locus_groups(config: SweepConfig, tags) -> tuple[list, list]:
     return list(groups.items()), excluded
 
 
-def run_sweep(config: SweepConfig, tags=None, jobs: int = 1) -> list[VerifyReport]:
+def run_sweep(config: SweepConfig, tags, jobs: int = 1) -> list[VerifyReport]:
     """Verify each locus group of the tags on its own sampled curves.
 
     Reports are ordered by group, then by curve index; excluded tags are
     left out (see `locus_groups`).  At most `jobs` worker processes start,
     and no more than there are work items or cores.
     """
-    if tags is None:
-        tags = IDENTITY_SETS["all"]
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     groups, _ = locus_groups(config, tags)
     work = [(c, group_tags) for group, group_tags in groups for c in sample_curves(group)]
     workers = min(jobs, len(work), os.cpu_count() or 1)

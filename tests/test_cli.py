@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import g2soliton
-from g2soliton import cli, identities, pde, sweep
+from g2soliton import cli, elliptic, identities, pde, sweep
 from g2soliton.cli import main
 from g2soliton.pde import conserved_quantities
 
@@ -296,6 +296,23 @@ def test_elliptic_check_writes_csv(tmp_path):
     assert summary["worst_halfperiod_residual"] < 1e-9
 
 
+def test_elliptic_check_near_a_pole_gates_the_relative_residuals(tmp_path, monkeypatch):
+    # 0.017 below the pole iK' = 1.8626i the terms sn's ODE balances are large, and so
+    # is a right triple's absolute residual; it exited 1 when that was gated
+    argv = ("elliptic-check", "--k", "0.7", "--re", "0.0:0.01:3", "--im=1.845:1.846:3")
+    out = tmp_path / "e.json"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert report["worst_sn_ode_residual"] > 1e-8 and report["worst_sn_cn_identity"] > 1e-12
+    assert report["worst_relative_sn_ode_residual"] < 1e-14 and report["worst_relative_sn_cn_identity"] < 1e-14
+    # a wrong dn in the ladder's ascent still fails, by the relative gates themselves
+    ladder = elliptic._sncndn_ladder
+    monkeypatch.setattr(elliptic, "_sncndn_ladder", lambda z, k: (lambda s, c, d: (s, c, 1.01 * d))(*ladder(z, k)))
+    assert run_cli(*argv, "--out", str(out)) == 1
+    report = json.loads(out.read_text())
+    assert report["worst_relative_sn_ode_residual"] > 1e-3
+
+
 def test_static_transforms_command(tmp_path):
     out = tmp_path / "t.json"
     assert run_cli("static-transforms", "--samples", "8", "--out", str(out)) == 0
@@ -556,6 +573,8 @@ def test_miura_pipeline_command(tmp_path):
     [
         ("sweep", "--count", "0", "--set", "weierstrass"),
         ("sweep", "--count", "-3", "--set", "weierstrass"),
+        ("sweep", "--count", "1", "--set", "weierstrass", "--jobs", "0"),
+        ("sweep", "--count", "1", "--set", "weierstrass", "--jobs", "-2"),
         ("akns-check", "--draws", "0"),
         ("pde-run", "--dt", "0"),
         ("pde-run", "--t-end", "-1"),
@@ -714,7 +733,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 DIAGNOSTICS = {
     "verify-g2": {"millis", "witness_point"},
     "sweep": {"seed", "count", "millis", "witness_point", "summary"},
-    "elliptic-check": {"grid_points"},
+    "elliptic-check": {"grid_points", "worst_sn_ode_residual", "worst_sn_cn_identity"},
     "static-transforms": {"samples"},
     "akns-check": {"jets", "draws"},
     "pde-run": {"a", "n", "L", "dt", "t_end", "init", "pde_residual_window", "residual_scale", "final_max_abs",

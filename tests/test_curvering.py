@@ -473,13 +473,6 @@ def test_exact_zero_implies_probe_zero():
             assert abs(z.eval_mp(*pt)) == 0
 
 
-def test_probe_digits_env(monkeypatch):
-    monkeypatch.setenv("PROBE_DIGITS", "45")
-    assert probe_digits() == 45
-    monkeypatch.setenv("PROBE_DIGITS", "junk")
-    assert probe_digits() == 30
-
-
 @given(st.integers(-40, 40), st.integers(1, 12), st.integers(-40, 40), st.integers(1, 12))
 @settings(max_examples=50, deadline=None)
 def test_fld_scalar_field_axioms(an, ad, bn, bd):

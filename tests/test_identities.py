@@ -500,29 +500,31 @@ def test_pinned_witness_points_and_values():
         assert find_witness(residuals_unchecked(tag, fns), fns) == (point, value), tag
 
 
-def test_probe_stream_is_drawn_once_per_precision(monkeypatch):
+def test_probe_precision_ignores_the_environment(monkeypatch):
+    monkeypatch.setenv("PROBE_DIGITS", "45")
+    assert probe_digits() == 30
+    fns = G2Functions(GENERIC)
+    assert find_witness(residuals_unchecked("INT-W2", fns), fns) == PINNED_WITNESSES["INT-W2"]
+
+
+def test_probe_stream_is_drawn_once_per_curve(monkeypatch):
     draws = []
 
-    def counting(params, rng, dps=None):
+    def counting(params, rng, dps=probe_digits()):
         draws.append(dps)
         return random_probe_point(params, rng, dps)
 
     monkeypatch.setattr(identities, "random_probe_point", counting)
     fns = G2Functions(GENERIC)
     comps = [residuals_unchecked(tag, fns) for tag in ("INT-W2", "WS4", "KUM1", "JS3")]
-    dps = probe_digits()
     for c in comps:
         find_witness(c, fns)
-    assert draws == [dps]  # every identity took the first point, drawn once
-    monkeypatch.setenv("PROBE_DIGITS", str(dps + 10))
-    point, _ = find_witness(comps[0], fns)
-    assert draws == [dps, dps + 10]  # another precision walks its own stream
-    assert point[:2] == PINNED_WITNESSES["INT-W2"][0][:2]
-    for digits in (dps, dps + 10):
-        rng = random.Random(0)
-        with mp.workdps(digits):
-            fresh = [random_probe_point(GENERIC, rng, digits) for _ in range(4)]
-            assert [fns.probe_point(i) for i in range(4)] == fresh
+    with mp.workdps(probe_digits() + 10):  # the ambient precision does not start another stream
+        find_witness(comps[0], fns)
+    assert draws == [probe_digits()]  # every identity took the first point, drawn once
+    rng = random.Random(0)
+    fresh = [random_probe_point(GENERIC, rng) for _ in range(4)]
+    assert [fns.probe_point(i) for i in range(4)] == fresh
 
 
 def test_missing_witness_is_unresolved_and_fails(monkeypatch, generic_fns):
