@@ -16,10 +16,11 @@ import math
 import random
 import sys
 
-# numpy and the PDE and AKNS modules are imported by the subcommands that use
-# them, so the exact and genus-one subcommands start without numpy
+# numpy, the PDE and AKNS modules and the exact layer (curvering, identities,
+# sweep, and mpmath with them) are imported by the subcommands that use them,
+# so the exact subcommands start without numpy and the numeric ones without
+# the exact layer
 from . import __version__
-from .curvering import CurveParams
 from .elliptic import (
     EllipticError,
     PoleArgument,
@@ -29,9 +30,7 @@ from .elliptic import (
     sncndn,
     weierstrass_ode_residual,
 )
-from .identities import FAILING_STATUSES, IDENTITY_SETS, verify_all
 from .jets import Jet, trig_jet
-from .sweep import SweepConfig, locus_groups, run_sweep, summarize
 from .transforms import (
     TRANSFORMATIONS,
     paired_profile_jet,
@@ -72,11 +71,15 @@ GATES = {
 def failed_checks(report: dict) -> list:
     """One line per failed check of a report: an exact entry whose status
     fails, or a gated number that is not below its bound."""
-    failed = [
-        f"{e['identity']} is {e['status']} on lambda = [{','.join(e['curve'])}]"
-        for e in report.get("entries", ())
-        if e["status"] in FAILING_STATUSES
-    ]
+    failed = []
+    if "entries" in report:
+        from .identities import FAILING_STATUSES
+
+        failed = [
+            f"{e['identity']} is {e['status']} on lambda = [{','.join(e['curve'])}]"
+            for e in report["entries"]
+            if e["status"] in FAILING_STATUSES
+        ]
     for key, bound in GATES.get(report["command"], {}).items():
         value = report[key]
         named = {f"{key}.{name}": v for name, v in value.items()} if isinstance(value, dict) else {key: value}
@@ -108,6 +111,8 @@ def _range_points(text: str) -> list:
 
 
 def _identity_set(name: str) -> list:
+    from .identities import IDENTITY_SETS
+
     tags = IDENTITY_SETS.get(name)
     if tags is None:
         raise ValueError(f"unknown identity set {name!r}; choose from {sorted(IDENTITY_SETS)}")
@@ -130,6 +135,9 @@ def _require_checked(results, what: str) -> None:
 
 
 def _cmd_verify_g2(args) -> dict:
+    from .curvering import CurveParams
+    from .identities import verify_all
+
     params = CurveParams.from_text(args.lam)
     report = verify_all(params, _identity_set(args.set))
     _require_checked(report.results, f"set {args.set!r} on curve {params}")
@@ -138,6 +146,8 @@ def _cmd_verify_g2(args) -> dict:
 
 
 def _cmd_sweep(args) -> dict:
+    from .sweep import SweepConfig, locus_groups, run_sweep, summarize
+
     constraints = [c for c in args.constraints.split(",") if c.strip()]
     config = SweepConfig(count=args.count, seed=args.seed, constraints=constraints)
     tags = _identity_set(args.set)
@@ -185,8 +195,8 @@ def _cmd_elliptic_check(args) -> dict:
         for im in im_points:
             z = complex(re, im)
             try:
-                s, c, d = sncndn(z, k)
-                ode = abs(sn_ode_residual(z, k))
+                s, c, d = triple = sncndn(z, k)
+                ode = abs(sn_ode_residual(z, k, triple))
                 sq = abs(s * s + c * c - 1)
             except PoleArgument:
                 continue
@@ -523,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-g2", help="reduce an identity set on one curve")
     p.add_argument("--lambda", dest="lam", required=True, help="l0,l1,...,l6 (p/q entries allowed)")
-    p.add_argument("--set", default="all", help=f"one of {sorted(IDENTITY_SETS)}")
+    p.add_argument("--set", default="all", help="an identity set (default all); an unknown name lists the sets")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify_g2)
 

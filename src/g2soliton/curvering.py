@@ -7,7 +7,10 @@ form (every y exponent is 0 or 1).  A field element `Fld(num, a, b, k)` is
 such a polynomial over x1^a * x2^b * (x1 - x2)^k, stored as the numerator
 and the exponents (a, b, k).  The function families have such denominators,
 and sums, products and flow derivatives keep them, which is all the catalog
-computes; there is no division and no other denominator.  Equality-to-zero
+computes; there is no division and no other denominator.  The normal form
+(no x1, x2 or x1 - x2 shared by numerator and denominator) is taken by the
+constructor and on read: arithmetic leaves its result pending, and reading
+its `num` or `struct` normalises it once, in place.  Equality-to-zero
 of a numerator term map is therefore an exact decision procedure for
 identities between hyperelliptic functions.
 
@@ -334,14 +337,17 @@ class Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        result = Poly.const(self.params, 1)
-        base = self
-        while n:
+        if not n:
+            return Poly.const(self.params, 1)
+        # binary powering from the low bit; the first factor is taken as is
+        result, base = None, self
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # -- substitutions ------------------------------------------------------
 
@@ -451,36 +457,58 @@ class Fld:
     """Element of the curve's function field: num / (x1^a * x2^b * (x1-x2)^k).
 
     An element is its numerator `num` and the exponents `struct` = (a, b, k)
-    of its denominator; `Fld(num, a, b, k)` is the one constructor.  Normal
-    form: numerator and denominator share no x1, x2 or (x1 - x2).  Products,
-    sums and nonnegative powers add or raise the exponents and normalise the
-    new numerator; negation and rational multiples keep the normal form as
-    it is.  The catalog never divides, so there is no division.  Two
-    elements are equal iff their difference has the zero numerator.
+    of its denominator; `Fld(num, a, b, k)` is the one constructor, and the
+    one place the normal form is taken: numerator and denominator share no
+    x1, x2 or (x1 - x2).  A sum, difference, product or nonnegative power is
+    left pending: it keeps its exact numerator over the maximal or summed
+    exponents, and reading its `num` or `struct` runs the constructor on it
+    once, in place.  Arithmetic and the zero test read the pending form as
+    it is (its numerator is zero exactly when the element is), so a chain of
+    operations normalises only what is read; negation and rational multiples
+    keep the form and the flag they find.  The catalog never divides, so
+    there is no division.  Two elements are equal iff their difference has
+    the zero numerator.
     """
 
-    __slots__ = ("num", "struct")
+    __slots__ = ("_num", "_struct", "_pending")
 
     def __init__(self, num: Poly, a: int = 0, b: int = 0, k: int = 0):
-        self.num, self.struct = _normalise(num, a, b, k)
+        self._num, self._struct = _normalise(num, a, b, k)
+        self._pending = False
 
     @classmethod
-    def _make(cls, num: Poly, struct) -> "Fld":
-        """An element already in normal form, taken as is."""
+    def _make(cls, num: Poly, struct, pending: bool = False) -> "Fld":
+        """An element taken as is: in normal form, or pending."""
         out = cls.__new__(cls)
-        out.num, out.struct = num, struct
+        out._num, out._struct, out._pending = num, struct, pending
         return out
 
     @classmethod
     def const(cls, params, value) -> "Fld":
         return cls._make(Poly.const(params, value), (0, 0, 0))
 
+    def _settle(self) -> None:
+        if self._pending:
+            self.__init__(self._num, *self._struct)
+
+    @property
+    def num(self) -> Poly:
+        """The numerator in normal form."""
+        self._settle()
+        return self._num
+
+    @property
+    def struct(self) -> tuple:
+        """The denominator's exponents (a, b, k) in normal form."""
+        self._settle()
+        return self._struct
+
     @property
     def params(self) -> CurveParams:
-        return self.num.params
+        return self._num.params
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self._num.is_zero()
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -508,16 +536,16 @@ class Fld:
             return other
         if other.is_zero():
             return self
-        sa, sb = self.struct, other.struct
+        sa, sb = self._struct, other._struct
         a, b, k = (max(u, v) for u, v in zip(sa, sb))
-        num = _times_den(self.num, a - sa[0], b - sa[1], k - sa[2])
-        num = num + _times_den(other.num, a - sb[0], b - sb[1], k - sb[2])
-        return Fld(num, a, b, k)
+        num = _times_den(self._num, a - sa[0], b - sa[1], k - sa[2])
+        num = num + _times_den(other._num, a - sb[0], b - sb[1], k - sb[2])
+        return Fld._make(num, (a, b, k), True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Fld._make(-self.num, self.struct)
+        return Fld._make(-self._num, self._struct, self._pending)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -532,20 +560,20 @@ class Fld:
         if isinstance(other, (int, Rat)):
             if other == 0:
                 return Fld.const(self.params, 0)
-            return Fld._make(self.num * other, self.struct)
+            return Fld._make(self._num * other, self._struct, self._pending)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        sa, sb = self.struct, other.struct
-        return Fld(self.num * other.num, sa[0] + sb[0], sa[1] + sb[1], sa[2] + sb[2])
+        sa, sb = self._struct, other._struct
+        return Fld._make(self._num * other._num, (sa[0] + sb[0], sa[1] + sb[1], sa[2] + sb[2]), True)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        a, b, k = self.struct
-        return Fld(self.num**n, n * a, n * b, n * k)
+        a, b, k = self._struct
+        return Fld._make(self._num**n, (n * a, n * b, n * k), True)
 
     # -- evaluation ----------------------------------------------------------
 

@@ -209,9 +209,10 @@ def sn(z, k):
     return sncndn(z, k)[0]
 
 
-def sn_ode_residual(z, k) -> complex:
-    """(d sn/dz)^2 - (1-sn^2)(1-k^2 sn^2) from the computed triple."""
-    s, c, d = sncndn(z, k)
+def sn_ode_residual(z, k, triple=None) -> complex:
+    """(d sn/dz)^2 - (1-sn^2)(1-k^2 sn^2) from the triple sncndn(z, k),
+    computed here unless the caller has it in hand."""
+    s, c, d = sncndn(z, k) if triple is None else triple
     return (c * d) ** 2 - (1 - s * s) * (1 - k * k * s * s)
 
 

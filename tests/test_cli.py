@@ -274,6 +274,22 @@ def test_exact_subcommands_start_without_numpy():
     assert done.stdout.splitlines()[-1] == "False"
 
 
+def test_numeric_subcommands_start_without_the_exact_layer():
+    src = str(Path(g2soliton.__file__).resolve().parent.parent)
+    script = (
+        "import sys\n"
+        "from g2soliton.cli import main\n"
+        "assert main(['elliptic-check', '--re', '0.1:2.0:5', '--im=-0.8:0.8:5']) == 0\n"
+        "assert main(['static-transforms', '--samples', '3']) == 0\n"
+        "assert main(['akns-check', '--jets', '5', '--draws', '2']) == 0\n"
+        "assert main(['pde-run', '--n', '128', '--L', '20', '--t-end', '0.01', '--init', 'soliton:c=4,x0=5']) == 0\n"
+        "print(sorted({'mpmath', 'g2soliton.curvering', 'g2soliton.identities', 'g2soliton.sweep'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_elliptic_check_zero_modulus_is_usage_error(capsys):
     # K'(0) is infinite, so no half-period point can be evaluated
     assert run_cli("elliptic-check", "--k", "0", "--re", "0.2:1.8:2", "--im=-0.4:0.4:2") == 2

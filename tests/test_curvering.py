@@ -19,7 +19,7 @@ from g2soliton.curvering import (
     rat_to_mp,
 )
 from g2soliton.flows import flow_derivative
-from g2soliton.identities import G2Functions
+from g2soliton.identities import G2Functions, verify_all
 
 from flow_reference import den, f_of, flow_poly_numerator, partial, quotient
 
@@ -220,6 +220,63 @@ def test_structured_arithmetic_matches_general_constructor(params):
             dn = flow_poly_numerator(f.num, direction)
             dd = flow_poly_numerator(fd, direction)
             _same_form(flow_derivative(f, direction), quotient(dn * fd - f.num * dd, binom * fd * fd))
+
+
+@pytest.mark.parametrize("params", [GENERIC, GII_LOCUS], ids=["sextic", "l0=l6=0"])
+def test_chains_of_pending_operands_read_the_general_form(params):
+    # no operand of a chain is read before the chain's result is
+    rng = random.Random(3535)
+    for _ in range(15):
+        f, g = _random_structured(rng, params), _random_structured(rng, params)
+        fn, gn, fd, gd = f.num, g.num, den(f), den(g)
+        _same_form((f + g) * (f - g), quotient((fn * gd + gn * fd) * (fn * gd - gn * fd), (fd * gd) ** 2))
+        _same_form(((f * g) + f) ** 2, quotient((fn * gn + fn * gd) ** 2, (fd * gd) ** 2))
+        _same_form(-(f * g) * Rat(-5, 7), quotient(fn * gn * Rat(5, 7), fd * gd))
+        _same_form((f * g - g * f) + f, f)
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Count the calls of owner.name from here on; the count is the list's one entry."""
+    calls, original = [0], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_a_pending_element_settles_once(monkeypatch):
+    x1, x2 = fld_var(GENERIC, "x1"), fld_var(GENERIC, "x2")
+    # (x1 + x2) / (x1 * (x1 - x2)) times x1 * (x1 - x2) / x2
+    e = Fld(x1.num + x2.num, 1, 0, 1) * Fld(x1.num * (x1.num - x2.num), 0, 1, 0)
+    inits = _count_calls(monkeypatch, Fld, "__init__")
+    first = (e.num, e.struct)
+    assert inits == [1]
+    assert (e.num, e.struct) == first and inits == [1]
+    assert first == ((x1 + x2).num, (0, 1, 0))
+
+
+def test_verify_all_normalises_only_what_it_reads(monkeypatch):
+    # the families, the settle of r11 = q + ... and 30 flow derivatives; normalising
+    # the result of every operation would take 264
+    inits = _count_calls(monkeypatch, Fld, "__init__")
+    report = verify_all(GENERIC)
+    assert [r.status for r in report.results].count("zero") == 18
+    assert inits[0] == 40
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_power_takes_the_binary_product_count(monkeypatch, n):
+    rng = random.Random(n)
+    p = _random_poly(rng, GENERIC, 3) + poly_var(GENERIC, "y1")
+    want = Poly.const(GENERIC, 1)
+    for _ in range(n):
+        want = want * p
+    products = _count_calls(monkeypatch, Poly, "__mul__")
+    assert p**n == want
+    assert products[0] == (n.bit_count() + n.bit_length() - 2 if n else 0)
 
 
 def test_const_builds_the_normal_form_directly():
