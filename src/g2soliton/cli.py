@@ -335,8 +335,11 @@ def _cmd_akns_check(args) -> dict:
 _INIT_KEYS = {"soliton": ("c", "x0"), "cnoidal": ("k", "m")}
 
 
-def _initial_field(spec: str, grid) -> tuple:
-    """Parse soliton:c=4,x0=10 | cnoidal:k=0.9,m=1 | file:path."""
+def _initial_field(spec: str, grid, eq: str) -> tuple:
+    """Parse soliton:c=4,x0=10 | cnoidal:k=0.9,m=1 | file:path.
+
+    The cnoidal profile's closed-form speed is reported under --eq kdv only:
+    under gmkdv the sn^2 profile is just an initial field."""
     import numpy as np
 
     from .pde import Field1D, cnoidal_wave, one_soliton
@@ -373,7 +376,9 @@ def _initial_field(spec: str, grid) -> tuple:
         except (EllipticError, OverflowError) as exc:
             reason = "the sn^2 amplitude overflows" if isinstance(exc, OverflowError) else exc
             raise ValueError(f"--init cnoidal keys k={k:g}, m={m:g}: {reason}") from None
-        info = {"kind": "cnoidal", "k": k, "m": int(m), "speed": speed}
+        info = {"kind": "cnoidal", "k": k, "m": int(m)}
+        if eq == "kdv":
+            info["speed"] = speed
     elif kind == "file":
         data = np.loadtxt(rest, delimiter=",", ndmin=2)
         if data.shape[1] > 1 and np.any(data[:, 1]):
@@ -413,7 +418,7 @@ def _cmd_pde_run(args) -> dict:
     steps = _time_steps(args, min_steps=1)
     _check_finite(a=args.a, L=args.length)
     grid = Grid1D(args.n, args.length)
-    u0, init_info = _initial_field(args.init, grid)
+    u0, init_info = _initial_field(args.init, grid, args.eq)
     save_every = max(1, steps // (PDE_SNAPSHOTS - 1))
     traj = evolve_trajectory(args.eq, u0, args.t_end, args.dt, a=args.a, save_every=save_every)
     # residual needs five consecutive snapshots; rerun densely over a short window

@@ -14,13 +14,17 @@ its `num` or `struct` normalises it once, in place.  Equality-to-zero
 of a numerator term map is therefore an exact decision procedure for
 identities between hyperelliptic functions.
 
-Coefficients are fraction-free: a `Poly` is one rational scale
-(fractions.Fraction) times a polynomial with integer coefficients of gcd 1,
-so ring operations are integer arithmetic plus one rational product per
-result.  The curve coefficients are held as integers l_j * D over their
-least common denominator D, and each y_i^2 -> f(x_i) substitution moves a
-factor 1/D into the scale.  Numeric probes sum the integer terms per y-sector
-against mpmath power tables of x1 and x2 and take the denominator from its
+Coefficients are fraction-free: a `Poly` is one rational scale times a
+polynomial with integer coefficients of gcd 1.  The scale is kept as two
+coprime ints, a signed numerator and a positive denominator, and read as a
+`Rat` (fractions.Fraction); ring operations are integer gcd arithmetic on
+them and construct no `Fraction`.  The curve coefficients are held as
+integers l_j * D over their least common denominator D, and each
+y_i^2 -> f(x_i) substitution moves a factor 1/D into the scale.  A sum of
+field elements brings its operands to a common denominator by multiplying
+each numerator by x1^a * x2^b * (x1 - x2)^k in one pass over a cached
+binomial row.  Numeric probes sum the integer terms per y-sector against
+mpmath power tables of x1 and x2 and take the denominator from its
 exponents, at the fixed precision PROBE_DIGITS = 30 digits.
 """
 
@@ -31,6 +35,7 @@ import numbers
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction as Rat
+from functools import cache
 from itertools import accumulate
 from operator import mul
 from typing import Mapping
@@ -121,9 +126,6 @@ class CurveParams:
         return "lambda = [" + ",".join(self.as_strings()) + "]"
 
 
-_ONE = Rat(1)
-
-
 def _reduce_terms(params: CurveParams, items) -> tuple:
     """Substitute y_i^2 -> f(x_i) until every y exponent is 0 or 1.
 
@@ -166,24 +168,45 @@ def _reduce_terms(params: CurveParams, items) -> tuple:
     return out, r
 
 
-def _canonical(terms: dict, scale: Rat) -> tuple:
-    """(terms, scale) with the content and sign of integer `terms` moved into scale."""
+def _rat_mul(an: int, ad: int, bn: int, bd: int) -> tuple:
+    """(an/ad) * (bn/bd) for coprime pairs, in lowest terms by cross-cancelling."""
+    g, h = math.gcd(an, bd), math.gcd(bn, ad)
+    if g != 1:
+        an, bd = an // g, bd // g
+    if h != 1:
+        bn, ad = bn // h, ad // h
+    return an * bn, ad * bd
+
+
+def _canonical(terms: dict, sn: int, sd: int) -> tuple:
+    """(terms, sn, sd) with the content and sign of integer `terms` moved into the scale sn/sd."""
     if not terms:
-        return terms, _ONE
+        return terms, 1, 1
     g = math.gcd(*terms.values())
     if terms[max(terms)] < 0:
         g = -g
     if g != 1:
         terms = {m: c // g for m, c in terms.items()}
-        scale = scale * g
-    return terms, scale
+        h = math.gcd(g, sd)
+        if h != 1:
+            g, sd = g // h, sd // h
+        sn *= g
+    return terms, sn, sd
 
 
-def _poly(params: CurveParams, terms: dict, scale: Rat) -> "Poly":
-    """A Poly from terms and scale already in canonical form."""
+def _poly(params: CurveParams, terms: dict, sn: int, sd: int) -> "Poly":
+    """A Poly from terms and scale sn/sd already in canonical form."""
     out = Poly.__new__(Poly)
-    out.params, out.terms, out.scale = params, terms, scale
+    out.params, out.terms, out._sn, out._sd = params, terms, sn, sd
     return out
+
+
+def _y_sectors(terms) -> int:
+    """Bit 0 set if some term has y1, bit 1 if some term has y2."""
+    bits = 0
+    for m in terms:
+        bits |= m[2] | m[3] << 1
+    return bits
 
 
 class Poly:
@@ -192,13 +215,16 @@ class Poly:
     The value is scale * sum(terms[m] * m).  `terms` maps exponent tuples
     (x1, x2, y1, y2) to integers with gcd 1, the lexicographically largest
     monomial has a positive coefficient, and `scale` is a nonzero rational;
-    the zero polynomial has no terms and scale 1.  The form is canonical, so
-    equal values compare and hash equal.  Immutable by convention:
-    operations return new instances and never touch `terms` after
-    construction, so values are safe to share across workers.
+    the zero polynomial has no terms and scale 1.  The scale is stored as two
+    coprime ints, a signed numerator `_sn` and a positive denominator `_sd`,
+    and read as a `Rat`; ring operations update them by integer gcds and
+    construct no `Fraction`.  The form is canonical, so equal values compare
+    and hash equal.  Immutable by convention: operations return new
+    instances and never touch `terms` after construction, so values are safe
+    to share across workers.
     """
 
-    __slots__ = ("params", "terms", "scale")
+    __slots__ = ("params", "terms", "_sn", "_sd")
 
     def __init__(self, params: CurveParams, terms: Mapping | None = None):
         """y-reduce a map from exponent tuples to rational coefficients."""
@@ -206,32 +232,38 @@ class Poly:
         den = math.lcm(*(c.denominator for _, c in items))
         ints, r = _reduce_terms(params, [(m, c.numerator * (den // c.denominator)) for m, c in items])
         self.params = params
-        self.terms, self.scale = _canonical(ints, Rat(1, den * params.lambda_den**r))
+        self.terms, self._sn, self._sd = _canonical(ints, 1, den * params.lambda_den**r)
+
+    @property
+    def scale(self) -> Rat:
+        """The rational scale, in lowest terms."""
+        return Rat(self._sn, self._sd)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def scaled(cls, params, terms: dict, scale=_ONE) -> "Poly":
+    def scaled(cls, params, terms: dict, scale=1) -> "Poly":
         """scale * sum(terms[m] * m) for nonzero integer terms, already y-reduced.
 
         The new value owns `terms`.
         """
-        return _poly(params, *_canonical(terms, _to_rat(scale)))
+        v = scale if isinstance(scale, int) else _to_rat(scale)
+        return _poly(params, *_canonical(terms, v.numerator, v.denominator))
 
     @classmethod
     def zero(cls, params) -> "Poly":
-        return _poly(params, {}, _ONE)
+        return _poly(params, {}, 1, 1)
 
     @classmethod
     def const(cls, params, value) -> "Poly":
-        v = _to_rat(value)
-        return _poly(params, {(0, 0, 0, 0): 1}, v) if v != 0 else cls.zero(params)
+        v = value if isinstance(value, int) else _to_rat(value)
+        return _poly(params, {(0, 0, 0, 0): 1}, v.numerator, v.denominator) if v != 0 else cls.zero(params)
 
     @classmethod
     def variable(cls, params, name: str) -> "Poly":
         idx = {"x1": 0, "x2": 1, "y1": 2, "y2": 3}[name]
         mono = tuple(1 if i == idx else 0 for i in range(4))
-        return _poly(params, {mono: 1}, _ONE)
+        return _poly(params, {mono: 1}, 1, 1)
 
     # -- basic structure ---------------------------------------------------
 
@@ -255,13 +287,14 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return (
-            self.scale == other.scale
+            self._sn == other._sn
+            and self._sd == other._sd
             and self.terms == other.terms
             and self.params.lambdas == other.params.lambdas
         )
 
     def __hash__(self):
-        return hash((self.params.lambdas, frozenset(self.terms.items()), self.scale))
+        return hash((self.params.lambdas, frozenset(self.terms.items()), self._sn, self._sd))
 
     # -- ring operations ---------------------------------------------------
 
@@ -275,12 +308,13 @@ class Poly:
             return self
         if not self.terms:
             return other
-        # common scale g/l: the operands' terms get integer multipliers u, v
-        s, t = self.scale, other.scale
-        g = math.gcd(s.numerator, t.numerator)
-        l = math.lcm(s.denominator, t.denominator)
-        u = s.numerator // g * (l // s.denominator)
-        v = t.numerator // g * (l // t.denominator)
+        # common scale g/l, in lowest terms since each scale is: the
+        # operands' terms get integer multipliers u, v
+        sn, sd, tn, td = self._sn, self._sd, other._sn, other._sd
+        g = math.gcd(sn, tn)
+        l = sd if sd == td else math.lcm(sd, td)
+        u = sn // g * (l // sd)
+        v = tn // g * (l // td)
         out = dict(self.terms) if u == 1 else {m: c * u for m, c in self.terms.items()}
         for m, c in other.terms.items():
             c *= v
@@ -293,12 +327,12 @@ class Poly:
                     out[m] = c
                 else:
                     del out[m]
-        return _poly(self.params, *_canonical(out, Rat(g, l)))
+        return _poly(self.params, *_canonical(out, g, l))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(self.params, self.terms, -self.scale) if self.terms else self
+        return _poly(self.params, self.terms, -self._sn, self._sd) if self.terms else self
 
     def __sub__(self, other):
         if not isinstance(other, (int, Rat, Poly)):
@@ -309,7 +343,9 @@ class Poly:
         if isinstance(other, (int, Rat)):
             if other == 0:
                 return Poly.zero(self.params)
-            return _poly(self.params, self.terms, self.scale * other) if self.terms else self
+            if not self.terms:
+                return self
+            return _poly(self.params, self.terms, *_rat_mul(self._sn, self._sd, other.numerator, other.denominator))
         if not isinstance(other, Poly):
             return NotImplemented
         self._same_ring(other)
@@ -324,13 +360,15 @@ class Poly:
                     raw[key] = c1 * c2
                 else:
                     raw[key] = prev + c1 * c2
-        scale = self.scale * other.scale
-        if (_has_var(self, 2) and _has_var(other, 2)) or (_has_var(self, 3) and _has_var(other, 3)):
+        sn, sd = _rat_mul(self._sn, self._sd, other._sn, other._sd)
+        if _y_sectors(self.terms) & _y_sectors(other.terms):
             terms, r = _reduce_terms(self.params, list(raw.items()))
-            return _poly(self.params, *_canonical(terms, scale / self.params.lambda_den**r))
+            if r and self.params.lambda_den != 1:
+                sn, sd = _rat_mul(sn, sd, 1, self.params.lambda_den**r)
+            return _poly(self.params, *_canonical(terms, sn, sd))
         # without a y-substitution this is a product in Z[x1, x2, y1, y2]:
         # primitive by Gauss's lemma, its leading term the product of theirs
-        return _poly(self.params, {m: c for m, c in raw.items() if c}, scale)
+        return _poly(self.params, {m: c for m, c in raw.items() if c}, sn, sd)
 
     __rmul__ = __mul__
 
@@ -364,7 +402,7 @@ class Poly:
         s1, s2, t1, t2 = mono
         out = {(e1 - s1, e2 - s2, a1 - t1, a2 - t2): c for (e1, e2, a1, a2), c in self.terms.items()}
         # a monomial factor keeps the lexicographic order, hence the sign
-        return _poly(self.params, out, self.scale)
+        return _poly(self.params, out, self._sn, self._sd)
 
     def try_divide(self):
         """Exact quotient by x1 - x2; None if it does not divide.
@@ -393,7 +431,7 @@ class Poly:
                 return None
         # the quotient of a primitive polynomial by x1 - x2 is primitive, and
         # its leading coefficient is the dividend's
-        return _poly(self.params, quo, self.scale)
+        return _poly(self.params, quo, self._sn, self._sd)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -423,18 +461,8 @@ class Poly:
             y = (1, y1)[a1] * (1, y2)[a2]
             value += v * y
             magnitude += m * abs(y)
-        s = rat_to_mp(self.scale)
+        s = mp.mpf(self._sn) / mp.mpf(self._sd)
         return value * s, magnitude * abs(s)
-
-
-def _has_var(p: Poly, var: int) -> bool:
-    return any(m[var] for m in p.terms)
-
-
-def _den_poly(params, a: int, b: int, k: int) -> Poly:
-    """x1^a * x2^b * (x1 - x2)^k, expanded by the binomial theorem."""
-    terms = {(a + i, b + k - i, 0, 0): (-1) ** (k - i) * math.comb(k, i) for i in range(k + 1)}
-    return _poly(params, terms, _ONE)
 
 
 def _divide_binom(p: Poly, limit) -> tuple:
@@ -448,9 +476,35 @@ def _divide_binom(p: Poly, limit) -> tuple:
     return p, j
 
 
+@cache
+def _binomial_row(k: int) -> tuple:
+    """The terms (i, c) of (x1 - x2)^k = sum c * x1^i * x2^(k - i), i rising."""
+    return tuple((i, (-1) ** (k - i) * math.comb(k, i)) for i in range(k + 1))
+
+
 def _times_den(p: Poly, a: int, b: int, k: int) -> Poly:
-    """p * x1^a * x2^b * (x1 - x2)^k."""
-    return p * _den_poly(p.params, a, b, k) if k else p.shift_down((-a, -b, 0, 0))
+    """p * x1^a * x2^b * (x1 - x2)^k, in one pass over p's terms.
+
+    The scale stays: by Gauss's lemma a primitive polynomial times the
+    primitive (x1 - x2)^k is primitive, and its leading coefficient is p's
+    times the +1 of x1^k.  No y-reduction can arise.
+    """
+    if not (a or b or k) or not p.terms:
+        return p
+    row = _binomial_row(k)
+    out: dict = {}
+    for (e1, e2, y1, y2), c in p.terms.items():
+        e1, e2 = e1 + a, e2 + b + k
+        for i, w in row:
+            key = (e1 + i, e2 - i, y1, y2)
+            prev = out.get(key)
+            if prev is None:
+                out[key] = c * w
+            else:
+                out[key] = prev + c * w
+    if k:
+        out = {m: c for m, c in out.items() if c}
+    return _poly(p.params, out, p._sn, p._sd)
 
 
 class Fld:
@@ -537,7 +591,9 @@ class Fld:
         if other.is_zero():
             return self
         sa, sb = self._struct, other._struct
-        a, b, k = (max(u, v) for u, v in zip(sa, sb))
+        a = sa[0] if sa[0] > sb[0] else sb[0]
+        b = sa[1] if sa[1] > sb[1] else sb[1]
+        k = sa[2] if sa[2] > sb[2] else sb[2]
         num = _times_den(self._num, a - sa[0], b - sa[1], k - sa[2])
         num = num + _times_den(other._num, a - sb[0], b - sb[1], k - sb[2])
         return Fld._make(num, (a, b, k), True)

@@ -13,14 +13,21 @@ be checked against the cross-multiplied fraction, and `swap_points`
 exchanges the two curve points of an element through that route.
 """
 
-from g2soliton.curvering import Fld, Poly, Rat, _den_poly
+import math
+
+from g2soliton.curvering import Fld, Poly, Rat
 
 _HALF = Rat(1, 2)
 
 
+def den_poly(params, a: int, b: int, k: int) -> Poly:
+    """x1^a * x2^b * (x1 - x2)^k, expanded by the binomial theorem."""
+    return Poly(params, {(a + i, b + k - i, 0, 0): (-1) ** (k - i) * math.comb(k, i) for i in range(k + 1)})
+
+
 def den(f: Fld) -> Poly:
     """The expanded denominator x1^a * x2^b * (x1 - x2)^k of f."""
-    return _den_poly(f.params, *f.struct)
+    return den_poly(f.params, *f.struct)
 
 
 def quotient(num: Poly, d: Poly) -> Fld:
@@ -111,5 +118,5 @@ def flow_derivative(g: Fld, direction: int) -> Fld:
     a, b, k = g.struct
     if not (a or b or k):
         return Fld(dn, 0, 0, 1)
-    num = dn * _den_poly(params, 1, 1, 1) - g.num * _log_den_numerator(params, a, b, k, direction)
+    num = dn * den_poly(params, 1, 1, 1) - g.num * _log_den_numerator(params, a, b, k, direction)
     return Fld(num, a + 1, b + 1, k + 2)

@@ -428,6 +428,24 @@ def test_pde_run_gmkdv_conserves_its_invariants(tmp_path):
     assert all(v < 1e-7 for v in drifts.values())
 
 
+@pytest.mark.parametrize("eq", ["kdv", "gmkdv"])
+def test_cnoidal_speed_is_reported_under_kdv_only(eq, tmp_path):
+    # the sn^2 profile travels at its closed-form speed under KdV; under gmKdV
+    # it is just an initial field, and the run still passes its gates
+    from g2soliton.pde import Grid1D, cnoidal_wave
+
+    out = tmp_path / "run.json"
+    code = run_cli(
+        "pde-run", "--eq", eq, "--a", "1.5", "--t-end", "0.01", "--init", "cnoidal:k=0.9,m=2", "--out", str(out),
+    )
+    assert code == 0
+    init = json.loads(out.read_text())["init"]
+    if eq == "kdv":
+        assert init["speed"] == cnoidal_wave(Grid1D(256, 40.0), 0.9, n_periods=2)[1]
+    else:
+        assert init == {"kind": "cnoidal", "k": 0.9, "m": 2}
+
+
 def test_pde_run_cnoidal_near_unit_modulus(tmp_path):
     # at m = 2, L = 20 a grid point of n = 64, and so of n = 128, falls on
     # z = 3K(0.99), where cn = 0.  n = 64 under-resolves the wave (dealiasing

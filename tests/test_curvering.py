@@ -14,6 +14,7 @@ from g2soliton.curvering import (
     Poly,
     PoleAtPoint,
     Rat,
+    _times_den,
     probe_digits,
     random_probe_point,
     rat_to_mp,
@@ -21,7 +22,7 @@ from g2soliton.curvering import (
 from g2soliton.flows import flow_derivative
 from g2soliton.identities import G2Functions, verify_all
 
-from flow_reference import den, f_of, flow_poly_numerator, partial, quotient
+from flow_reference import den, den_poly, f_of, flow_poly_numerator, partial, quotient
 
 GENERIC = CurveParams((1, 2, 1, 3, 1, 4, 5))
 QUINTIC_X5 = CurveParams((0, 0, 0, 0, 0, 1, 0))  # f(x) = x^5
@@ -424,6 +425,93 @@ def test_canonical_form_moves_content_and_sign_into_scale():
     assert same == p and hash(same) == hash(p)
     assert Poly.scaled(GENERIC, {}, 7) == Poly.zero(GENERIC)
     assert Poly.const(GENERIC, 0).scale == 1 and (p - p).scale == 1
+
+
+# -- integer scales and the direct binomial shift -----------------------------------
+
+HALF_CURVE = CurveParams(("1/2", 2, 1, "3/5", 1, 4, 5))  # lambda_den = 10
+
+
+def _assert_general(p):
+    """p is canonical, its scale a Rat in lowest terms over a positive
+    denominator, and it equals the general constructor's form of its value."""
+    _assert_canonical(p)
+    s = p.scale
+    assert isinstance(s, Rat) and (s.numerator, s.denominator) == (p._sn, p._sd) and p._sd > 0
+    general = Poly(p.params, {m: c * s for m, c in p.terms.items()})
+    assert general.terms == p.terms and general.scale == s
+    assert general == p and hash(general) == hash(p)
+
+
+def test_random_chains_keep_the_general_constructors_form():
+    params = HALF_CURVE
+    assert params.lambda_den == 10
+    rng = random.Random(3737)
+    binom = _x1_minus_x2(params)
+    p = _random_poly(rng, params, 4)
+    for step in range(400):
+        q = _random_poly(rng, params, 4)
+        op = rng.randrange(8)
+        if op == 0:
+            p = p + q
+        elif op == 1:
+            p = p - q
+        elif op == 2:
+            p = p * q
+        elif op == 3:
+            p = p * rng.choice((-6, -1, 2, 15))
+        elif op == 4:
+            p = Rat(rng.randint(-9, 9) or 1, rng.randint(1, 25)) * p
+        elif op == 5:
+            p = q ** rng.randint(0, 3)
+        elif op == 6:
+            p = (p * binom * q).try_divide()
+            assert p is not None
+        else:
+            p = p.shift_down(p.common_monomial())
+        _assert_general(p)
+        if len(p) > 40 or not p:
+            p = _random_poly(rng, params, 4)
+    zero = p - p
+    assert zero.scale == 1 and (zero._sn, zero._sd) == (1, 1) and zero == Poly.zero(params)
+
+
+def test_equal_values_built_two_ways_are_equal_and_hash_equal():
+    rng = random.Random(38)
+    for _ in range(40):
+        a, b, c = (_random_poly(rng, HALF_CURVE, 4) for _ in range(3))
+        r = Rat(rng.randint(-9, 9) or 1, rng.randint(1, 12))
+        for left, right in (((a + b) * c, a * c + b * c), ((a * r) * b, a * (b * r)), (a * 3 - a, a * 2)):
+            _assert_general(left)
+            assert left == right and hash(left) == hash(right)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_times_den_is_the_product_by_the_reference_binomial(k):
+    rng = random.Random(100 + k)
+    for params in (HALF_CURVE, GENERIC):
+        for _ in range(20):
+            p = _random_poly(rng, params, 6) * poly_var(params, "y1") + _random_poly(rng, params, 3)
+            a, b = rng.randint(0, 2), rng.randint(0, 2)
+            got = _times_den(p, a, b, k)
+            _assert_general(got)
+            assert got == p * den_poly(params, a, b, k)
+    if k == 1:
+        # x1 - x2 times x1 + x2 cancels the x1 * x2 terms
+        x1, x2 = poly_var(GENERIC, "x1"), poly_var(GENERIC, "x2")
+        assert _times_den(x1 + x2, 0, 0, 1).terms == {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1}
+
+
+def test_ring_operations_construct_no_fraction(monkeypatch):
+    rng = random.Random(39)
+    pairs = [(_random_poly(rng, HALF_CURVE, 5), _random_poly(rng, HALF_CURVE, 5)) for _ in range(20)]
+    y1 = poly_var(HALF_CURVE, "y1")
+    pairs += [(a * y1, b * y1) for a, b in pairs]  # products that y-reduce and divide by lambda_den
+    assert all(not (a.is_constant() or b.is_constant()) for a, b in pairs)
+    fractions = _count_calls(monkeypatch, Rat, "__new__")
+    for a, b in pairs:
+        a + b, a - b, a * b, _times_den(a, 1, 2, 3), _times_den(b, 2, 0, 0)
+    assert fractions == [0]
 
 
 # -- probes ------------------------------------------------------------------------
