@@ -23,9 +23,16 @@ integers l_j * D over their least common denominator D, and each
 y_i^2 -> f(x_i) substitution moves a factor 1/D into the scale.  A sum of
 field elements brings its operands to a common denominator by multiplying
 each numerator by x1^a * x2^b * (x1 - x2)^k in one pass over a cached
-binomial row.  Numeric probes sum the integer terms per y-sector against
-mpmath power tables of x1 and x2 and take the denominator from its
-exponents, at the fixed precision PROBE_DIGITS = 30 digits.
+binomial row.
+
+Numeric probes draw points with x_i = n_i / PROBE_GRID on a grid of step
+1/100 and y_i = +-sqrt(f(x_i)) at the fixed precision PROBE_DIGITS = 30
+digits.  One loop sums a polynomial's integer terms per y-sector in
+homogeneous coordinates (x1, x2, h): `Poly.eval_mp` runs it on mpmath
+values with h = 1, and a `GridPoint` on the integers (n1, n2, PROBE_GRID),
+which with its fixed-point y-weights gives a numerator's value exactly.
+mpmath is imported by the functions that use it, so exact work alone never
+loads it.
 """
 
 from __future__ import annotations
@@ -40,9 +47,11 @@ from itertools import accumulate
 from operator import mul
 from typing import Mapping
 
-import mpmath as mp
-
 PROBE_DIGITS = 30
+# probe points have x_i = n_i / PROBE_GRID
+PROBE_GRID = 100
+# candidate draws rejected in a row before random_probe_point gives up
+PROBE_REJECTIONS = 1000
 
 
 class CurveRingError(Exception):
@@ -51,6 +60,10 @@ class CurveRingError(Exception):
 
 class PoleAtPoint(CurveRingError):
     """The denominator of a field element vanishes at the probe point."""
+
+
+class NoProbePoint(CurveRingError):
+    """No admissible probe point in PROBE_REJECTIONS draws in a row, as when |y| < 1e-6 on the whole grid."""
 
 
 def probe_digits() -> int:
@@ -72,8 +85,10 @@ def _to_rat(value) -> Rat:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def rat_to_mp(r) -> mp.mpf:
+def rat_to_mp(r):
     """Exact rational -> mpmath float at the current working precision."""
+    import mpmath as mp
+
     return mp.mpf(r.numerator) / mp.mpf(r.denominator)
 
 
@@ -114,6 +129,8 @@ class CurveParams:
         return cls(tuple(entries))
 
     def f_value_mp(self, x):
+        import mpmath as mp
+
         acc = mp.mpf(0)
         for c in reversed(self.lambdas):
             acc = acc * x + rat_to_mp(c)
@@ -436,33 +453,39 @@ class Poly:
     # -- evaluation ---------------------------------------------------------
 
     def eval_mp(self, x1, x2, y1, y2):
-        return self.eval_mp_pair(x1, x2, y1, y2)[0]
+        """The value at one point, in mpmath arithmetic.
 
-    def eval_mp_pair(self, x1, x2, y1, y2) -> tuple:
-        """(value, sum of term magnitudes) at one point, in one pass.
-
-        The integer terms are summed per y-sector against power tables of x1
-        and x2 (real sums when x is real); each sector sum is multiplied by
-        its y-monomial once and the total by the scale once.  The magnitude
-        sum scales the relative error of a probe.
+        Each y-sector's integer terms are summed against power tables of x1
+        and x2 (real sums when x is real), the sum multiplied by its
+        y-monomial once and the total by the scale once.
         """
+        import mpmath as mp
+
         x1, x2, y1, y2 = (mp.mpmathify(v) for v in (x1, x2, y1, y2))
-        value, magnitude = mp.mpc(0), mp.mpf(0)
-        if not self.terms:
-            return value, magnitude
-        p1 = list(accumulate([x1] * max(m[0] for m in self.terms), mul, initial=1))
-        p2 = list(accumulate([x2] * max(m[1] for m in self.terms), mul, initial=1))
-        sectors: dict = {}
-        for (e1, e2, a1, a2), c in self.terms.items():
-            t = c * (p1[e1] * p2[e2])
-            acc = sectors.get((a1, a2))
-            sectors[(a1, a2)] = (t, abs(t)) if acc is None else (acc[0] + t, acc[1] + abs(t))
-        for (a1, a2), (v, m) in sectors.items():
-            y = (1, y1)[a1] * (1, y2)[a2]
-            value += v * y
-            magnitude += m * abs(y)
-        s = mp.mpf(self._sn) / mp.mpf(self._sd)
-        return value * s, magnitude * abs(s)
+        value = mp.mpc(0)
+        for (a1, a2), (v, _) in _sector_sums(self.terms, x1, x2, 1)[1].items():
+            value += v * ((1, y1)[a1] * (1, y2)[a2])
+        return value * (mp.mpf(self._sn) / mp.mpf(self._sd))
+
+
+def _sector_sums(terms: dict, x1, x2, h) -> tuple:
+    """(d, sums): `terms` summed per y-sector in homogeneous coordinates.
+
+    d is the top total x-degree, and sums maps each y-exponent pair (a1, a2)
+    to (sum, sum of moduli) of its terms c * x1^e1 * x2^e2 * h^(d - e1 - e2).
+    With h = 1 that is the polynomial's x-part; with integers x_i = n_i and
+    h = PROBE_GRID it is h^d times its value at x_i = n_i / h, exactly.
+    """
+    d = max((m[0] + m[1] for m in terms), default=0)
+    p1 = list(accumulate([x1] * max((m[0] for m in terms), default=0), mul, initial=1))
+    p2 = list(accumulate([x2] * max((m[1] for m in terms), default=0), mul, initial=1))
+    ph = list(accumulate([h] * d, mul, initial=1))
+    sums: dict = {}
+    for (e1, e2, a1, a2), c in terms.items():
+        t = c * (p1[e1] * p2[e2] * ph[d - e1 - e2])
+        acc = sums.get((a1, a2))
+        sums[(a1, a2)] = (t, abs(t)) if acc is None else (acc[0] + t, acc[1] + abs(t))
+    return d, sums
 
 
 def _divide_binom(p: Poly, limit) -> tuple:
@@ -640,6 +663,8 @@ class Fld:
         of |x1|^a * |x2|^b * (|x1| + |x2|)^k, the sum of the term magnitudes
         of its expansion.
         """
+        import mpmath as mp
+
         a, b, k = self.struct
         x1, x2 = mp.mpmathify(x1), mp.mpmathify(x2)
         value = x1**a * x2**b * (x1 - x2) ** k
@@ -668,11 +693,16 @@ def _normalise(num: Poly, a: int, b: int, k: int) -> tuple:
 
 
 def random_probe_point(params: CurveParams, rng, dps: int = PROBE_DIGITS):
-    """A random admissible float-mode curve point (x1, x2, y1, y2)."""
+    """A random admissible float-mode curve point (x1, x2, y1, y2).
+
+    Raises NoProbePoint after PROBE_REJECTIONS rejected candidates in a row.
+    """
+    import mpmath as mp
+
     with mp.workdps(dps):
-        while True:
-            x1 = mp.mpf(rng.randint(20, 400)) / 100
-            x2 = mp.mpf(rng.randint(20, 400)) / 100
+        for _ in range(PROBE_REJECTIONS):
+            x1 = mp.mpf(rng.randint(20, 400)) / PROBE_GRID
+            x2 = mp.mpf(rng.randint(20, 400)) / PROBE_GRID
             if abs(x1 - x2) < mp.mpf("0.05"):
                 continue
             y1 = mp.sqrt(mp.mpc(params.f_value_mp(x1)))
@@ -684,3 +714,70 @@ def random_probe_point(params: CurveParams, rng, dps: int = PROBE_DIGITS):
             if rng.random() < 0.5:
                 y2 = -y2
             return x1, x2, y1, y2
+    raise NoProbePoint(f"no admissible probe point in {PROBE_REJECTIONS} draws on {params}")
+
+
+class GridPoint:
+    """A probe point of random_probe_point in integers: x_i = n_i / PROBE_GRID.
+
+    `weights` maps each y-sector (a1, a2) to its monomial 1, y1, y2 or
+    y1 * y2 as a Gaussian integer (re, im) over 2^shift, and `moduli` to its
+    modulus as an int over 2^shift.  They are read exactly from the mpmath
+    mantissas of y1, y2 and their moduli, with a shift that drops no bit.
+    `point` is the point as reported: (x1, x2, y1, y2) as float, float,
+    complex, complex.
+    """
+
+    __slots__ = ("n1", "n2", "shift", "weights", "moduli", "point")
+
+    def __init__(self, point):
+        import mpmath as mp
+
+        x1, x2, y1, y2 = point
+        self.n1, self.n2 = round(float(x1) * PROBE_GRID), round(float(x2) * PROBE_GRID)
+        # (re, im, modulus) of y1 and y2 as mpmath's (sign, mantissa, exponent,
+        # bits), each brought to ints over 2^s with the least s >= 0 that drops no bit
+        ints, shifts = [], []
+        for y in (y1, y2):
+            with mp.workdps(PROBE_DIGITS):
+                parts = [v._mpf_[:3] for v in (y.real, y.imag, abs(y))]
+            s = max(0, *(-e for _, _, e in parts))
+            ints.append([(-m if sign else m) << (e + s) for sign, m, e in parts])
+            shifts.append(s)
+        (r1, i1, m1), (r2, i2, m2) = ints
+        u1, u2 = 1 << shifts[0], 1 << shifts[1]
+        self.shift = shifts[0] + shifts[1]
+        self.weights = {
+            (0, 0): (u1 * u2, 0),
+            (1, 0): (r1 * u2, i1 * u2),
+            (0, 1): (r2 * u1, i2 * u1),
+            (1, 1): (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2),
+        }
+        self.moduli = {(0, 0): u1 * u2, (1, 0): m1 * u2, (0, 1): m2 * u1, (1, 1): m1 * m2}
+        self.point = (float(x1), float(x2), complex(y1), complex(y2))
+
+    def numerator(self, f: "Fld") -> tuple:
+        """f's numerator as it stands, pending or not, here: (real, imag, magnitude, unit).
+
+        Its value is (real + i * imag) / unit and the sum of its terms' moduli
+        magnitude / unit, exactly.
+        """
+        p = f._num
+        d, sums = _sector_sums(p.terms, self.n1, self.n2, PROBE_GRID)
+        real = imag = magnitude = 0
+        for sector, (v, m) in sums.items():
+            wr, wi = self.weights[sector]
+            real += v * wr
+            imag += v * wi
+            magnitude += m * self.moduli[sector]
+        sn = p._sn
+        return sn * real, sn * imag, abs(sn) * magnitude, p._sd * PROBE_GRID**d << self.shift
+
+    def denominator(self, f: "Fld") -> tuple:
+        """f's denominator x1^a * x2^b * (x1 - x2)^k as it stands, here: (den, unit).
+
+        Its value is den / unit, exactly; den is 0 at a pole.
+        """
+        a, b, k = f._struct
+        n1, n2 = self.n1, self.n2
+        return n1**a * n2**b * (n1 - n2) ** k, PROBE_GRID ** (a + b + k)

@@ -14,8 +14,9 @@ functions and their flow derivatives that must reduce to the exact zero
 field element.  Each identity is stored once as a builder over one context
 class, `_Context`, which gives two independent evaluation routes: exact
 reduction in the function field, and high-precision numeric evaluation at
-random curve points (the Schwartz-Zippel style probe used both as a
-development oracle and to certify nonzero witnesses).  As in the paper, the
+random curve points (the Schwartz-Zippel style probe, a development oracle;
+a nonzero residual's witness is decided exactly, on the probe grid, by
+`find_witness`).  As in the paper, the
 derived identities are not written out: each is a route, one of the
 written-out builders run on a context with curve coefficients pinned to zero
 (the quintic entries pin l6, and l0) and, for a Jacobi-type entry, the dual
@@ -34,14 +35,13 @@ import re
 import time
 from dataclasses import dataclass, field, replace
 
-import mpmath as mp
-
 from .curvering import (
     PROBE_DIGITS,
     CurveParams,
     CurveRingError,
     Fld,
-    PoleAtPoint,
+    GridPoint,
+    NoProbePoint,
     Poly,
     Rat,
     random_probe_point,
@@ -187,15 +187,33 @@ class G2Functions:
         # residual tuples by route, filled by residuals_unchecked
         self._residuals: dict = {}
         self._probe_points: list = []
+        self._probe_grid: list = []
         self._probe_rng = random.Random(0)
 
     def probe_point(self, index: int):
         """Point `index` of the probe stream: the draws of random_probe_point(params,
-        Random(0)) at PROBE_DIGITS, made once and extended lazily."""
+        Random(0)) at PROBE_DIGITS, made once and extended lazily.
+
+        Raises NoProbePoint past the point where a draw gave up; the stream
+        ends there, so every later index raises too.
+        """
         points = self._probe_points
         while len(points) <= index:
-            points.append(random_probe_point(self.params, self._probe_rng))
+            if self._probe_rng is None:
+                raise NoProbePoint(f"the probe stream of {self.params} ends after {len(points)} points")
+            try:
+                points.append(random_probe_point(self.params, self._probe_rng))
+            except NoProbePoint:
+                self._probe_rng = None
+                raise
         return points[index]
+
+    def probe_grid(self, index: int) -> GridPoint:
+        """Point `index` of the probe stream in integers, made once."""
+        grid = self._probe_grid
+        while len(grid) <= index:
+            grid.append(GridPoint(self.probe_point(len(grid))))
+        return grid[index]
 
     def deriv(self, name: str, dirs: str = "") -> Fld:
         """Flow derivative of a named base function; dirs like '1', '22', '12'.
@@ -558,6 +576,8 @@ def probe_identity(tag: str, fns: G2Functions, point) -> tuple:
     Every sum and product is evaluated in mpmath arithmetic; the only shared
     machinery with the exact route is the symbolic flow-derivative table.
     """
+    import mpmath as mp
+
     value = functools.cache(lambda name, dirs: fns.deriv(name, dirs).eval_mp(*point))
     return _assemble([rat_to_mp(v) for v in fns.params.lambdas], mp.mpf(1), value, *_ROUTES[tag])
 
@@ -565,6 +585,9 @@ def probe_identity(tag: str, fns: G2Functions, point) -> tuple:
 # -- verification driver --------------------------------------------------------
 
 WITNESS_TRIES = 25
+# the witness rule |numerator| > 10^-(PROBE_DIGITS // 2) * (sum of term moduli + 1),
+# squared and cleared of the common unit, compares 10^(2 * (PROBE_DIGITS // 2)) * |num|^2
+_THRESHOLD_SQUARED = 10 ** (2 * (PROBE_DIGITS // 2))
 # the statuses that fail a check: an unresolved residual is exactly nonzero,
 # only its witness is missing
 FAILING_STATUSES = frozenset({"nonzero", "unresolved"})
@@ -614,36 +637,50 @@ def find_witness(comps, fns: G2Functions):
     """A probe point where some residual component is numerically nonzero.
 
     The points are the first WITNESS_TRIES of `fns`'s probe stream, so every
-    identity witnessed on one curve walks the same draws, made once.
+    identity witnessed on one curve walks the same draws, made once.  At
+    each point the nonzero components are read as they stand, pending or
+    not, in integers on the grid (`GridPoint`): one is a witness when its
+    numerator's value exceeds 10^-(PROBE_DIGITS // 2) times the sum of its
+    terms' moduli, plus one, and its denominator does not vanish.  The test
+    is exact; only y1 and y2 carry the probe's 30 digits.  Returns the point
+    and |component| to 6 digits, or (None, None) when no component is
+    nonzero, no point witnesses one, or the probe stream ends first.
     """
-    with mp.workdps(PROBE_DIGITS):
-        threshold = mp.mpf(10) ** (-(PROBE_DIGITS // 2))
-        for i in range(WITNESS_TRIES):
-            point = fns.probe_point(i)
-            for comp in comps:
-                if comp.is_zero():
-                    continue
-                try:
-                    den_val = comp.den_mp(point[0], point[1])
-                except PoleAtPoint:
-                    continue
-                num_val, scale = comp.num.eval_mp_pair(*point)
-                if not mp.isfinite(num_val):
-                    continue
-                if abs(num_val) / (scale + 1) > threshold:
-                    value = abs(num_val / den_val)
-                    return (
-                        [float(point[0]), float(point[1]), complex(point[2]), complex(point[3])],
-                        mp.nstr(value, 6),
-                    )
+    comps = [comp for comp in comps if not comp.is_zero()]
+    if not comps:
+        return None, None
+    for i in range(WITNESS_TRIES):
+        try:
+            grid = fns.probe_grid(i)
+        except NoProbePoint:
+            break
+        for comp in comps:
+            den, den_unit = grid.denominator(comp)
+            if not den:
+                continue
+            real, imag, magnitude, unit = grid.numerator(comp)
+            square = real * real + imag * imag
+            if _THRESHOLD_SQUARED * square > (magnitude + unit) ** 2:
+                return list(grid.point), _ratio_text(square * den_unit**2, unit * abs(den))
     return None, None
+
+
+def _ratio_text(square: int, den: int) -> str:
+    """sqrt(square) / den to 6 digits: one square root and one ratio at PROBE_DIGITS."""
+    import mpmath as mp
+
+    with mp.workdps(PROBE_DIGITS):
+        return mp.nstr(mp.sqrt(square) / den, 6)
 
 
 def verify_identity(tag: str, fns: G2Functions) -> IdentityResult:
     """Reduce one identity exactly and witness a nonzero residual.
 
-    "unresolved" is a nonzero residual without a witness point; `millis`
-    covers assembly, the zero test and the witness search.
+    The zero test is exact; a nonzero residual is then witnessed by
+    `find_witness`, exactly on the probe grid.  "unresolved" is a nonzero
+    residual without a witness point: none of the WITNESS_TRIES points
+    witnessed it, or the curve's probe stream ended first.  `millis` covers
+    assembly, the zero test and the witness search.
     """
     bad = _IDENTITY_IDS[tag].violated(fns.params)
     if bad:

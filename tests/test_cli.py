@@ -258,12 +258,15 @@ def test_sweep_redundant_constraints_ignore_hash_seed(tmp_path):
 
 
 def test_exact_subcommands_start_without_numpy():
+    # and, while every entry reduces to zero, without mpmath: only a witness search needs it
     src = str(Path(g2soliton.__file__).resolve().parent.parent)
     script = (
         "import sys\n"
         "from g2soliton.cli import main\n"
         "assert main(['verify-g2', '--lambda', '1,2,1,3,1,4,5', '--set', 'weierstrass']) == 0\n"
         "assert main(['sweep', '--count', '1', '--set', 'integrability']) == 0\n"
+        "assert main(['sweep', '--count', '2', '--seed', '42', '--set', 'all', '--jobs', '1']) == 0\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath'\n"
         "assert not {'multiprocessing', 'concurrent.futures.process'} & set(sys.modules), 'a pool module'\n"
         "assert main(['elliptic-check', '--re', '0.1:2.0:5', '--im=-0.8:0.8:5']) == 0\n"
         "assert main(['static-transforms', '--samples', '3']) == 0\n"

@@ -11,18 +11,19 @@ from hypothesis import strategies as st
 from g2soliton.curvering import (
     CurveParams,
     Fld,
+    GridPoint,
     Poly,
     PoleAtPoint,
     Rat,
     _times_den,
     probe_digits,
     random_probe_point,
-    rat_to_mp,
 )
 from g2soliton.flows import flow_derivative
 from g2soliton.identities import G2Functions, verify_all
 
 from flow_reference import den, den_poly, f_of, flow_poly_numerator, partial, quotient
+from witness_reference import per_term
 
 GENERIC = CurveParams((1, 2, 1, 3, 1, 4, 5))
 QUINTIC_X5 = CurveParams((0, 0, 0, 0, 0, 1, 0))  # f(x) = x^5
@@ -545,27 +546,41 @@ def test_probe_additivity():
             assert abs(lhs - rhs) <= mp.mpf("1e-12") * (1 + abs(lhs))
 
 
-def _per_term_reference(p, x1, x2, y1, y2):
-    """Value and magnitude sum term by term, each coefficient formed as c * scale."""
-    value, magnitude = mp.mpc(0), mp.mpf(0)
-    for (e1, e2, a1, a2), c in p.terms.items():
-        term = rat_to_mp(c * p.scale) * x1**e1 * x2**e2 * y1**a1 * y2**a2
-        value += term
-        magnitude += abs(term)
-    return value, magnitude
-
-
 def _point_above(params, x1, x2):
     return x1, x2, mp.sqrt(mp.mpc(params.f_value_mp(x1))), -mp.sqrt(mp.mpc(params.f_value_mp(x2)))
 
 
+def _exact(v) -> Rat:
+    """An mpmath float as the exact rational it holds."""
+    sign, man, exp, _ = v._mpf_
+    return (-1) ** sign * man * Rat(2) ** exp
+
+
+def _grid_reference(p, grid, point):
+    """(re, im, magnitude) of p on the grid, exactly: x_i = n_i / 100 and the point's y as held."""
+    x1, x2 = Rat(grid.n1, 100), Rat(grid.n2, 100)
+    ys = [(_exact(y.real), _exact(y.imag)) for y in point[2:]]
+    # each sector's monomial 1, y1, y2 or y1 * y2 as a Gaussian rational
+    (r1, i1), (r2, i2) = ys
+    sector = {(0, 0): (1, 0), (1, 0): (r1, i1), (0, 1): (r2, i2), (1, 1): (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)}
+    re = im = magnitude = Rat(0)
+    for (e1, e2, a1, a2), c in p.terms.items():
+        t = c * p.scale * x1**e1 * x2**e2
+        wr, wi = sector[(a1, a2)]
+        re, im = re + t * wr, im + t * wi
+        # a probe's y is real or imaginary, so its modulus is |re| + |im|
+        magnitude += abs(t) * math.prod(abs(r) + abs(i) for (r, i), a in zip(ys, (a1, a2)) if a)
+    return re, im, magnitude
+
+
 @pytest.mark.parametrize("params", [GENERIC, GII_LOCUS], ids=["sextic", "l0=l6=0"])
-def test_eval_mp_pair_matches_per_term_reference(params):
+def test_eval_mp_and_grid_sums_match_per_term_reference(params):
     rng = random.Random(808)
-    polys = [Poly.zero(params), Poly.const(params, Rat(-7, 3))]
+    polys = [Poly.const(params, Rat(-7, 3))]
     # products of random polynomials carry y-reduced terms of high degree
     polys += [_random_poly(rng, params, 6) * _random_poly(rng, params, 3) for _ in range(20)]
     with mp.workdps(50):
+        probes = [random_probe_point(params, rng) for _ in range(3)]
         points = [random_probe_point(params, rng, dps=50) for _ in range(3)]
         points.append(_point_above(params, mp.mpf("-1.3"), mp.mpf("0.4")))
         # complex x, as on a flow integrated through complex values
@@ -573,12 +588,42 @@ def test_eval_mp_pair_matches_per_term_reference(params):
         tol = mp.mpf("1e-40")
         for p in polys:
             for point in points:
-                value, magnitude = p.eval_mp_pair(*point)
-                want_value, want_magnitude = _per_term_reference(p, *point)
-                assert abs(value - want_value) <= tol * want_magnitude
-                assert abs(magnitude - want_magnitude) <= tol * want_magnitude
-                assert p.eval_mp(*point) == value
-    assert Poly.zero(params).eval_mp_pair(1, 2, 3, 4) == (0, 0)
+                want_value, want_magnitude = per_term(p, *point)
+                assert abs(p.eval_mp(*point) - want_value) <= tol * want_magnitude
+    assert Poly.zero(params).eval_mp(1, 2, 3, 4) == 0
+    grids = [GridPoint(point) for point in probes]
+    for grid, point in zip(grids, probes):
+        assert abs(grid.n1 / 100 - point[0]) < 1e-12 and abs(grid.n2 / 100 - point[1]) < 1e-12
+        assert grid.point == (float(point[0]), float(point[1]), complex(point[2]), complex(point[3]))
+    for p in polys:
+        for grid, point in zip(grids, probes):
+            re, im, magnitude, unit = grid.numerator(Fld(p))
+            assert (Rat(re, unit), Rat(im, unit), Rat(magnitude, unit)) == _grid_reference(p, grid, point)
+
+
+def test_grid_values_of_pending_and_settled_forms_are_equal():
+    rng = random.Random(707)
+    grid = GridPoint(random_probe_point(GENERIC, rng))
+    n1, n2 = Rat(grid.n1, 100), Rat(grid.n2, 100)
+    # a product by x1 * x2 * (x1 - x2) is pending over a denominator it shares factors with
+    cancels = Fld(poly_var(GENERIC, "x1") * poly_var(GENERIC, "x2") * _x1_minus_x2(GENERIC))
+    reduced = 0
+    for _ in range(20):
+        f, g = _random_structured(rng, GENERIC), _random_structured(rng, GENERIC)
+        for h in (f * g - g + f**2, f * g * cancels):
+            if not h._pending:  # an operand was zero
+                continue
+            settled = Fld(h._num, *h._struct)
+            reduced += settled._struct != h._struct
+            parts = []
+            for element in (h, settled):
+                re, im, _, unit = grid.numerator(element)
+                den, den_unit = grid.denominator(element)
+                a, b, k = element._struct
+                assert Rat(den, den_unit) == n1**a * n2**b * (n1 - n2) ** k
+                parts.append((Rat(re, unit) / Rat(den, den_unit), Rat(im, unit) / Rat(den, den_unit)))
+            assert parts[0] == parts[1]
+    assert reduced  # some normal forms cancel a factor the pending form holds
 
 
 def test_eval_mp_poles_use_the_denominator_pair():

@@ -8,7 +8,7 @@ import pytest
 
 from g2soliton import identities
 from g2soliton.cli import main
-from g2soliton.curvering import CurveParams, Fld, Poly, Rat, probe_digits, random_probe_point, rat_to_mp
+from g2soliton.curvering import CurveParams, Fld, NoProbePoint, Poly, Rat, probe_digits, random_probe_point, rat_to_mp
 from g2soliton.flows import flow_derivative
 from g2soliton.identities import (
     Constraint,
@@ -27,6 +27,7 @@ from g2soliton.identities import (
 )
 from g2soliton.sweep import SweepConfig, locus_groups, run_sweep, sample_curve, sample_curves, summarize
 
+import witness_reference
 from flow_reference import swap_points
 
 GENERIC = CurveParams((1, 2, 1, 3, 1, 4, 5))
@@ -540,6 +541,89 @@ def test_missing_witness_is_unresolved_and_fails(monkeypatch, generic_fns):
     summary = summarize([report])
     assert summary.n_nonzero == 2 and summary.failing_curves == [str(GENERIC)]
     assert main(["verify-g2", "--lambda", "1,2,1,3,1,4,5", "--set", "weierstrass"]) == 1
+
+
+def _offlocus_curves(count: int) -> list:
+    """Random sextics with every coefficient nonzero, off every special locus."""
+    rng = random.Random(3838)
+    curves = []
+    for _ in range(count):
+        lams = (Rat(rng.choice((-1, 1)) * rng.randint(1, 100), rng.randint(1, 10)) for _ in range(7))
+        curves.append(CurveParams(tuple(lams)))
+    return curves
+
+
+_SPECIAL_TAGS = IDENTITY_SETS["weierstrass-special"] + IDENTITY_SETS["jacobi-special"] + ["KUM1"]
+# five sweep loci; l1 and l5 stay nonzero, as the builders divide by them
+_SWEEP_LOCI = ((), ("l6=0",), ("l0=0",), ("l0=0", "l6=0"), ("l1=4", "l5=4"))
+
+
+def test_find_witness_equals_the_per_term_reference():
+    work = [(curve, _SPECIAL_TAGS) for curve in _offlocus_curves(20)]
+    for locus in _SWEEP_LOCI:
+        config = SweepConfig(count=2, seed=38, constraints=locus + ("l1!=0", "l5!=0"))
+        work += [(curve, IDENTITY_SETS["all"]) for curve in sample_curves(config)]
+    checked = 0
+    for curve, tags in work:
+        fns = G2Functions(curve)
+        found = {}
+        for tag in tags:  # all of the program's searches first: the reference settles what it reads
+            comps = residuals_unchecked(tag, fns)
+            if not all(comp.is_zero() for comp in comps):
+                found[tag] = find_witness(comps, fns)
+        for tag, got in found.items():
+            assert got == witness_reference.find_witness(residuals_unchecked(tag, fns), fns), (curve, tag)
+            assert got[0] is not None
+        checked += len(found)
+    assert checked >= 20 * len(_SPECIAL_TAGS)
+
+
+def test_a_component_zero_at_the_first_point_moves_on_to_the_second():
+    fns = G2Functions(GENERIC)
+    first, second = fns.probe_grid(0), fns.probe_grid(1)
+    assert first.n1 != second.n1
+    # x1 - n1/100 vanishes exactly at the first point, on the grid
+    comp = fvar(GENERIC, "x1") - Rat(first.n1, 100)
+    want = (list(second.point), mp.nstr(abs(mp.mpf(second.n1 - first.n1) / 100), 6))
+    assert find_witness((comp,), fns) == want == witness_reference.find_witness((comp,), fns)
+
+
+def test_find_witness_settles_nothing_and_evaluates_nothing_in_mpmath(monkeypatch):
+    fns = G2Functions(GENERIC)
+    comps = residuals_unchecked("INT-W2", fns)
+    assert all(comp._pending for comp in comps)
+
+    def forbidden(*args):
+        raise AssertionError("find_witness read a normal form or evaluated in mpmath")
+
+    for owner, name in ((Fld, "_settle"), (Fld, "eval_mp"), (Fld, "den_mp"), (Poly, "eval_mp")):
+        monkeypatch.setattr(owner, name, forbidden)
+    assert find_witness(comps, fns) == PINNED_WITNESSES["INT-W2"]
+    assert all(comp._pending for comp in comps)
+
+
+def test_find_witness_draws_no_point_for_zero_components(monkeypatch):
+    # f = 10^-20 has |y| < 1e-6 everywhere, so a draw would never succeed
+    fns = G2Functions(CurveParams((Rat(1, 10**20), 0, 0, 0, 0, 0, 0)))
+    comps = residuals_unchecked("INT-W2", fns)
+    assert all(comp.is_zero() for comp in comps)
+    monkeypatch.setattr(identities, "random_probe_point", None)
+    assert find_witness(comps, fns) == (None, None)
+
+
+def test_find_witness_gives_up_when_no_probe_point_exists(monkeypatch):
+    # f = 10^-20 (x^5 + x^6) has |y| < 1e-6 on the whole probe grid
+    fns = G2Functions(CurveParams((0, 0, 0, 0, 0, Rat(1, 10**20), Rat(1, 10**20))))
+    comps = residuals_unchecked("INT-W2", fns)
+    assert not all(comp.is_zero() for comp in comps)
+    assert find_witness(comps, fns) == (None, None)
+    # the stream has ended: a later search draws nothing, and the identity is unresolved
+    monkeypatch.setattr(identities, "random_probe_point", None)
+    with pytest.raises(NoProbePoint):
+        fns.probe_point(0)
+    monkeypatch.setattr(identities, "residuals_unchecked", lambda tag, fns: comps)
+    res = verify_identity("W1", fns)
+    assert res.status == "unresolved" and res.witness_point is None
 
 
 # -- verify driver and report shape -------------------------------------------------
